@@ -44,6 +44,17 @@ fn bench_tiles_overlapping(c: &mut Criterion) {
     c.bench_function("tiles_overlapping_16k", |b| {
         b.iter(|| black_box(grid.tiles_overlapping(black_box(&rect))))
     });
+    // The same walk as the JIT emitter takes it: no collected `Vec`, the
+    // per-tile intersection folded on the fly.
+    c.bench_function("for_each_overlap_16k", |b| {
+        b.iter(|| {
+            let mut elems = 0u64;
+            grid.for_each_overlap(black_box(&rect), |tile, _, inter| {
+                elems += tile + inter.iter().map(|&(p, q)| (q - p) as u64).product::<u64>();
+            });
+            black_box(elems)
+        })
+    });
 }
 
 fn bench_tiling_search(c: &mut Criterion) {

@@ -257,6 +257,12 @@ fn bench_template_patch(c: &mut Criterion) {
     let gauss_fresh = gauss_main_instance(512, 101);
     bench_patch_pair(c, "gauss_elim", &gauss_seed, &gauss_fresh);
 
+    // The same region at Table-3 size (1×256 tiles, 16 384 of them): the
+    // template hit `gauss_elim` pays 2 047 times per paper-scale run.
+    let gauss_2k_seed = gauss_main_instance(2048, 0);
+    let gauss_2k_fresh = gauss_main_instance(2048, 1);
+    bench_patch_pair(c, "gauss_main_2048", &gauss_2k_seed, &gauss_2k_fresh);
+
     let dwt_seed = dwt_phase_instance(512, 0, 1, 511, -0.5);
     let dwt_fresh = dwt_phase_instance(512, 1, 1, 511, -0.5);
     bench_patch_pair(c, "dwt2d", &dwt_seed, &dwt_fresh);

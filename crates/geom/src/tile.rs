@@ -313,30 +313,138 @@ impl TileGrid {
         }))
     }
 
-    /// Linear tile indices of all tiles overlapping `rect` (clipped to the array).
+    /// Visits every tile overlapping `rect` (clipped to the array) without
+    /// allocating per tile: `visit(tile_index, tile_coord, intersection)`,
+    /// where `intersection[d]` is the `[p, q)` interval along dimension `d` of
+    /// the tile's rectangle intersected with `rect` — so the overlap holds
+    /// `∏ (q - p)` elements.
+    ///
+    /// Tiles are visited in ascending linear index (dimension 0 fastest). The
+    /// order is part of the contract: the JIT emitter accumulates per-bank
+    /// loads and de-duplicates multicast copies in visiting order, and its
+    /// command streams must stay bitwise reproducible.
+    ///
+    /// A rectangle of the wrong dimensionality, an empty one, or one entirely
+    /// outside the array visits nothing.
+    pub fn for_each_overlap(
+        &self,
+        rect: &HyperRect,
+        mut visit: impl FnMut(u64, &[u64], &[(i64, i64)]),
+    ) {
+        let n = self.tile.ndim();
+        if rect.ndim() != n {
+            return;
+        }
+        if n <= INLINE_DIMS {
+            let mut axes = [Axis::default(); INLINE_DIMS];
+            let mut coord = [0u64; INLINE_DIMS];
+            let mut inter = [(0i64, 0i64); INLINE_DIMS];
+            self.walk_overlap(
+                rect,
+                &mut axes[..n],
+                &mut coord[..n],
+                &mut inter[..n],
+                &mut visit,
+            );
+        } else {
+            self.walk_overlap(
+                rect,
+                &mut vec![Axis::default(); n],
+                &mut vec![0; n],
+                &mut vec![(0, 0); n],
+                &mut visit,
+            );
+        }
+    }
+
+    /// The odometer behind [`for_each_overlap`](Self::for_each_overlap), over
+    /// caller-provided scratch (one slot per dimension).
+    fn walk_overlap(
+        &self,
+        rect: &HyperRect,
+        axes: &mut [Axis],
+        coord: &mut [u64],
+        inter: &mut [(i64, i64)],
+        visit: &mut impl FnMut(u64, &[u64], &[(i64, i64)]),
+    ) {
+        let mut index = 0u64;
+        let mut stride = 1u64;
+        for (d, axis) in axes.iter_mut().enumerate() {
+            let (rp, rq) = rect.interval(d);
+            let p = rp.max(0);
+            let q = rq.min(self.array_shape[d] as i64);
+            if p >= q {
+                return;
+            }
+            let t = self.tile.dim(d) as i64;
+            *axis = Axis {
+                lo: (p / t) as u64,
+                hi: ((q - 1) / t) as u64 + 1,
+                stride,
+                p,
+                q,
+                t,
+            };
+            coord[d] = axis.lo;
+            inter[d] = axis.clip(axis.lo);
+            index += axis.lo * stride;
+            stride *= self.tiles_per_dim[d];
+        }
+        loop {
+            visit(index, coord, inter);
+            // Advance the tile coordinate, dimension 0 fastest; a dimension
+            // that runs off its range rewinds and carries into the next.
+            let mut d = 0;
+            loop {
+                let Some(axis) = axes.get(d) else {
+                    return;
+                };
+                if coord[d] + 1 < axis.hi {
+                    coord[d] += 1;
+                    index += axis.stride;
+                    inter[d] = axis.clip(coord[d]);
+                    break;
+                }
+                index -= (coord[d] - axis.lo) * axis.stride;
+                coord[d] = axis.lo;
+                inter[d] = axis.clip(axis.lo);
+                d += 1;
+            }
+        }
+    }
+
+    /// Linear tile indices of all tiles overlapping `rect` (clipped to the
+    /// array), ascending.
     pub fn tiles_overlapping(&self, rect: &HyperRect) -> Vec<u64> {
-        let bounds = HyperRect::from_shape(&self.array_shape);
-        let clipped = match bounds.intersect(rect) {
-            Ok(Some(r)) => r,
-            _ => return Vec::new(),
-        };
-        // Tile-coordinate ranges per dimension.
-        let ranges: Vec<(u64, u64)> = (0..clipped.ndim())
-            .map(|d| {
-                let (p, q) = clipped.interval(d);
-                let t = self.tile.dim(d) as i64;
-                ((p / t) as u64, ((q - 1) / t) as u64 + 1)
-            })
-            .collect();
-        let tile_rect = HyperRect::new(ranges.iter().map(|&(a, b)| (a as i64, b as i64)).collect())
-            .expect("tile ranges are well formed");
-        tile_rect
-            .points()
-            .map(|pt| {
-                let coord: Vec<u64> = pt.into_iter().map(|x| x as u64).collect();
-                self.tile_index(&coord)
-            })
-            .collect()
+        let mut tiles = Vec::new();
+        self.for_each_overlap(rect, |tile, _, _| tiles.push(tile));
+        tiles
+    }
+}
+
+/// Dimensionalities up to this walk tile overlaps entirely on the stack;
+/// higher ones (none in the paper's workloads) take one scratch allocation
+/// per walk.
+const INLINE_DIMS: usize = 8;
+
+/// One dimension of a tile-overlap walk: the tile-coordinate range `[lo, hi)`
+/// the clipped rectangle interval `[p, q)` touches, the linear-index stride
+/// of the dimension, and the tile size `t`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Axis {
+    lo: u64,
+    hi: u64,
+    stride: u64,
+    p: i64,
+    q: i64,
+    t: i64,
+}
+
+impl Axis {
+    /// The clipped rectangle interval intersected with tile coordinate `c`.
+    fn clip(&self, c: u64) -> (i64, i64) {
+        let base = c as i64 * self.t;
+        (self.p.max(base), self.q.min(base + self.t))
     }
 }
 
@@ -457,6 +565,22 @@ mod tests {
         assert_eq!(g.tiles_overlapping(&all), vec![0, 1, 2, 3]);
         let out = HyperRect::new(vec![(4, 8), (0, 4)]).unwrap();
         assert!(g.tiles_overlapping(&out).is_empty());
+    }
+
+    #[test]
+    fn for_each_overlap_beyond_inline_dims() {
+        // Nine dimensions take the heap-scratch walk; it must visit like the
+        // stack one: ascending index, each tile's own coordinate and overlap.
+        let g = TileGrid::new(TileShape::new(vec![2; 9]).unwrap(), vec![3; 9], 4, 2).unwrap();
+        let rect = HyperRect::new(vec![(1, 3); 9]).unwrap();
+        let mut visited = Vec::new();
+        g.for_each_overlap(&rect, |tile, coord, inter| {
+            assert_eq!(coord, g.tile_coord_of_index(tile));
+            let overlap = g.tile_rect(tile).intersect(&rect).unwrap().unwrap();
+            assert_eq!(inter, overlap.intervals());
+            visited.push(tile);
+        });
+        assert_eq!(visited, (0..g.num_tiles()).collect::<Vec<_>>());
     }
 
     proptest! {

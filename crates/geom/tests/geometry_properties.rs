@@ -10,8 +10,89 @@ fn arb_rect(ndim: usize, max: i64) -> impl Strategy<Value = HyperRect> {
         .prop_map(|iv| HyperRect::new(iv.into_iter().map(|(p, l)| (p, p + l)).collect()).unwrap())
 }
 
+/// The enumeration `TileGrid::tiles_overlapping` used before it became a
+/// collector over `for_each_overlap`: clip to the array, take the
+/// tile-coordinate box, and index every point of it. Kept as the oracle the
+/// allocation-free visitor must agree with, tile for tile and in order.
+fn tiles_overlapping_reference(g: &TileGrid, rect: &HyperRect) -> Vec<u64> {
+    let bounds = HyperRect::from_shape(g.array_shape());
+    let clipped = match bounds.intersect(rect) {
+        Ok(Some(r)) => r,
+        _ => return Vec::new(),
+    };
+    let ranges = (0..clipped.ndim())
+        .map(|d| {
+            let (p, q) = clipped.interval(d);
+            let t = g.tile().dim(d) as i64;
+            (p / t, (q - 1) / t + 1)
+        })
+        .collect();
+    HyperRect::new(ranges)
+        .unwrap()
+        .points()
+        .map(|pt| {
+            let coord: Vec<u64> = pt.into_iter().map(|x| x as u64).collect();
+            g.tile_index(&coord)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `for_each_overlap` visits exactly the tiles the old enumeration
+    /// returned, in the same order, and hands each visit the tile's
+    /// coordinate and its intersection with the rectangle — over 1–4-D grids
+    /// with boundary tiles, odd bank counts (61: a machine degraded by three
+    /// quarantined banks) and rectangles inside, straddling, outside and of
+    /// the wrong dimensionality.
+    #[test]
+    fn prop_for_each_overlap_matches_reference(
+        ndim in 1usize..5,
+        axes in proptest::collection::vec((1u64..6, 1u64..10, -6i64..14, 0i64..12), 4),
+        bank_pick in 0usize..5,
+        arrays_per_bank in 1u32..9,
+        rect_dims in 0usize..12,
+    ) {
+        let axes = &axes[..ndim];
+        let g = TileGrid::new(
+            TileShape::new(axes.iter().map(|a| a.0).collect()).unwrap(),
+            axes.iter().map(|a| a.1).collect(),
+            [1, 2, 7, 61, 64][bank_pick],
+            arrays_per_bank,
+        ).unwrap();
+        // Mostly the grid's own dimensionality; sometimes one too few or
+        // one too many, which must visit nothing.
+        let rect_ndim = match rect_dims {
+            0 => ndim - 1,
+            1 => ndim + 1,
+            _ => ndim,
+        };
+        let rect = HyperRect::new(
+            (0..rect_ndim)
+                .map(|d| {
+                    let (_, _, p, len) = axes[d % ndim];
+                    (p, p + len)
+                })
+                .collect(),
+        ).unwrap();
+
+        let mut visited = Vec::new();
+        g.for_each_overlap(&rect, |tile, coord, inter| {
+            visited.push((tile, coord.to_vec(), inter.to_vec()));
+        });
+        let tiles: Vec<u64> = visited.iter().map(|v| v.0).collect();
+        prop_assert_eq!(&tiles, &tiles_overlapping_reference(&g, &rect));
+        prop_assert_eq!(&tiles, &g.tiles_overlapping(&rect));
+        for (tile, coord, inter) in visited {
+            prop_assert_eq!(&coord, &g.tile_coord_of_index(tile));
+            let overlap = g.tile_rect(tile).intersect(&rect).unwrap()
+                .expect("a visited tile overlaps the rectangle");
+            prop_assert_eq!(&inter[..], overlap.intervals());
+            let elems: u64 = inter.iter().map(|&(p, q)| (q - p) as u64).product();
+            prop_assert_eq!(elems, overlap.num_elements());
+        }
+    }
 
     /// Intersection is commutative, contained in both, and idempotent.
     #[test]

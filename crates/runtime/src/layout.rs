@@ -342,15 +342,6 @@ impl TransposedLayout {
     pub fn lattice_cells(&self) -> u64 {
         self.lattice_shape.iter().product()
     }
-
-    /// Intersection of a rectangle with one tile, in elements.
-    pub fn tile_overlap_elems(&self, tile_index: u64, rect: &HyperRect) -> u64 {
-        let tr = self.grid.tile_rect(tile_index);
-        match tr.intersect(rect) {
-            Ok(Some(r)) => r.num_elements(),
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,14 @@
 //! helpers, a template distilled from one instance and patched with another
 //! instance's slots must reproduce the re-lowered stream bit for bit — the
 //! `check` auditor and the differential fuzzer enforce exactly that.
+//!
+//! Emission is the host-side critical path of a JIT hit: every command folds
+//! each tile it touches into per-bank loads. The fold allocates nothing per
+//! tile — [`infs_geom::TileGrid::for_each_overlap`] hands out tile index,
+//! coordinate and intersection from the stack, and loads accumulate in
+//! vectors indexed by bank (`DESIGN.md` §12, "Emission cost"). The per-tile
+//! emitter this replaced lives on in the test-only `reference` module, and
+//! streams must stay `==` to it.
 
 use crate::template::{CommandTemplate, TemplateOp};
 use crate::{HwConfig, RuntimeError, TransposedLayout};
@@ -24,7 +32,10 @@ use infs_isa::Schedule;
 use infs_sdfg::ReduceOp;
 use infs_tdfg::{bit_serial_latency, ComputeOp, Node, NodeId, Tdfg};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+
+#[cfg(test)]
+mod reference;
 
 /// Work one command performs at one L3 bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -193,6 +204,81 @@ fn class_of(cmd: &InfCommand) -> CmdClass {
         InfCommand::Broadcast { .. } => CmdClass::Broadcast,
         InfCommand::FinalReduce { .. } => CmdClass::FinalReduce,
         InfCommand::Sync => CmdClass::Sync,
+    }
+}
+
+/// Elements in a per-dimension intersection handed out by
+/// [`infs_geom::TileGrid::for_each_overlap`].
+fn volume(inter: &[(i64, i64)]) -> u64 {
+    inter.iter().map(|&(p, q)| (q - p) as u64).product()
+}
+
+/// Per-bank load of one command, accumulated densely: slot `b` is bank `b`.
+struct BankAcc {
+    /// `(tiles, elems)` per bank.
+    loads: Vec<(u64, u64)>,
+    /// Elements over all banks.
+    elems: u64,
+}
+
+impl BankAcc {
+    fn new(n_banks: u32) -> Self {
+        BankAcc {
+            loads: vec![(0, 0); n_banks as usize],
+            elems: 0,
+        }
+    }
+
+    /// Counts one tile with `elems` participating elements at `bank`.
+    fn add(&mut self, bank: u32, elems: u64) {
+        let load = &mut self.loads[bank as usize];
+        load.0 += 1;
+        load.1 += elems;
+        self.elems += elems;
+    }
+
+    /// The loads of the banks that hold a tile, in bank order.
+    fn finish(self) -> Vec<BankLoad> {
+        (0u32..)
+            .zip(self.loads)
+            .filter(|&(_, (tiles, _))| tiles > 0)
+            .map(|(bank, (tiles, elems))| BankLoad { bank, tiles, elems })
+            .collect()
+    }
+}
+
+/// Cross-bank payloads of one command. Tiles are visited in linear order and
+/// banks own runs of consecutive tiles, so successive payloads mostly repeat
+/// the previous (source, destination) pair: merge into it, and sort and fold
+/// the few remaining repeats once at the end.
+#[derive(Default)]
+struct RemoteAcc(Vec<RemoteTransfer>);
+
+impl RemoteAcc {
+    fn add(&mut self, src_bank: u32, dst_bank: u32, bytes: u64) {
+        match self.0.last_mut() {
+            Some(last) if (last.src_bank, last.dst_bank) == (src_bank, dst_bank) => {
+                last.bytes += bytes;
+            }
+            _ => self.0.push(RemoteTransfer {
+                src_bank,
+                dst_bank,
+                bytes,
+            }),
+        }
+    }
+
+    /// One transfer per (source, destination) pair, sorted by pair.
+    fn finish(mut self) -> Vec<RemoteTransfer> {
+        self.0.sort_unstable_by_key(|r| (r.src_bank, r.dst_bank));
+        self.0.dedup_by(|next, kept| {
+            let same = (next.src_bank, next.dst_bank) == (kept.src_bank, kept.dst_bank);
+            if same {
+                kept.bytes += next.bytes;
+            }
+            same
+        });
+        self.0
     }
 }
 
@@ -432,10 +518,6 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn tile_dims(&self) -> Vec<u64> {
-        self.layout.tile().dims().to_vec()
-    }
-
     /// Barrier before a consuming command if inter-tile data is in flight.
     fn sync_if_pending(&mut self) {
         if self.pending_sync {
@@ -448,34 +530,23 @@ impl<'a> Emitter<'a> {
     /// Per-bank (tiles, elems) of a rectangle.
     fn bank_loads(&self, rect: &HyperRect) -> Vec<BankLoad> {
         infs_trace::counter!("runtime.bank_maps", 1u64);
-        let mut per_bank: HashMap<u32, BankLoad> = HashMap::new();
-        for t in self.layout.grid().tiles_overlapping(rect) {
-            let elems = self.layout.tile_overlap_elems(t, rect);
-            if elems == 0 {
-                continue;
-            }
-            let bank = self.layout.grid().bank_of_tile(t);
-            let e = per_bank.entry(bank).or_insert(BankLoad {
-                bank,
-                tiles: 0,
-                elems: 0,
-            });
-            e.tiles += 1;
-            e.elems += elems;
-        }
-        let mut v: Vec<BankLoad> = per_bank.into_values().collect();
-        v.sort_by_key(|b| b.bank);
-        v
+        let grid = self.layout.grid();
+        let mut banks = BankAcc::new(grid.num_banks());
+        grid.for_each_overlap(rect, |tile, _, inter| {
+            banks.add(grid.bank_of_tile(tile), volume(inter));
+        });
+        banks.finish()
     }
 
     /// Emits one element-wise compute node as a single *fused* command.
     ///
-    /// The domain still decomposes into tile-aligned pieces (boundary tiles
-    /// need their own bitline masks — the stencil3d blow-up of §8), but the
-    /// pieces of one node are pairwise disjoint, so their per-bank loads
-    /// merge: a bank appearing in several pieces runs them on different
-    /// arrays in parallel and pays the bit-serial latency once, exactly the
-    /// parallelism the execution model already grants same-command banks.
+    /// Algorithm 1 would split the domain into tile-aligned pieces (boundary
+    /// tiles need their own bitline masks — the stencil3d blow-up of §8), but
+    /// the pieces partition the domain and no tile overlaps two of them, so
+    /// their merged per-bank loads are exactly the domain's own: a bank
+    /// appearing in several pieces runs them on different arrays in parallel
+    /// and pays the bit-serial latency once, the parallelism the execution
+    /// model already grants same-command banks.
     fn emit_compute(
         &mut self,
         node: NodeId,
@@ -485,24 +556,10 @@ impl<'a> Emitter<'a> {
         domain: &HyperRect,
     ) -> Result<(), RuntimeError> {
         self.sync_if_pending();
-        let _span = infs_trace::span!("runtime.decompose", node = node.0);
-        let mut merged: HashMap<u32, BankLoad> = HashMap::new();
-        for sub in decompose(domain, &self.tile_dims()) {
-            for b in self.bank_loads(&sub) {
-                let e = merged.entry(b.bank).or_insert(BankLoad {
-                    bank: b.bank,
-                    tiles: 0,
-                    elems: 0,
-                });
-                e.tiles += b.tiles;
-                e.elems += b.elems;
-            }
-        }
-        if merged.is_empty() {
+        let banks = self.bank_loads(domain);
+        if banks.is_empty() {
             return Ok(());
         }
-        let mut banks: Vec<BankLoad> = merged.into_values().collect();
-        banks.sort_by_key(|b| b.bank);
         self.stats.compute_cmds += 1;
         self.push(InfCommand::Compute {
             node,
@@ -553,7 +610,7 @@ impl<'a> Emitter<'a> {
         let d_inter = dist.abs() / t;
         let d_intra = dist.abs() % t;
         let comp = t - d_intra;
-        let subs = decompose(eff_src, &self.tile_dims());
+        let subs = decompose(eff_src, self.layout.tile().dims());
         // (mask_lo, mask_hi, inter_tiles_signed, intra_signed)
         let pieces: Vec<(i64, i64, i64, i64)> = if dist > 0 {
             let mut v = vec![(0, comp, d_inter, d_intra)];
@@ -590,59 +647,46 @@ impl<'a> Emitter<'a> {
         inter: i64,
         intra: i64,
     ) -> Result<(), RuntimeError> {
-        let grid = self.layout.grid().clone();
+        let grid = self.layout.grid();
+        let elem_bytes = self.elem_bytes;
         let t = self.layout.tile().dim(dim) as i64;
-        let mut per_bank: HashMap<u32, BankLoad> = HashMap::new();
-        let mut remote: HashMap<(u32, u32), u64> = HashMap::new();
+        let tiles_along = grid.tiles_per_dim()[dim] as i64;
+        // A tile `inter` tiles further along `dim` is this far in linear index.
+        let hop = inter * grid.tiles_per_dim()[..dim].iter().product::<u64>() as i64;
+        let mut banks = BankAcc::new(grid.num_banks());
+        let mut remote = RemoteAcc::default();
         let mut local_inter = 0u64;
-        let mut total = 0u64;
-        for tile in grid.tiles_overlapping(sub) {
-            let tr = grid.tile_rect(tile);
-            let Ok(Some(part)) = tr.intersect(sub) else {
-                continue;
-            };
+        grid.for_each_overlap(sub, |tile, coord, part| {
             // Elements whose intra-tile coordinate along `dim` is in the mask.
-            let (plo, phi) = part.interval(dim);
-            let tile_base = tr.start(dim).div_euclid(t) * t;
+            let (plo, phi) = part[dim];
+            let tile_base = coord[dim] as i64 * t;
             let ilo = (plo - tile_base).max(mask_lo);
             let ihi = (phi - tile_base).min(mask_hi);
             if ilo >= ihi {
-                continue;
+                return;
             }
-            let other: u64 = (0..part.ndim())
-                .filter(|&d| d != dim)
-                .map(|d| part.extent(d))
-                .product();
-            let elems = (ihi - ilo) as u64 * other;
-            total += elems;
+            // The overlap's cross-section off `dim` times the masked run.
+            let elems = volume(part) / (phi - plo) as u64 * (ihi - ilo) as u64;
             let src_bank = grid.bank_of_tile(tile);
-            let e = per_bank.entry(src_bank).or_insert(BankLoad {
-                bank: src_bank,
-                tiles: 0,
-                elems: 0,
-            });
-            e.tiles += 1;
-            e.elems += elems;
+            banks.add(src_bank, elems);
             if inter != 0 {
-                let mut coord = grid.tile_coord_of_index(tile);
                 let dest = coord[dim] as i64 + inter;
-                if dest < 0 || dest as u64 >= grid.tiles_per_dim()[dim] {
-                    continue; // destination clipped at the lattice edge
+                if dest < 0 || dest >= tiles_along {
+                    return; // destination clipped at the lattice edge
                 }
-                coord[dim] = dest as u64;
-                let dst_bank = grid.bank_of_tile(grid.tile_index(&coord));
+                let dst_bank = grid.bank_of_tile((tile as i64 + hop) as u64);
                 if dst_bank == src_bank {
                     local_inter += elems;
                 } else {
-                    *remote.entry((src_bank, dst_bank)).or_insert(0) += elems * self.elem_bytes;
+                    remote.add(src_bank, dst_bank, elems * elem_bytes);
                 }
             }
-        }
+        });
+        let total = banks.elems;
         if total == 0 {
             return Ok(()); // empty mask/tensor intersection: filtered out (§4.2)
         }
-        let mut banks: Vec<BankLoad> = per_bank.into_values().collect();
-        banks.sort_by_key(|b| b.bank);
+        let banks = banks.finish();
         if inter == 0 {
             self.stats.intra_elems += total;
             self.push(InfCommand::IntraShift {
@@ -653,18 +697,7 @@ impl<'a> Emitter<'a> {
             });
         } else {
             self.stats.inter_local_elems += local_inter;
-            let remote: Vec<RemoteTransfer> = {
-                let mut v: Vec<RemoteTransfer> = remote
-                    .into_iter()
-                    .map(|((s, d), bytes)| RemoteTransfer {
-                        src_bank: s,
-                        dst_bank: d,
-                        bytes,
-                    })
-                    .collect();
-                v.sort_by_key(|r| (r.src_bank, r.dst_bank));
-                v
-            };
+            let remote = remote.finish();
             self.stats.inter_remote_bytes += remote.iter().map(|r| r.bytes).sum::<u64>();
             if !remote.is_empty() {
                 self.pending_sync = true;
@@ -692,64 +725,11 @@ impl<'a> Emitter<'a> {
         dim: usize,
     ) -> Result<(), RuntimeError> {
         let _span = infs_trace::span!("runtime.broadcast_lower", node = node.0, dim = dim);
-        let grid = self.layout.grid().clone();
-        let src_coord = src.start(dim);
-        let mut per_bank: HashMap<u32, BankLoad> = HashMap::new();
-        let mut remote: HashMap<(u32, u32), u64> = HashMap::new();
-        let mut seen: std::collections::HashSet<(u32, u64)> = std::collections::HashSet::new();
-        for tile in grid.tiles_overlapping(dest) {
-            let elems = self.layout.tile_overlap_elems(tile, dest);
-            if elems == 0 {
-                continue;
-            }
-            let dst_bank = grid.bank_of_tile(tile);
-            let e = per_bank.entry(dst_bank).or_insert(BankLoad {
-                bank: dst_bank,
-                tiles: 0,
-                elems: 0,
-            });
-            e.tiles += 1;
-            e.elems += elems;
-            // The source slice this tile needs: project the tile onto the
-            // source hyperplane.
-            let tr = grid.tile_rect(tile);
-            let needed = tr
-                .with_interval(dim, src_coord, src_coord + 1)
-                .and_then(|r| r.intersect(src))
-                .ok()
-                .flatten();
-            let Some(needed) = needed else { continue };
-            for src_tile in grid.tiles_overlapping(&needed) {
-                let src_bank = grid.bank_of_tile(src_tile);
-                if src_bank == dst_bank {
-                    continue; // intra-bank H-tree fan-out
-                }
-                // Multicast: one copy per (source tile, destination bank).
-                if seen.insert((dst_bank, src_tile)) {
-                    let bytes = self.layout.tile_overlap_elems(src_tile, &needed) * self.elem_bytes;
-                    if bytes > 0 {
-                        *remote.entry((src_bank, dst_bank)).or_insert(0) += bytes;
-                    }
-                }
-            }
-        }
-        let mut banks: Vec<BankLoad> = per_bank.into_values().collect();
-        banks.sort_by_key(|b| b.bank);
+        let banks = self.bank_loads(dest);
         if banks.is_empty() {
             return Ok(());
         }
-        let remote: Vec<RemoteTransfer> = {
-            let mut v: Vec<RemoteTransfer> = remote
-                .into_iter()
-                .map(|((s, d), bytes)| RemoteTransfer {
-                    src_bank: s,
-                    dst_bank: d,
-                    bytes,
-                })
-                .collect();
-            v.sort_by_key(|r| (r.src_bank, r.dst_bank));
-            v
-        };
+        let remote = self.broadcast_copies(src, dest, dim);
         self.stats.inter_remote_bytes += remote.iter().map(|r| r.bytes).sum::<u64>();
         if !remote.is_empty() {
             self.pending_sync = true;
@@ -762,6 +742,84 @@ impl<'a> Emitter<'a> {
             remote,
         });
         Ok(())
+    }
+
+    /// Cross-bank payloads of a broadcast of `src`'s first slice along `dim`
+    /// over `dest`.
+    ///
+    /// A destination tile reads the one source tile that shares its
+    /// coordinate off `dim` and holds the source slice along it, and the part
+    /// of the slice it reads — the tile's footprint projected onto the slice —
+    /// is the same for every destination tile of that column. So the copies
+    /// are found column by column: each tile of the first destination layer
+    /// along `dim` heads a column, and stepping through the column charges
+    /// the source tile's part once per distinct destination bank other than
+    /// the source's own.
+    fn broadcast_copies(
+        &self,
+        src: &HyperRect,
+        dest: &HyperRect,
+        dim: usize,
+    ) -> Vec<RemoteTransfer> {
+        let grid = self.layout.grid();
+        let shape = grid.array_shape();
+        let tile = self.layout.tile().dims();
+        if src.ndim() != shape.len() || dest.ndim() != shape.len() {
+            return Vec::new();
+        }
+        let src_coord = src.start(dim);
+        if src.extent(dim) == 0 || src_coord < 0 || src_coord as u64 >= shape[dim] {
+            return Vec::new();
+        }
+        // Destination tile coordinates along `dim`: [first, last].
+        let (dlo, dhi) = dest.interval(dim);
+        let (dlo, dhi) = (dlo.max(0), dhi.min(shape[dim] as i64));
+        if dlo >= dhi {
+            return Vec::new();
+        }
+        let t = tile[dim] as i64;
+        let (first, last) = (dlo / t, (dhi - 1) / t);
+        let stride = grid.tiles_per_dim()[..dim].iter().product::<u64>();
+        let src_layer = src_coord / t;
+        let Ok(first_layer) = dest.with_interval(dim, dlo, dlo + 1) else {
+            return Vec::new();
+        };
+        let mut remote = RemoteAcc::default();
+        // `copied[b]` names the last source tile (+1) bank `b` got a copy of;
+        // a column is walked in one go, so that is all the memory multicast
+        // de-duplication needs.
+        let mut copied = vec![0u64; grid.num_banks() as usize];
+        grid.for_each_overlap(&first_layer, |dest_tile, coord, _| {
+            let mut elems = 1u64;
+            for (d, &c) in coord.iter().enumerate() {
+                if d == dim {
+                    continue;
+                }
+                let base = (c * tile[d]) as i64;
+                let end = (base + tile[d] as i64).min(shape[d] as i64);
+                let (sp, sq) = src.interval(d);
+                let (p, q) = (base.max(sp), end.min(sq));
+                if p >= q {
+                    return; // this column reads nothing of the source
+                }
+                elems *= (q - p) as u64;
+            }
+            let bytes = elems * self.elem_bytes;
+            if bytes == 0 {
+                return;
+            }
+            let src_tile = (dest_tile as i64 + (src_layer - first) * stride as i64) as u64;
+            let src_bank = grid.bank_of_tile(src_tile);
+            for k in 0..=(last - first) as u64 {
+                let dst_bank = grid.bank_of_tile(dest_tile + k * stride);
+                if dst_bank == src_bank || copied[dst_bank as usize] == src_tile + 1 {
+                    continue; // intra-bank H-tree fan-out, or already multicast
+                }
+                copied[dst_bank as usize] = src_tile + 1;
+                remote.add(src_bank, dst_bank, bytes);
+            }
+        });
+        remote.finish()
     }
 
     /// Lowers a reduction: interleaved compute + intra-tile shift rounds fully

@@ -5,7 +5,8 @@ use infs_faults::{BankHealth, FaultPlan, NocFault};
 use infs_geom::TileShape;
 use infs_isa::RegionInstance;
 use infs_runtime::{
-    decide_healthy, JitCache, JitClass, JitOutcome, RuntimeError, Tier, TransposedLayout,
+    decide_healthy, CommandTemplate, HwConfig, JitCache, JitClass, JitOutcome, RuntimeError, Tier,
+    TransposedLayout,
 };
 use infs_sdfg::{Memory, SdfgError};
 use infs_tdfg::{Node, OutputTarget, TdfgError};
@@ -218,6 +219,21 @@ impl fmt::Debug for RegionAuditor {
     }
 }
 
+/// What an in-memory placement of one region needs, resolved once per
+/// [`Machine::run_region`] and shared by the tier decision and the execution:
+/// the healthy-bank hardware view, the planned layout and the distilled JIT
+/// template.
+struct InMemoryPlan<'r> {
+    tdfg: &'r infs_tdfg::Tdfg,
+    schedule: &'r infs_isa::Schedule,
+    hw: HwConfig,
+    layout: Arc<TransposedLayout>,
+    /// The relocatable template and this instance's slot table. An error
+    /// (malformed graph) prices as a JIT miss and surfaces when the region
+    /// executes.
+    jit: Result<(CommandTemplate, Vec<i64>), RuntimeError>,
+}
+
 #[derive(Debug, Clone)]
 struct ActiveTranspose {
     tile: Vec<u64>,
@@ -282,11 +298,11 @@ pub struct Machine {
     jit_cmd_misses: u64,
     /// Planned-layout cache. Layout planning depends only on the graph's
     /// lattice shape, element size, layout hints and the (health-dependent)
-    /// bank count — not on rect coordinates — so gauss_elim's 1806 per-pivot
-    /// graphs plan exactly once. Keyed by a rendered string of those
-    /// ingredients. Failures are not cached: planning is only re-attempted
-    /// for regions that cannot run in-memory anyway, and the concrete error
-    /// must stay fresh.
+    /// bank count — not on rect coordinates — so gauss_elim's per-pivot
+    /// graphs (one per pivot, thousands at paper scale) plan exactly once.
+    /// Keyed by a rendered string of those ingredients. Failures are not
+    /// cached: planning is only re-attempted for regions that cannot run
+    /// in-memory anyway, and the concrete error must stay fresh.
     layouts: Mutex<HashMap<String, Arc<TransposedLayout>>>,
     stats: RunStats,
     transposed: Option<ActiveTranspose>,
@@ -691,36 +707,37 @@ impl Machine {
                     self.run_core(region, params, self.cfg.cores)
                 }
             }
-            ExecMode::InL3 => {
-                if infs_runtime::in_memory_quorum(&self.health)
-                    && self.can_run_in_memory(region, &self.health)
-                {
-                    self.run_in_memory(region, params, false)
-                } else {
-                    self.run_core(region, params, self.cfg.cores)
-                }
-            }
+            ExecMode::InL3 => match self.plan_in_memory(region, &self.health) {
+                Some(plan) => self.run_in_memory(region, plan, params, false),
+                None => self.run_core(region, params, self.cfg.cores),
+            },
             ExecMode::InfS | ExecMode::InfSNoJit => {
                 let nojit = mode == ExecMode::InfSNoJit;
+                let plan = self.plan_in_memory(region, &self.health);
                 let tier = match self.tier_override {
-                    Some(forced) => self.clamp_forced_tier(forced, region),
-                    None => self.tier_with_health(region, nojit, &self.health),
+                    Some(forced) => self.clamp_forced_tier(forced, plan.is_some()),
+                    None => self.tier_with_health(region, nojit, &self.health, plan.as_ref()),
                 };
                 // Degradation accounting tracks the *heuristic* placement
                 // only: a tuner-forced tier is a choice, not a fault, so it
                 // must not advance the retune trigger it feeds.
                 if self.tier_override.is_none() && !self.health.fully_healthy() {
+                    let all_healthy = BankHealth::all_healthy(self.cfg.n_banks);
                     let baseline = self.tier_with_health(
                         region,
                         nojit,
-                        &BankHealth::all_healthy(self.cfg.n_banks),
+                        &all_healthy,
+                        self.plan_in_memory(region, &all_healthy).as_ref(),
                     );
                     if tier < baseline {
                         self.count_degradation(tier);
                     }
                 }
                 match tier {
-                    Tier::InMemory => self.run_in_memory(region, params, nojit),
+                    Tier::InMemory => {
+                        let plan = plan.expect("the in-memory tier is only chosen from a plan");
+                        self.run_in_memory(region, plan, params, nojit)
+                    }
                     Tier::NearMemory => self.run_near(region, params, true),
                     Tier::Host => self.run_core(region, params, self.cfg.cores),
                 }
@@ -797,17 +814,13 @@ impl Machine {
     }
 
     /// Clamps a tuner-forced tier to what the machine can actually honor:
-    /// in-memory requires the healthy-bank quorum and a feasible layout,
+    /// in-memory requires the healthy-bank quorum and a feasible layout
+    /// (`in_memory_feasible`: the region resolved an [`InMemoryPlan`]),
     /// near-memory requires at least one live bank (the stream engines sit
     /// at the banks), and the host is always available.
-    fn clamp_forced_tier(&self, forced: Tier, region: &RegionInstance) -> Tier {
+    fn clamp_forced_tier(&self, forced: Tier, in_memory_feasible: bool) -> Tier {
         match forced {
-            Tier::InMemory
-                if infs_runtime::in_memory_quorum(&self.health)
-                    && self.can_run_in_memory(region, &self.health) =>
-            {
-                Tier::InMemory
-            }
+            Tier::InMemory if in_memory_feasible => Tier::InMemory,
             Tier::Host => Tier::Host,
             _ if self.health.any_healthy() => Tier::NearMemory,
             _ => Tier::Host,
@@ -830,18 +843,26 @@ impl Machine {
 
     /// The Inf-S placement for a region under a given health mask: the Eq 2
     /// decision extended with the degradation ladder (`DESIGN.md` §10).
-    fn tier_with_health(&self, region: &RegionInstance, nojit: bool, health: &BankHealth) -> Tier {
+    /// `plan` is the region's in-memory plan under that mask, `None` when it
+    /// cannot run in memory there.
+    fn tier_with_health(
+        &self,
+        region: &RegionInstance,
+        nojit: bool,
+        health: &BankHealth,
+        plan: Option<&InMemoryPlan<'_>>,
+    ) -> Tier {
         if !health.any_healthy() {
             return Tier::Host;
         }
-        if !infs_runtime::in_memory_quorum(health) || !self.can_run_in_memory(region, health) {
+        let Some(plan) = plan else {
             return Tier::NearMemory;
-        }
+        };
         let hw = self.cfg.hw();
         let expected_jit = if nojit {
             0
         } else {
-            match self.jit_class(region, health) {
+            match self.jit_class(plan) {
                 JitClass::Concrete => self.cfg.jit.hit,
                 JitClass::Template { n_cmds } => {
                     self.cfg.jit.hit + self.cfg.jit.patch_per_cmd * n_cmds
@@ -854,32 +875,43 @@ impl Machine {
         decide_healthy(&region.profile, &hw, expected_jit, health)
     }
 
-    /// The hardware view the layout planner and JIT see: the machine
-    /// contracted to its *logical* healthy banks. Logical bank `i` stands
-    /// for the `i`-th healthy physical bank
+    /// The hardware view the layout planner and JIT see under a health mask:
+    /// the machine contracted to its *logical* healthy banks. Logical bank
+    /// `i` stands for the `i`-th healthy physical bank
     /// (`infs_runtime::place_on_healthy` is the logical→physical map), so
     /// lowered commands never target quarantined silicon. At full health
-    /// this is exactly `cfg.hw()`.
-    fn hw_healthy(&self) -> infs_runtime::HwConfig {
-        self.hw_for(&self.health)
-    }
-
-    /// [`Machine::hw_healthy`] under an arbitrary mask — lets the degradation
-    /// accounting evaluate the full-health baseline without being tainted by
-    /// the machine's actual (possibly degraded) health.
-    fn hw_for(&self, health: &BankHealth) -> infs_runtime::HwConfig {
+    /// this is exactly `cfg.hw()`. The mask is a parameter so the degradation
+    /// accounting can evaluate the full-health baseline without being
+    /// tainted by the machine's actual (possibly degraded) health.
+    fn hw_for(&self, health: &BankHealth) -> HwConfig {
         let mut hw = self.cfg.hw();
         hw.n_banks = health.healthy_count().max(1);
         hw
     }
 
-    fn can_run_in_memory(&self, region: &RegionInstance, health: &BankHealth) -> bool {
-        if region.tdfg.is_none() || region.schedule_for(self.cfg.geometry).is_none() {
-            return false;
+    /// Resolves everything an in-memory run of `region` under `health` needs,
+    /// or `None` when the region cannot run in memory there: no healthy-bank
+    /// quorum, no tDFG or schedule for this geometry, or no feasible layout.
+    fn plan_in_memory<'r>(
+        &self,
+        region: &'r RegionInstance,
+        health: &BankHealth,
+    ) -> Option<InMemoryPlan<'r>> {
+        if !infs_runtime::in_memory_quorum(health) {
+            return None;
         }
-        let tdfg = region.tdfg.as_ref().expect("checked above");
+        let tdfg = region.tdfg.as_ref()?;
+        let schedule = region.schedule_for(self.cfg.geometry)?;
         let hw = self.hw_for(health);
-        self.plan_layout(tdfg, &region.hints, &hw).is_ok()
+        let layout = self.plan_layout(tdfg, &region.hints, &hw).ok()?;
+        let jit = infs_runtime::distill(tdfg, schedule, &hw);
+        Some(InMemoryPlan {
+            tdfg,
+            schedule,
+            hw,
+            layout,
+            jit,
+        })
     }
 
     /// Plans (or reuses) the transposed layout for a graph. The cache key
@@ -890,7 +922,7 @@ impl Machine {
         &self,
         tdfg: &infs_tdfg::Tdfg,
         hints: &infs_geom::layout::LayoutHints,
-        hw: &infs_runtime::HwConfig,
+        hw: &HwConfig,
     ) -> Result<Arc<TransposedLayout>, RuntimeError> {
         let lattice = TransposedLayout::lattice_shape_for(tdfg)?;
         let key = format!(
@@ -917,22 +949,12 @@ impl Machine {
     /// What the JIT cache would do with this region — exact stream, template
     /// patch, or full lowering (consulted by the decision model; the paper's
     /// hardware command cache).
-    fn jit_class(&self, region: &RegionInstance, health: &BankHealth) -> JitClass {
-        let Some(tdfg) = region.tdfg.as_ref() else {
-            return JitClass::Miss;
-        };
-        let Some(schedule) = region.schedule_for(self.cfg.geometry) else {
-            return JitClass::Miss;
-        };
-        let hw = self.hw_for(health);
-        let Ok(layout) = self.plan_layout(tdfg, &region.hints, &hw) else {
-            return JitClass::Miss;
-        };
-        let Ok((template, slots)) = infs_runtime::distill(tdfg, schedule, &hw) else {
+    fn jit_class(&self, plan: &InMemoryPlan<'_>) -> JitClass {
+        let Ok((template, slots)) = &plan.jit else {
             return JitClass::Miss;
         };
         self.jit
-            .classify(template.signature, &slots, layout.tile().dims())
+            .classify(template.signature, slots, plan.layout.tile().dims())
     }
 
     /// Arrays a tDFG touches (inputs and outputs).
@@ -1033,32 +1055,31 @@ impl Machine {
     fn run_in_memory(
         &mut self,
         region: &RegionInstance,
+        plan: InMemoryPlan<'_>,
         params: &[f32],
         nojit: bool,
     ) -> Result<RegionReport, SimError> {
-        let tdfg = region
-            .tdfg
-            .as_ref()
-            .expect("caller checked tensorizability");
-        let schedule = region
-            .schedule_for(self.cfg.geometry)
-            .expect("caller checked the schedule");
-        let hw = self.hw_healthy();
-        let layout = self.plan_layout(tdfg, &region.hints, &hw)?;
+        let InMemoryPlan {
+            tdfg,
+            schedule,
+            hw,
+            layout,
+            jit,
+        } = plan;
 
         // 1. Prepare transposed data (TC_core flush + TTU transpose streams).
         let needed = Self::used_arrays(tdfg);
         let prepare_cycles = self.prepare_transposed(&needed, layout.tile().dims());
         self.last_prepare_cycles = prepare_cycles;
 
-        // 2. JIT: distill the relocatable template (O(nodes)) and resolve
-        // through the two-level cache — exact stream (concrete hit),
+        // 2. JIT: resolve the distilled template (O(nodes), done with the
+        // plan) through the two-level cache — exact stream (concrete hit),
         // copy-and-patch against a cached template (template hit), or full
         // lowering (miss). The key is the template's canonical signature,
         // never the region name, so shape-equal regions over different
         // arrays — gauss_elim's per-pivot instances, conv's per-channel
         // taps, ping-pong phase pairs — reuse each other's work.
-        let (template, slots) = infs_runtime::distill(tdfg, schedule, &hw)?;
+        let (template, slots) = jit?;
         let (cs, outcome) = self.jit.get_or_instantiate(
             &region.name,
             &template,
