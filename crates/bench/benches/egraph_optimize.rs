@@ -1,11 +1,14 @@
 //! Static-compiler cost: equality saturation + extraction over the tDFGs that
 //! exercise the Appendix-A rules hardest (the Fig 6 convolution with shared
-//! constant weights and a multi-tap stencil).
+//! constant weights and a multi-tap stencil), and what a compiled region
+//! costs to build and to enter (`compile_once`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use infs_egraph::{optimize, CostParams};
 use infs_frontend::{Idx, KernelBuilder, ScalarExpr};
+use infs_isa::Compiler;
 use infs_sdfg::DataType;
+use infs_serve::demo;
 use std::hint::black_box;
 
 fn conv2d_tdfg(n: u64) -> infs_tdfg::Tdfg {
@@ -74,5 +77,34 @@ fn bench_optimize(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_optimize);
+/// The three costs of a compiled region: the compile (one saturation), region
+/// entry at the compiled binding (borrows the embedded instance), and region
+/// entry at any other binding (the static stages again).
+fn bench_compile_once(c: &mut Criterion) {
+    let compiler = Compiler::default();
+    let mut group = c.benchmark_group("compile_once");
+    group.sample_size(10);
+    for (name, kernel) in [
+        ("mat_update_64_12", demo::mat_update(64, 12)),
+        ("mat_stencil_256", demo::mat_stencil(256)),
+    ] {
+        group.bench_function(format!("compile/{name}"), |b| {
+            b.iter(|| black_box(compiler.compile(kernel.clone(), &[]).expect("compiles")))
+        });
+        let region = compiler.compile(kernel, &[]).expect("compiles");
+        group.bench_function(format!("instantiate@compiled binding/{name}"), |b| {
+            b.iter(|| black_box(region.instantiate(black_box(&[])).expect("instantiates")))
+        });
+        // The demo kernels bind no symbols, so "another binding" is the same
+        // one entered through a region that carries no embedded instance.
+        let mut bare = region.clone();
+        bare.representative = None;
+        group.bench_function(format!("instantiate@other binding/{name}"), |b| {
+            b.iter(|| black_box(bare.instantiate(black_box(&[])).expect("instantiates")))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_optimize, bench_compile_once);
 criterion_main!(benches);

@@ -104,7 +104,9 @@ fn gauss_main_instance(n: u64, k: i64) -> RegionInstance {
     }
     .compile(kb.build().expect("gauss_main builds"), &[0])
     .expect("gauss_main compiles");
-    compiled.instantiate(&[k]).expect("gauss_main instantiates")
+    compiled
+        .into_instance(&[k])
+        .expect("gauss_main instantiates")
 }
 
 /// One lifting phase of `dwt2d` (`dst = src + w·(aux[−1] + aux[+1])` along
@@ -137,7 +139,7 @@ fn dwt_phase_instance(n: u64, dim: usize, lo: i64, hi: i64, w: f32) -> RegionIns
     let compiled = Compiler::default()
         .compile(k.build().expect("dwt phase builds"), &[])
         .expect("dwt phase compiles");
-    compiled.instantiate(&[]).expect("dwt phase instantiates")
+    compiled.into_instance(&[]).expect("dwt phase instantiates")
 }
 
 /// The Fig 6 3×3 constant-weight convolution (e-graph optimized).
@@ -170,7 +172,7 @@ fn conv2d_instance(n: u64) -> RegionInstance {
     let compiled = Compiler::default()
         .compile(k.build().expect("conv2d builds"), &[])
         .expect("conv2d compiles");
-    compiled.instantiate(&[]).expect("conv2d instantiates")
+    compiled.into_instance(&[]).expect("conv2d instantiates")
 }
 
 /// One `conv3d` accumulation round `OUT += IN(ci, shifted by dx/dy)·WBUF`
@@ -209,7 +211,7 @@ fn conv3d_acc_instance(hw_n: u64, chans: u64, ci: i64, dx: i64, dy: i64) -> Regi
     .compile(k.build().expect("conv3d_acc builds"), &[0, 0, 0])
     .expect("conv3d_acc compiles");
     compiled
-        .instantiate(&[ci, dx, dy])
+        .into_instance(&[ci, dx, dy])
         .expect("conv3d_acc instantiates")
 }
 

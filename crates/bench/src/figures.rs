@@ -838,10 +838,11 @@ pub fn ablate(ctx: &Ctx) {
             optimize,
             ..Default::default()
         };
-        let region = compiler
+        let inst = compiler
             .compile(k.build().expect("builds"), &[])
-            .expect("compiles");
-        let inst = region.instantiate(&[]).expect("instantiates");
+            .expect("compiles")
+            .into_instance(&[])
+            .expect("instantiates");
         let computes = inst
             .tdfg
             .as_ref()
@@ -896,7 +897,7 @@ pub fn ablate_dtype(ctx: &Ctx) {
         let region = infs_isa::Compiler::default()
             .compile(k.build().expect("builds"), &[])
             .expect("compiles")
-            .instantiate(&[])
+            .into_instance(&[])
             .expect("instantiates");
         let mut m = Machine::new(ctx.cfg.clone(), region.sdfg.arrays());
         m.set_functional(false);

@@ -5,6 +5,20 @@
 //! and running with tracing disabled records nothing and changes no result.
 
 use infs_bench::{matrix::run_one, ConfigName, Ctx};
+use std::sync::{Mutex, MutexGuard};
+
+/// Both tests read and reset the process-wide collector, one of them with
+/// tracing off and so outside any `exclusive()` session: each holds this for
+/// its whole body, or the untraced half of one wipes (or sees) the other's
+/// spans.
+static COLLECTOR_USER: Mutex<()> = Mutex::new(());
+
+fn serialized() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; it guards no data of its own.
+    COLLECTOR_USER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn quick_ctx() -> Ctx {
     Ctx {
@@ -15,6 +29,7 @@ fn quick_ctx() -> Ctx {
 
 #[test]
 fn one_run_traces_every_pipeline_stage() {
+    let _serial = serialized();
     let session = infs_trace::exclusive();
     let ctx = quick_ctx();
     let stats = run_one("stencil1d", ConfigName::InL3, &ctx).expect("stencil1d simulates");
@@ -75,6 +90,7 @@ fn one_run_traces_every_pipeline_stage() {
 
 #[test]
 fn disabled_tracing_records_nothing_and_changes_nothing() {
+    let _serial = serialized();
     let ctx = quick_ctx();
     let traced = {
         let _session = infs_trace::exclusive();

@@ -410,11 +410,11 @@ pub fn run_differential(spec: &FuzzKernel) -> Result<DiffOutcome, Divergence> {
         ..Compiler::default()
     }
     .compile(kernel.clone(), &[])
-    .and_then(|r| r.instantiate(&[]))
+    .and_then(|r| r.into_instance(&[]))
     .map_err(|e| diverge("compile-unopt", e.to_string()))?;
     let opt = Compiler::default()
         .compile(kernel.clone(), &[])
-        .and_then(|r| r.instantiate(&[]))
+        .and_then(|r| r.into_instance(&[]))
         .map_err(|e| diverge("compile-opt", e.to_string()))?;
 
     let cfg256 = SystemConfig::default();
@@ -700,12 +700,18 @@ impl FuzzReport {
     }
 }
 
+/// The [`generate`] seed of kernel `i` of the campaign [`fuzz_many`] runs
+/// from `base_seed`, so other tests can walk the same kernels.
+pub fn campaign_seed(base_seed: u64, i: usize) -> u64 {
+    mix64(base_seed, DOMAIN_SEED, i as u64)
+}
+
 /// Runs `count` kernels derived from `base_seed` through [`run_differential`],
 /// minimizing and dumping every failure.
 pub fn fuzz_many(base_seed: u64, count: usize) -> FuzzReport {
     let mut report = FuzzReport::default();
     for i in 0..count {
-        let seed = mix64(base_seed, DOMAIN_SEED, i as u64);
+        let seed = campaign_seed(base_seed, i);
         let spec = generate(seed);
         report.run += 1;
         match run_differential(&spec) {

@@ -27,8 +27,8 @@ pub mod fuzz;
 pub mod validate;
 
 pub use fuzz::{
-    fuzz_many, generate, minimize, replay, run_differential, DiffOutcome, Divergence, FuzzFailure,
-    FuzzKernel, FuzzReport,
+    campaign_seed, fuzz_many, generate, minimize, replay, run_differential, DiffOutcome,
+    Divergence, FuzzFailure, FuzzKernel, FuzzReport,
 };
 pub use validate::{
     auditor, validate_graph, validate_pipeline, validate_region, validate_schedule,

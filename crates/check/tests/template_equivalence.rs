@@ -39,7 +39,7 @@ fn gauss_main(n: u64, k: i64) -> RegionInstance {
     }
     .compile(kb.build().expect("gauss_main builds"), &[0])
     .expect("gauss_main compiles")
-    .instantiate(&[k])
+    .into_instance(&[k])
     .expect("gauss_main instantiates")
 }
 
@@ -77,7 +77,7 @@ fn conv3d_acc(hw_n: u64, chans: u64, ci: i64, dx: i64, dy: i64) -> RegionInstanc
     }
     .compile(k.build().expect("conv3d_acc builds"), &[0, 0, 0])
     .expect("conv3d_acc compiles")
-    .instantiate(&[ci, dx, dy])
+    .into_instance(&[ci, dx, dy])
     .expect("conv3d_acc instantiates")
 }
 
@@ -168,7 +168,7 @@ fn shifted_output_rows_patch_bitwise() {
         }
         .compile(kb.build().expect("mm_row builds"), &[0])
         .expect("mm_row compiles")
-        .instantiate(&[m])
+        .into_instance(&[m])
         .expect("mm_row instantiates")
     };
     let seed = build(0);

@@ -5,6 +5,7 @@ use infs_geom::layout::LayoutHints;
 use infs_sdfg::Sdfg;
 use infs_tdfg::{OpProfile, Tdfg};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The static compiler: front end + e-graph optimizer + per-geometry backend.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,6 +33,9 @@ impl Compiler {
     /// scheduling against a *representative* symbol binding (typical input
     /// sizes). The structure — node kinds, hints, schedules — is stable across
     /// instantiations; only domain extents vary.
+    ///
+    /// Each static stage runs once: the graph and schedules that decide
+    /// tensorizability are embedded as [`CompiledRegion::representative`].
     ///
     /// Kernels that cannot be unrolled (indirect accesses, unsupported index
     /// forms) still compile, flagged near-memory-only.
@@ -74,48 +78,58 @@ impl Compiler {
         };
         // The near-memory path must always exist.
         check(CompileStage::Streamize)?;
-        kernel.streamize(representative_syms)?;
-        // Probe the in-memory path.
+        let sdfg = kernel.streamize(representative_syms)?;
+        // Probe the in-memory path; what the probe builds *is* the
+        // representative instance, so every stage runs exactly once.
         check(CompileStage::Tensorize)?;
-        let tensorizable = match kernel.tensorize(representative_syms) {
+        let in_memory = match kernel.tensorize(representative_syms) {
             Ok(g) => {
                 check(CompileStage::Optimize)?;
-                let g = self.maybe_optimize(&g)?;
+                let g = maybe_optimize(g, self.optimize, &self.cost)?;
                 // At least one geometry must accommodate the region.
                 check(CompileStage::Schedule)?;
-                let _sched_span = infs_trace::span!(
-                    "isa.schedule_probe",
-                    geometries = self.geometries.len(),
-                    nodes = g.nodes().len(),
-                );
-                self.geometries
-                    .iter()
-                    .any(|&geom| Schedule::compute(&g, geom).is_ok())
+                schedule_all(g, &self.geometries)
             }
-            Err(FrontendError::NotTensorizable { .. }) => false,
+            Err(FrontendError::NotTensorizable { .. }) => None,
             Err(e) => return Err(e.into()),
         };
+        let tensorizable = in_memory.is_some();
         span.arg("tensorizable", tensorizable);
-        let mut region = CompiledRegion {
+        check(CompileStage::Instantiate)?;
+        let representative =
+            RegionInstance::assemble(kernel.name(), representative_syms, sdfg, in_memory);
+        Ok(CompiledRegion {
             kernel,
             geometries: self.geometries.clone(),
             optimize: self.optimize,
             cost: self.cost,
             tensorizable,
-            representative: None,
-        };
-        check(CompileStage::Instantiate)?;
-        region.representative = Some(region.instantiate(representative_syms)?);
-        Ok(region)
+            representative: Some(representative),
+        })
     }
+}
 
-    fn maybe_optimize(&self, g: &Tdfg) -> Result<Tdfg, IsaError> {
-        if self.optimize {
-            infs_egraph::optimize(g, &self.cost).map_err(IsaError::from)
-        } else {
-            Ok(g.clone())
-        }
+fn maybe_optimize(g: Tdfg, optimize: bool, cost: &CostParams) -> Result<Tdfg, IsaError> {
+    if optimize {
+        infs_egraph::optimize(&g, cost).map_err(IsaError::from)
+    } else {
+        Ok(g)
     }
+}
+
+/// Schedules `g` for every geometry that fits; `None` when none does (the
+/// region then has no in-memory version for this binding).
+fn schedule_all(g: Tdfg, geometries: &[SramGeometry]) -> Option<(Tdfg, Vec<Schedule>)> {
+    let _span = infs_trace::span!(
+        "isa.schedule_all",
+        geometries = geometries.len(),
+        nodes = g.nodes().len(),
+    );
+    let schedules: Vec<Schedule> = geometries
+        .iter()
+        .filter_map(|&geom| Schedule::compute(&g, geom).ok())
+        .collect();
+    (!schedules.is_empty()).then_some((g, schedules))
 }
 
 /// The static-compilation pipeline stages, in execution order — what
@@ -158,7 +172,8 @@ pub struct CompiledRegion {
     /// Whether the region has an in-memory (tDFG) version at all.
     pub tensorizable: bool,
     /// The representative instantiation embedded at compile time (the actual
-    /// serialized tDFG configurations of the fat binary).
+    /// serialized tDFG configurations of the fat binary); region entry at its
+    /// binding reuses it.
     pub representative: Option<RegionInstance>,
 }
 
@@ -174,56 +189,50 @@ impl CompiledRegion {
     }
 
     /// Instantiates the region for concrete symbol values — the `inf_cfg`
-    /// moment: produces the concrete tDFG (optimized + scheduled) and sDFG.
+    /// moment: hands out the concrete tDFG (optimized + scheduled) and sDFG.
+    ///
+    /// At the binding the region was compiled for this borrows the instance
+    /// the static compiler embedded in the fat binary; only a different
+    /// binding runs the static pipeline again.
     ///
     /// # Errors
     ///
     /// Returns symbol/bound errors, or backend errors if no geometry can
     /// schedule this instantiation (e.g. the live set grew with the sizes).
-    pub fn instantiate(&self, syms: &[i64]) -> Result<RegionInstance, IsaError> {
-        let _span = infs_trace::span!("isa.instantiate", kernel = self.kernel.name());
+    pub fn instantiate(&self, syms: &[i64]) -> Result<Cow<'_, RegionInstance>, IsaError> {
+        let mut span = infs_trace::span!("isa.instantiate", kernel = self.kernel.name());
+        let embedded = self.representative.as_ref().filter(|r| r.syms == syms);
+        span.arg("reused", embedded.is_some());
+        if let Some(rep) = embedded {
+            return Ok(Cow::Borrowed(rep));
+        }
         let sdfg = self.kernel.streamize(syms)?;
-        let (tdfg, schedules, hints, profile) = if self.tensorizable {
-            let g = self.kernel.tensorize(syms)?;
-            let g = if self.optimize {
-                infs_egraph::optimize(&g, &self.cost)?
-            } else {
-                g
-            };
-            let schedules: Vec<Schedule> = self
-                .geometries
-                .iter()
-                .filter_map(|&geom| Schedule::compute(&g, geom).ok())
-                .collect();
-            if schedules.is_empty() {
-                (
-                    None,
-                    Vec::new(),
-                    LayoutHints::default(),
-                    OpProfile::default(),
-                )
-            } else {
-                let hints = g.layout_hints();
-                let profile = g.op_profile();
-                (Some(g), schedules, hints, profile)
-            }
+        let in_memory = if self.tensorizable {
+            let g = maybe_optimize(self.kernel.tensorize(syms)?, self.optimize, &self.cost)?;
+            schedule_all(g, &self.geometries)
         } else {
-            (
-                None,
-                Vec::new(),
-                LayoutHints::default(),
-                OpProfile::default(),
-            )
+            None
         };
-        Ok(RegionInstance {
-            name: self.kernel.name().to_string(),
-            syms: syms.to_vec(),
-            tdfg,
+        Ok(Cow::Owned(RegionInstance::assemble(
+            self.kernel.name(),
+            syms,
             sdfg,
-            schedules,
-            hints,
-            profile,
-        })
+            in_memory,
+        )))
+    }
+
+    /// [`CompiledRegion::instantiate`] for a caller that keeps only the
+    /// instance: at the compiled binding the embedded instance is moved out
+    /// rather than cloned.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CompiledRegion::instantiate`].
+    pub fn into_instance(mut self, syms: &[i64]) -> Result<RegionInstance, IsaError> {
+        match self.representative.take() {
+            Some(rep) if rep.syms == syms => Ok(rep),
+            _ => self.instantiate(syms).map(Cow::into_owned),
+        }
     }
 }
 
@@ -247,6 +256,30 @@ pub struct RegionInstance {
 }
 
 impl RegionInstance {
+    /// Puts the static stages' products together: the sDFG, and the
+    /// optimized tDFG with the schedules that fit (`None` = near-memory only).
+    fn assemble(
+        name: &str,
+        syms: &[i64],
+        sdfg: Sdfg,
+        in_memory: Option<(Tdfg, Vec<Schedule>)>,
+    ) -> Self {
+        let (hints, profile) = in_memory
+            .as_ref()
+            .map(|(g, _)| (g.layout_hints(), g.op_profile()))
+            .unwrap_or_default();
+        let (tdfg, schedules) = in_memory.unzip();
+        RegionInstance {
+            name: name.to_string(),
+            syms: syms.to_vec(),
+            tdfg,
+            sdfg,
+            schedules: schedules.unwrap_or_default(),
+            hints,
+            profile,
+        }
+    }
+
     /// The schedule matching a hardware geometry, if the fat binary carries one.
     pub fn schedule_for(&self, geometry: SramGeometry) -> Option<&Schedule> {
         self.schedules.iter().find(|s| s.geometry == geometry)
@@ -399,12 +432,34 @@ mod tests {
         let region = c.compile(stencil_kernel(), &[64]).unwrap();
         let a = region.instantiate(&[32]).unwrap();
         let b = region.instantiate(&[64]).unwrap();
-        let (ga, gb) = (a.tdfg.unwrap(), b.tdfg.unwrap());
+        let (ga, gb) = (a.tdfg.as_ref().unwrap(), b.tdfg.as_ref().unwrap());
         assert_eq!(ga.nodes().len(), gb.nodes().len());
         assert_ne!(
             ga.domain(ga.outputs()[0].node),
             gb.domain(gb.outputs()[0].node)
         );
+    }
+
+    /// Entry at the compiled binding borrows the embedded instance — also
+    /// after a JSON round trip — and only another binding builds a new one.
+    #[test]
+    fn entry_at_the_compiled_binding_borrows_the_embedded_instance() {
+        let region = Compiler::default()
+            .compile(stencil_kernel(), &[64])
+            .unwrap();
+        let mut fb = FatBinary::new();
+        fb.push(region);
+        let back = FatBinary::from_json(&fb.to_json().unwrap()).unwrap();
+        for region in [&fb.regions[0], &back.regions[0]] {
+            let rep = region.representative.as_ref().unwrap();
+            match region.instantiate(&[64]).unwrap() {
+                Cow::Borrowed(inst) => assert!(std::ptr::eq(inst, rep)),
+                Cow::Owned(_) => panic!("rebuilt the compiled binding"),
+            }
+            assert!(matches!(region.instantiate(&[32]).unwrap(), Cow::Owned(_)));
+        }
+        let owned = fb.regions.remove(0).into_instance(&[64]).unwrap();
+        assert_eq!(owned.syms, [64]);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn compile(
         };
         let region = compiler
             .compile(st.kernel.clone(), &st.syms)
-            .and_then(|c| c.instantiate(&st.syms))
+            .and_then(|c| c.into_instance(&st.syms))
             .map_err(|e| PipelineError::Compile(format!("stage '{}': {e}", st.name)))?;
         compile_ns.push(t0.elapsed().as_nanos() as u64);
         regions.push(region);

@@ -695,7 +695,7 @@ mod tests {
         let inst = Compiler::default()
             .compile(k.build().expect("builds"), &[])
             .expect("compiles")
-            .instantiate(&[])
+            .into_instance(&[])
             .expect("instantiates");
         assert_instance_matches(&inst, "stencil2d 2048");
     }

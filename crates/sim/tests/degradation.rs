@@ -29,7 +29,7 @@ fn vec_add_region(n: u64) -> RegionInstance {
     Compiler::default()
         .compile(kernel, &[])
         .unwrap()
-        .instantiate(&[])
+        .into_instance(&[])
         .unwrap()
 }
 

@@ -27,7 +27,7 @@ fn elementwise_region(name: &str, n: u64, hint_dim: usize) -> RegionInstance {
     Compiler::default()
         .compile(k.build().expect("builds"), &[])
         .expect("compiles")
-        .instantiate(&[])
+        .into_instance(&[])
         .expect("instantiates")
 }
 

@@ -2,7 +2,7 @@
 //! optimization showcase) and `conv3d` (channelled convolution executed as
 //! broadcast + element-wise rounds, Table 3: H/W=256, K=3×3, I/O=64).
 
-use crate::util::{compile, fill_small_ints, instantiate};
+use crate::util::{compile, compile_instance, fill_small_ints, instantiate};
 use crate::{Benchmark, Scale};
 use infs_frontend::{Idx, KernelBuilder, ScalarExpr};
 use infs_isa::{CompiledRegion, RegionInstance};
@@ -55,7 +55,7 @@ impl Conv2d {
         }
         k.assign(b, vec![Idx::var(i), Idx::var(j)], acc);
         // The e-graph optimizer discovers the shared C0/C1 scalings (Fig 6).
-        let region = instantiate(&compile(k.build().expect("conv2d builds"), &[], true), &[]);
+        let region = compile_instance(k.build().expect("conv2d builds"));
         Conv2d { n, region }
     }
 }

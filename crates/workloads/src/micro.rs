@@ -1,6 +1,6 @@
 //! The Fig 2 microbenchmarks: `vec_add` and `array_sum`.
 
-use crate::util::{compile, fill_small_ints, instantiate};
+use crate::util::{compile_instance, fill_small_ints};
 use crate::{Benchmark, Scale};
 use infs_frontend::{Idx, KernelBuilder, ScalarExpr};
 use infs_isa::RegionInstance;
@@ -38,7 +38,7 @@ impl VecAdd {
                 ScalarExpr::load(b, vec![Idx::var(i)]),
             ),
         );
-        let region = instantiate(&compile(k.build().expect("vec_add builds"), &[], true), &[]);
+        let region = compile_instance(k.build().expect("vec_add builds"));
         VecAdd { n, region }
     }
 
@@ -104,10 +104,7 @@ impl ArraySum {
         let i = k.parallel_loop("i", 0, n as i64);
         k.scalar_reduce("sum", ReduceOp::Sum, ScalarExpr::load(a, vec![Idx::var(i)]));
         let _ = out;
-        let region = instantiate(
-            &compile(k.build().expect("array_sum builds"), &[], true),
-            &[],
-        );
+        let region = compile_instance(k.build().expect("array_sum builds"));
         ArraySum { n, region }
     }
 

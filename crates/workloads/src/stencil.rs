@@ -3,7 +3,7 @@
 //! also shift + element-wise; we use the undecimated form because strided
 //! (decimated) indices are not bitline-alignable, see DESIGN.md).
 
-use crate::util::{compile, fill_small_ints, instantiate};
+use crate::util::{compile_instance, fill_small_ints};
 use crate::{Benchmark, Scale};
 use infs_frontend::{Idx, KernelBuilder, LoopVar, ScalarExpr};
 use infs_isa::RegionInstance;
@@ -41,10 +41,7 @@ impl Stencil1d {
                 load1(src, i, 1),
             );
             k.assign(dst, vec![Idx::var(i)], e);
-            instantiate(
-                &compile(k.build().expect("stencil1d builds"), &[], true),
-                &[],
-            )
+            compile_instance(k.build().expect("stencil1d builds"))
         };
         Stencil1d {
             n,
@@ -129,10 +126,7 @@ impl Stencil2d {
             );
             let scaled = ScalarExpr::mul(sum, ScalarExpr::Const(0.2));
             k.assign(dst, vec![Idx::var(i), Idx::var(j)], scaled);
-            instantiate(
-                &compile(k.build().expect("stencil2d builds"), &[], true),
-                &[],
-            )
+            compile_instance(k.build().expect("stencil2d builds"))
         };
         Stencil2d {
             n,
@@ -231,10 +225,7 @@ impl Stencil3d {
                 ),
             );
             k.assign(dst, vec![Idx::var(x), Idx::var(y), Idx::var(z)], sum);
-            instantiate(
-                &compile(k.build().expect("stencil3d builds"), &[], true),
-                &[],
-            )
+            compile_instance(k.build().expect("stencil3d builds"))
         };
         Stencil3d {
             shape,
@@ -349,7 +340,7 @@ impl Dwt2d {
                 ScalarExpr::mul(neighbors, ScalarExpr::Const(weight)),
             );
             k.assign(arrays[dst as usize], vec![Idx::var(i), Idx::var(j)], e);
-            instantiate(&compile(k.build().expect("dwt2d builds"), &[], true), &[])
+            compile_instance(k.build().expect("dwt2d builds"))
         };
         let ni = n as i64;
         let phases = vec![

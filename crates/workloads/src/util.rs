@@ -4,6 +4,7 @@ use infs_sdfg::Memory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Dataflow variant of the reduction workloads (Fig 15): inner product keeps
 /// the reduction in the inner loops (in-memory `reduce`), outer product
@@ -28,8 +29,10 @@ impl Dataflow {
 
 /// Compiles a kernel into a region template.
 ///
-/// `optimize` disables the e-graph pass for kernels that are re-instantiated
-/// thousands of times with no reuse to discover (gauss_elim, conv3d rounds).
+/// `optimize` disables the e-graph pass for kernels entered thousands of
+/// times at bindings other than `rep_syms`, with no reuse to discover
+/// (gauss_elim, conv3d rounds). Entering at `rep_syms` itself reuses the
+/// instance this compile embeds and never re-runs the pass.
 ///
 /// # Panics
 ///
@@ -44,12 +47,25 @@ pub fn compile(kernel: Kernel, rep_syms: &[i64], optimize: bool) -> CompiledRegi
         .expect("workload kernels compile")
 }
 
-/// Instantiates a region for concrete symbols.
+/// Compiles (e-graph pass on) a kernel without symbols that is entered only
+/// as compiled, keeping just the instance the compile built.
+///
+/// # Panics
+///
+/// Panics on compile errors.
+pub fn compile_instance(kernel: Kernel) -> RegionInstance {
+    compile(kernel, &[], true)
+        .into_instance(&[])
+        .expect("workload regions instantiate")
+}
+
+/// Instantiates a region for concrete symbols (borrowing the embedded
+/// instance at the compiled binding).
 ///
 /// # Panics
 ///
 /// Panics on instantiation errors.
-pub fn instantiate(region: &CompiledRegion, syms: &[i64]) -> RegionInstance {
+pub fn instantiate<'r>(region: &'r CompiledRegion, syms: &[i64]) -> Cow<'r, RegionInstance> {
     region
         .instantiate(syms)
         .expect("workload regions instantiate")
