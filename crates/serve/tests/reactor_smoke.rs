@@ -3,9 +3,12 @@
 //! wire protocol — and the shutdown-latency regression the reactor was
 //! partly built for (the legacy accept loop napped 50 ms on `WouldBlock`).
 
-use infs_serve::{demo, serve_reactor, ArrayPayload, Client, ServeConfig, Server, WireMode};
-use infs_shard::ReactorConfig;
-use std::net::TcpListener;
+use infs_serve::{
+    demo, serve_reactor, ArrayPayload, Client, Response, ServeConfig, Server, WireError, WireMode,
+};
+use infs_shard::{ReactorConfig, MAX_LINE_BYTES};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,8 +76,7 @@ fn reactor_round_trip_many_connections_and_clean_shutdown() {
     }
 
     // Malformed line: answered with bad-request, connection stays usable.
-    use std::io::{BufRead, BufReader, Write};
-    let raw = std::net::TcpStream::connect(addr).unwrap();
+    let raw = TcpStream::connect(addr).unwrap();
     let mut w = raw.try_clone().unwrap();
     let mut r = BufReader::new(raw);
     w.write_all(b"this is not json\n").unwrap();
@@ -123,5 +125,91 @@ fn out_of_band_shutdown_latency_is_bounded() {
         elapsed < 4 * poll,
         "shutdown took {elapsed:?}; bound is 4 × {poll:?}"
     );
+    server.shutdown();
+}
+
+/// CI "Wire latency smoke". Neither a request arriving on a socket nor a
+/// response completing on a worker waits for the poll timeout: with the
+/// interval at a quarter second, a parked reactor still turns each round
+/// trip around in milliseconds. (The timed sweep this replaced took up to
+/// one interval per hop.)
+#[test]
+fn no_request_waits_on_the_poll_interval() {
+    let (addr, server, io) = start(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        ReactorConfig {
+            poll_interval: Duration::from_millis(250),
+            ..ReactorConfig::default()
+        },
+    );
+    let mut client = Client::connect(addr, "latency").unwrap();
+    assert!(client.ping().unwrap().ok);
+    std::thread::sleep(Duration::from_millis(50)); // let the reactor park
+
+    for i in 0..20 {
+        let t0 = Instant::now();
+        assert!(client.ping().unwrap().ok);
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "round trip {i} took {took:?}"
+        );
+    }
+    server.begin_shutdown();
+    io.join().unwrap();
+    server.shutdown();
+}
+
+/// A client that never sends a newline is cut off at `MAX_LINE_BYTES` with
+/// one typed reply, and costs the other connections nothing but the reads.
+#[test]
+fn slow_loris_gets_one_bad_request_then_eof() {
+    let (addr, server, io) = start(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        ReactorConfig::default(),
+    );
+    let mut bystander = Client::connect(addr, "bystander").unwrap();
+    assert!(bystander.ping().unwrap().ok);
+
+    let loris = TcpStream::connect(addr).unwrap();
+    let mut loris_r = BufReader::new(loris.try_clone().unwrap());
+    let writer = std::thread::spawn(move || {
+        let mut loris = loris;
+        let block = vec![b'x'; 1 << 20];
+        let mut left = MAX_LINE_BYTES + 1;
+        while left > 0 {
+            let n = left.min(block.len());
+            loris.write_all(&block[..n]).unwrap();
+            left -= n;
+        }
+        loris // keep the socket open: the server hangs up, not the client
+    });
+    let mut pings = 0;
+    while !writer.is_finished() {
+        assert!(bystander.ping().unwrap().ok);
+        pings += 1;
+    }
+    let _loris = writer.join().unwrap();
+    assert!(pings > 0);
+
+    let mut reply = String::new();
+    loris_r.read_line(&mut reply).unwrap();
+    let response: Response = serde_json::from_str(reply.trim_end()).unwrap();
+    assert!(!response.ok);
+    assert_eq!(response.error.unwrap().kind, WireError::BAD_REQUEST);
+    let mut rest = Vec::new();
+    loris_r.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "exactly one reply, then EOF");
+
+    assert!(bystander.ping().unwrap().ok);
+    server.begin_shutdown();
+    let stats = io.join().unwrap();
+    assert_eq!(stats.lines, stats.responses, "the cut-off is not a line");
     server.shutdown();
 }

@@ -1,0 +1,248 @@
+//! Seeded wire-decode hardening: hostile request lines, derived from valid
+//! `demo` requests, through a real socket into `serve_reactor`. Nothing a
+//! client can put on a line may panic a thread, hang the connection, or earn
+//! anything but exactly one `Response` — a typed error where the line is not
+//! a request. (`reactor_smoke::slow_loris_…` covers the line that never
+//! ends.)
+
+use infs_faults::mix64;
+use infs_serve::{
+    demo, serve_reactor, ArrayPayload, CompileRequest, ExecuteRequest, PipelineRequest, Request,
+    RequestBody, Response, ServeConfig, Server, WireError, WireMode,
+};
+use infs_shard::ReactorConfig;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
+use std::time::Duration;
+
+const SEED: u64 = 0xC0FFEE;
+const LINES: u64 = 400;
+
+const TYPED: [&str; 10] = [
+    WireError::BACKPRESSURE,
+    WireError::TIMEOUT,
+    WireError::SHUTTING_DOWN,
+    WireError::COMPILE,
+    WireError::UNKNOWN_ARTIFACT,
+    WireError::UNKNOWN_REGION,
+    WireError::BAD_REQUEST,
+    WireError::EXECUTION,
+    WireError::WORKER_FAULT,
+    WireError::SHARD_DOWN,
+];
+
+struct Wire {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Wire {
+    /// One line out, one line back, parsed. A reply that never comes fails
+    /// the read timeout instead of hanging the suite.
+    fn round_trip(&mut self, line: &[u8]) -> Response {
+        assert!(!line.contains(&b'\n'));
+        self.writer.write_all(line).unwrap();
+        self.writer.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        let n = self.reader.read_line(&mut reply).expect("a reply arrives");
+        assert!(n > 0, "server closed the connection");
+        serde_json::from_str(reply.trim_end())
+            .unwrap_or_else(|e| panic!("reply is not a Response ({e}): {reply}"))
+    }
+}
+
+fn line(id: u64, body: RequestBody) -> String {
+    serde_json::to_string(&Request {
+        id,
+        tenant: "fuzz".into(),
+        deadline_ms: None,
+        body,
+    })
+    .unwrap()
+}
+
+/// How a mutated line may be answered.
+#[derive(Debug, PartialEq)]
+enum Expect {
+    /// Not a request whatever else it is: a typed error, nothing run.
+    Error,
+    /// May still decode as a request; then any well-formed answer will do.
+    Any,
+}
+
+fn mutate(valid: &str, case: u64) -> (Vec<u8>, Expect) {
+    let roll = |k: u64, n: u64| mix64(SEED, case, k) % n;
+    let bytes = valid.as_bytes();
+    match roll(0, 5) {
+        // Truncated: an object cut short of its closing brace never parses.
+        0 => {
+            let cut = 1 + roll(1, bytes.len() as u64 - 1) as usize;
+            (bytes[..cut].to_vec(), Expect::Error)
+        }
+        // Oversized: a field far larger than any client would send.
+        1 => match roll(1, 4) {
+            0 => {
+                let digits = "9".repeat(5000);
+                let huge = valid.replacen("\"id\":", &format!("\"id\":{digits}"), 1);
+                (huge.into_bytes(), Expect::Error)
+            }
+            1 => {
+                let tenant = "x".repeat(256 << 10);
+                let huge = valid.replacen("\"fuzz\"", &format!("\"{tenant}\""), 1);
+                (huge.into_bytes(), Expect::Any)
+            }
+            2 => {
+                let extra = "1.5,".repeat(100_000);
+                let huge = valid.replacen("\"data\":[", &format!("\"data\":[{extra}"), 1);
+                (huge.into_bytes(), Expect::Any)
+            }
+            _ => {
+                let pad = " ".repeat(1 << 20);
+                (format!("{pad}{valid}{pad}").into_bytes(), Expect::Any)
+            }
+        },
+        // Deeply nested: recursion depth is the attacker's to choose.
+        2 => {
+            const DEPTH: usize = 10_000;
+            let nest = match roll(1, 3) {
+                0 => "[".repeat(DEPTH),
+                1 => "{\"a\":".repeat(DEPTH),
+                _ => format!("{}{}", "[".repeat(DEPTH), "]".repeat(DEPTH)),
+            };
+            let nested = match roll(2, 2) {
+                0 => nest,
+                _ => valid.replacen("\"body\":", &format!("\"body\":{nest},\"was\":"), 1),
+            };
+            (nested.into_bytes(), Expect::Error)
+        }
+        // Not UTF-8: a few bytes overwritten with continuation, overlong and
+        // out-of-range lead bytes.
+        3 => {
+            let mut raw = bytes.to_vec();
+            for k in 0..=roll(1, 4) {
+                let at = roll(2 + 2 * k, raw.len() as u64) as usize;
+                raw[at] = [0x80, 0xbf, 0xc0, 0xf5, 0xff][roll(3 + 2 * k, 5) as usize];
+            }
+            (raw, Expect::Any)
+        }
+        // Escapes the parser must refuse: unpaired and mispaired surrogates,
+        // short and non-hex `\u`, an unknown escape.
+        _ => {
+            let escape = [
+                "\\ud800",
+                "\\ud800\\u0041",
+                "\\udbff\\ue000",
+                "\\udc00",
+                "\\u12",
+                "\\uzzzz",
+                "\\q",
+            ][roll(1, 7) as usize];
+            let bad = valid.replacen("\"fuzz\"", &format!("\"fu{escape}zz\""), 1);
+            (bad.into_bytes(), Expect::Error)
+        }
+    }
+}
+
+#[test]
+fn hostile_lines_get_one_typed_reply_each_and_the_server_lives() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = Arc::new(Server::new(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    }));
+    let io = {
+        let server = server.clone();
+        std::thread::spawn(move || {
+            serve_reactor(&server, listener, &ReactorConfig::default()).expect("reactor")
+        })
+    };
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut wire = Wire {
+        writer: stream.try_clone().unwrap(),
+        reader: BufReader::new(stream),
+    };
+
+    // The valid requests everything is derived from, each checked first.
+    let n = 64u64;
+    let compile = line(
+        1,
+        RequestBody::Compile(CompileRequest {
+            kernel: demo::scale(n),
+            representative_syms: vec![],
+            optimize: true,
+        }),
+    );
+    let compiled = wire.round_trip(compile.as_bytes());
+    assert!(compiled.ok, "{:?}", compiled.error);
+    let input = ArrayPayload {
+        array: 0,
+        data: (0..n).map(|i| i as f32).collect(),
+    };
+    let valid = [
+        line(2, RequestBody::Ping),
+        line(3, RequestBody::Health),
+        compile,
+        line(
+            4,
+            RequestBody::Execute(ExecuteRequest {
+                artifact: compiled.artifact,
+                binary: None,
+                region: "scale".into(),
+                syms: vec![],
+                params: vec![2.0],
+                mode: WireMode::InfS,
+                inputs: vec![input.clone()],
+                outputs: vec![0],
+            }),
+        ),
+        line(
+            5,
+            RequestBody::Pipeline(PipelineRequest {
+                graph: demo::pipeline(n, 3.0).to_json().unwrap(),
+                mode: WireMode::InfS,
+                fused: true,
+                inputs: vec![input],
+                outputs: vec![3],
+            }),
+        ),
+    ];
+    for v in &valid {
+        let r = wire.round_trip(v.as_bytes());
+        assert!(r.ok, "{:?}", r.error);
+    }
+
+    let mut refused = 0;
+    for case in 0..LINES {
+        let base = &valid[(mix64(SEED, case, 99) % valid.len() as u64) as usize];
+        let (hostile, expect) = mutate(base, case);
+        let r = wire.round_trip(&hostile);
+        match &r.error {
+            None => assert!(r.ok && expect == Expect::Any, "case {case}: accepted"),
+            Some(e) => {
+                assert!(!r.ok, "case {case}");
+                assert!(TYPED.contains(&e.kind.as_str()), "case {case}: {e:?}");
+                if expect == Expect::Error {
+                    assert_eq!(e.kind, WireError::BAD_REQUEST, "case {case}: {e:?}");
+                }
+                refused += 1;
+            }
+        }
+    }
+    assert!(refused > LINES / 2, "only {refused} lines were refused");
+
+    // One reply per line, no more: the next reply is to the next request.
+    let pong = wire.round_trip(line(777, RequestBody::Ping).as_bytes());
+    assert!(pong.ok && pong.id == 777, "{pong:?}");
+    assert_eq!(server.worker_faults(), 0, "a worker panicked");
+
+    server.begin_shutdown();
+    let stats = io.join().expect("the reactor thread did not panic");
+    assert_eq!(stats.lines, stats.responses);
+    server.shutdown();
+}

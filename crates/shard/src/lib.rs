@@ -8,12 +8,13 @@
 //! depends on this one):
 //!
 //! * [`run_reactor`] — a single-threaded nonblocking TCP reactor
-//!   multiplexing every connection: nonblocking accept, newline framing
-//!   into a [`LineHandler`], and an [`Outbox`] that worker threads push
-//!   completed responses through, waking the reactor instead of letting it
-//!   nap on `WouldBlock`. No `epoll` syscall (the repo forbids `unsafe`);
-//!   the read sweep is O(connections) per wakeup, which is the right trade
-//!   for an execution-bound service.
+//!   multiplexing every connection: it blocks in `poll(2)` until a socket
+//!   is ready or a worker pushes a completed response through the
+//!   [`Outbox`] (whose self-pipe is in the poll set), frames lines — capped
+//!   at [`MAX_LINE_BYTES`] — into a [`LineHandler`], and touches only the
+//!   descriptors the kernel reported. The `poll` wrapper is the
+//!   workspace's single `unsafe` block, confined to the private `poll`
+//!   module; the rest of this crate, like every other crate, is safe code.
 //! * [`BatchMap`] — single-flight coalescing keyed by content hash with an
 //!   exact-guard collision fallback: the first in-flight request with a key
 //!   leads (executes), same-key arrivals join and receive the leader's
@@ -27,15 +28,22 @@
 //! Plus [`Histogram`], the log-bucket latency histogram the load generator
 //! and soak benchmark record into.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(unix))]
+compile_error!("infs-shard's reactor waits in poll(2) and wakes through a Unix socket pair");
 
 pub mod batch;
 pub mod hist;
+#[allow(unsafe_code)]
+mod poll;
 pub mod reactor;
 pub mod ring;
 
 pub use batch::{BatchMap, BatchStats, JoinOutcome};
 pub use hist::Histogram;
-pub use reactor::{run_reactor, ConnId, LineHandler, Outbox, ReactorConfig, ReactorStats};
+pub use reactor::{
+    run_reactor, ConnId, LineHandler, Outbox, ReactorConfig, ReactorStats, MAX_LINE_BYTES,
+};
 pub use ring::HashRing;
