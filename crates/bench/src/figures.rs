@@ -3,7 +3,7 @@
 
 use crate::{ConfigName, Ctx, RunMatrix, Table};
 use infs_geom::TileShape;
-use infs_sim::{ExecMode, Machine, SystemConfig};
+use infs_sim::{ExecMode, Machine, RunPlan, SystemConfig};
 use infs_workloads::{
     by_name, ArraySum, Benchmark, MlpStack, PointNet, PointNetVariant, Scale, VecAdd,
 };
@@ -446,9 +446,12 @@ fn sweep_tiles(ctx: &Ctx, name: &str, ndim: usize) -> Vec<(TileShape, u64)> {
             let tile = TileShape::new(dims).expect("nonzero dims");
             let b = by_name(name, ctx.scale()).expect("workload exists");
             let arrays = b.arrays();
-            let mut m = Machine::new(ctx.cfg.clone(), &arrays);
+            let plan = RunPlan {
+                tile: Some(tile.clone()),
+                ..RunPlan::default()
+            };
+            let mut m = Machine::with_plan(ctx.cfg.clone(), &arrays, plan);
             m.set_functional(false);
-            m.set_tile_override(Some(tile.clone()));
             b.run(&mut m, ExecMode::InfS)
                 .ok()
                 .map(|_| (tile, m.finish().cycles))
@@ -1256,67 +1259,30 @@ pub fn pipeline(ctx: &Ctx) {
     }
 }
 
-/// One serving configuration's soak result.
-struct ServeRun {
-    label: &'static str,
-    io: &'static str,
-    shards: u32,
-    batching: bool,
-    report: infs_serve::loadgen::LoadReport,
-    metrics: infs_serve::MetricsReport,
-    per_shard: Vec<u64>,
-}
-
-impl ServeRun {
-    /// Goodput: successful responses per wall second (the RPS the paper-style
-    /// comparison is about — rejections don't count).
-    fn rps(&self) -> f64 {
-        self.report.ok as f64 / (self.report.elapsed_ms.max(1) as f64 / 1000.0)
-    }
-
-    fn mean_occupancy(&self) -> f64 {
-        let execs = self.metrics.batch_executions;
-        if execs == 0 {
-            1.0
-        } else {
-            (execs + self.metrics.batch_joined) as f64 / execs as f64
-        }
-    }
-}
-
-/// Serving soak (DESIGN.md §14): the same deterministic open-loop load —
-/// `infs_serve::loadgen` over real loopback sockets — against two serving
-/// stacks with **equal total worker count**:
-///
-/// - *baseline*: the PR 2 thread-per-connection accept loop, batching off,
-///   one server with 4 workers;
-/// - *sharded*: the event-driven reactor, request batching on, 4 shards ×
-///   1 worker behind the consistent-hash tenant router.
+/// Serving soak (DESIGN.md §14): a deterministic open-loop load —
+/// `infs_serve::loadgen` over real loopback sockets — against the serving
+/// stack as deployed: the event-driven reactor, request batching on, 4
+/// shards × 1 worker behind the consistent-hash tenant router.
 ///
 /// Emits `results/serve.md` and `BENCH_serve.json` (client p50/p99/max
 /// latency, goodput RPS, cache hit rates, batch occupancy, per-shard request
 /// counts) — the record CI's `serve-soak` step schema-checks and gates on.
 pub fn serve(ctx: &Ctx) {
     use infs_serve::loadgen::{self, LoadgenConfig};
-    use infs_serve::{serve_reactor, serve_tcp, ServeConfig, Server, ShardCluster};
+    use infs_serve::{serve_reactor, MetricsReport, ServeConfig, ShardCluster};
     use infs_shard::ReactorConfig;
     use std::sync::Arc;
 
     const WORKERS: usize = 4;
     const SHARDS: u32 = 4;
-    // The rate deliberately exceeds 4 unbatched workers' drain rate: open
-    // loop + overload is the regime where coalescing identical in-flight
-    // requests multiplies capacity (and where a closed-loop client would
-    // hide the difference).
     let lg = LoadgenConfig {
         rate_rps: if ctx.quick { 2_000.0 } else { 4_000.0 },
         duration_ms: if ctx.quick { 2_000 } else { 6_000 },
         connections: 8,
         // Enough tenants that the consistent-hash ring spreads them over all
         // four shards (8 tenants on 4 shards leaves a shard idle ~40% of the
-        // time by the birthday bound), but few distinct bodies per shard:
-        // partitioned 4×1 queues only beat the pooled 4-worker baseline on
-        // tail latency when coalescing multiplies per-shard capacity.
+        // time by the birthday bound), but few distinct bodies per shard, so
+        // coalescing identical in-flight requests has something to join.
         tenants: 16,
         seed: 0x5e12_f00d,
         array_len: 256,
@@ -1324,68 +1290,42 @@ pub fn serve(ctx: &Ctx) {
         deadline_ms: Some(30_000),
     };
 
-    let baseline = {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = Arc::new(Server::new(ServeConfig {
-            workers: WORKERS,
-            batching: false,
-            ..ServeConfig::default()
-        }));
-        let io = {
-            let server = server.clone();
-            std::thread::spawn(move || serve_tcp(&server, listener))
-        };
-        let report = loadgen::run(addr, &lg).expect("baseline load run");
-        let metrics = server.metrics();
-        server.begin_shutdown();
-        io.join().expect("io thread").expect("accept loop");
-        let shutdown = server.shutdown();
-        ServeRun {
-            label: "baseline",
-            io: "thread-per-conn",
-            shards: 1,
-            batching: false,
-            report,
-            metrics,
-            per_shard: vec![shutdown.served],
-        }
-    };
-
-    let sharded = {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let cluster = Arc::new(ShardCluster::new(
-            &ServeConfig {
-                workers: WORKERS / SHARDS as usize,
-                batching: true,
-                ..ServeConfig::default()
-            },
-            SHARDS,
-        ));
-        let io = {
-            let cluster = cluster.clone();
-            std::thread::spawn(move || serve_reactor(&cluster, listener, &ReactorConfig::default()))
-        };
-        let report = loadgen::run(addr, &lg).expect("sharded load run");
-        let metrics = cluster.metrics();
-        let per_shard = cluster.shard_requests();
-        cluster.begin_shutdown();
-        io.join().expect("io thread").expect("reactor");
-        cluster.shutdown();
-        ServeRun {
-            label: "sharded",
-            io: "reactor",
-            shards: SHARDS,
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let cluster = Arc::new(ShardCluster::new(
+        &ServeConfig {
+            workers: WORKERS / SHARDS as usize,
             batching: true,
-            report,
-            metrics,
-            per_shard,
-        }
+            ..ServeConfig::default()
+        },
+        SHARDS,
+    ));
+    let io = {
+        let cluster = cluster.clone();
+        std::thread::spawn(move || serve_reactor(&cluster, listener, &ReactorConfig::default()))
     };
+    let report = loadgen::run(addr, &lg).expect("load run");
+    let metrics = cluster.metrics();
+    let per_shard: Vec<String> = cluster
+        .shard_requests()
+        .iter()
+        .map(u64::to_string)
+        .collect();
+    cluster.begin_shutdown();
+    io.join().expect("io thread").expect("reactor");
+    cluster.shutdown();
+
+    // Goodput: successful responses per wall second — rejections don't count.
+    let rps = report.ok as f64 / (report.elapsed_ms.max(1) as f64 / 1000.0);
+    let mean_occupancy = match metrics.batch_executions {
+        0 => 1.0,
+        execs => (execs + metrics.batch_joined) as f64 / execs as f64,
+    };
+    let artifact_hit_rate = MetricsReport::hit_rate(metrics.artifact_hits, metrics.artifact_misses);
+    let jit_hit_rate = MetricsReport::hit_rate(metrics.jit_hits, metrics.jit_misses);
 
     let mut t = Table::new(
-        "Serve soak: event-driven sharded+batched vs thread-per-conn (equal total workers, same open-loop load)",
+        "Serve soak: event-driven reactor, 4 shards x 1 worker, batching on (open-loop load)",
         &[
             "config",
             "io",
@@ -1400,78 +1340,22 @@ pub fn serve(ctx: &Ctx) {
             "jit hit%",
         ],
     );
-    let hit_pct = |h: u64, m: u64| {
-        infs_serve::MetricsReport::hit_rate(h, m)
-            .map_or_else(|| "-".to_string(), |r| format!("{:.1}", 100.0 * r))
-    };
-    for run in [&baseline, &sharded] {
-        t.row(vec![
-            run.label.into(),
-            run.io.into(),
-            run.shards.to_string(),
-            run.report.ok.to_string(),
-            run.metrics.rejected.to_string(),
-            Table::f(run.rps()),
-            run.report.latency.percentile(0.50).to_string(),
-            run.report.latency.percentile(0.99).to_string(),
-            Table::f(run.mean_occupancy()),
-            hit_pct(run.metrics.artifact_hits, run.metrics.artifact_misses),
-            hit_pct(run.metrics.jit_hits, run.metrics.jit_misses),
-        ]);
-    }
+    let pct = |r: Option<f64>| r.map_or_else(|| "-".to_string(), |r| format!("{:.1}", 100.0 * r));
+    t.row(vec![
+        "sharded".into(),
+        "reactor".into(),
+        SHARDS.to_string(),
+        report.ok.to_string(),
+        metrics.rejected.to_string(),
+        Table::f(rps),
+        report.latency.percentile(0.50).to_string(),
+        report.latency.percentile(0.99).to_string(),
+        Table::f(mean_occupancy),
+        pct(artifact_hit_rate),
+        pct(jit_hit_rate),
+    ]);
     ctx.emit("serve", &t);
 
-    let entry = |run: &ServeRun| {
-        let shards: Vec<String> = run.per_shard.iter().map(u64::to_string).collect();
-        format!(
-            concat!(
-                "  \"{}\": {{\n",
-                "    \"io\": \"{}\",\n",
-                "    \"shards\": {},\n",
-                "    \"batching\": {},\n",
-                "    \"sent\": {},\n",
-                "    \"ok\": {},\n",
-                "    \"rejected\": {},\n",
-                "    \"lost\": {},\n",
-                "    \"rps\": {:.3},\n",
-                "    \"p50_us\": {},\n",
-                "    \"p99_us\": {},\n",
-                "    \"max_us\": {},\n",
-                "    \"artifact_hit_rate\": {:.6},\n",
-                "    \"jit_hit_rate\": {:.6},\n",
-                "    \"batch_executions\": {},\n",
-                "    \"batch_joined\": {},\n",
-                "    \"batch_max_occupancy\": {},\n",
-                "    \"mean_batch_occupancy\": {:.4},\n",
-                "    \"per_shard_requests\": [{}]\n",
-                "  }}"
-            ),
-            run.label,
-            run.io,
-            run.shards,
-            run.batching,
-            run.report.sent,
-            run.report.ok,
-            run.metrics.rejected,
-            run.report.lost,
-            run.rps(),
-            run.report.latency.percentile(0.50),
-            run.report.latency.percentile(0.99),
-            run.report.latency.max(),
-            infs_serve::MetricsReport::hit_rate(
-                run.metrics.artifact_hits,
-                run.metrics.artifact_misses
-            )
-            .unwrap_or(0.0),
-            infs_serve::MetricsReport::hit_rate(run.metrics.jit_hits, run.metrics.jit_misses)
-                .unwrap_or(0.0),
-            run.metrics.batch_executions,
-            run.metrics.batch_joined,
-            run.metrics.batch_max_occupancy,
-            run.mean_occupancy(),
-            shards.join(", "),
-        )
-    };
     let json = format!(
         concat!(
             "{{\n",
@@ -1479,9 +1363,26 @@ pub fn serve(ctx: &Ctx) {
             "  \"workers_total\": {},\n",
             "  \"load\": {{ \"rate_rps\": {}, \"duration_ms\": {}, \"connections\": {}, ",
             "\"tenants\": {}, \"variants\": {}, \"seed\": {} }},\n",
-            "{},\n",
-            "{},\n",
-            "  \"rps_speedup\": {:.4}\n",
+            "  \"sharded\": {{\n",
+            "    \"io\": \"reactor\",\n",
+            "    \"shards\": {},\n",
+            "    \"batching\": true,\n",
+            "    \"sent\": {},\n",
+            "    \"ok\": {},\n",
+            "    \"rejected\": {},\n",
+            "    \"lost\": {},\n",
+            "    \"rps\": {:.3},\n",
+            "    \"p50_us\": {},\n",
+            "    \"p99_us\": {},\n",
+            "    \"max_us\": {},\n",
+            "    \"artifact_hit_rate\": {:.6},\n",
+            "    \"jit_hit_rate\": {:.6},\n",
+            "    \"batch_executions\": {},\n",
+            "    \"batch_joined\": {},\n",
+            "    \"batch_max_occupancy\": {},\n",
+            "    \"mean_batch_occupancy\": {:.4},\n",
+            "    \"per_shard_requests\": [{}]\n",
+            "  }}\n",
             "}}\n"
         ),
         if ctx.quick { "test" } else { "paper" },
@@ -1492,9 +1393,22 @@ pub fn serve(ctx: &Ctx) {
         lg.tenants,
         lg.variants,
         lg.seed,
-        entry(&baseline),
-        entry(&sharded),
-        sharded.rps() / baseline.rps().max(1e-9),
+        SHARDS,
+        report.sent,
+        report.ok,
+        metrics.rejected,
+        report.lost,
+        rps,
+        report.latency.percentile(0.50),
+        report.latency.percentile(0.99),
+        report.latency.max(),
+        artifact_hit_rate.unwrap_or(0.0),
+        jit_hit_rate.unwrap_or(0.0),
+        metrics.batch_executions,
+        metrics.batch_joined,
+        metrics.batch_max_occupancy,
+        mean_occupancy,
+        per_shard.join(", "),
     );
     let path = ctx.out_dir.join("BENCH_serve.json");
     if let Err(e) = std::fs::write(&path, json) {

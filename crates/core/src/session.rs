@@ -143,28 +143,6 @@ impl Session {
         self.machine.reset();
     }
 
-    /// Replaces the loaded binary with another that declares the **same
-    /// array table**, returning the old one — the second pooling hook: a
-    /// pooled machine (allocated memory, warm JIT cache) is rebound to a
-    /// different artifact without reallocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SessionError::EmptyBinary`] or
-    /// [`SessionError::InconsistentArrays`] (naming the first region whose
-    /// array table differs from the loaded one) and leaves the session
-    /// unchanged.
-    pub fn swap_binary(&mut self, binary: FatBinary) -> Result<FatBinary, SessionError> {
-        let new_arrays = Self::validate(&binary)?;
-        let current = self.binary.regions[0].kernel().arrays();
-        if new_arrays.as_slice() != current {
-            return Err(SessionError::InconsistentArrays(
-                binary.regions[0].name().to_string(),
-            ));
-        }
-        Ok(std::mem::replace(&mut self.binary, binary))
-    }
-
     /// The loaded fat binary.
     pub fn binary(&self) -> &FatBinary {
         &self.binary
@@ -185,8 +163,9 @@ impl Session {
         self.machine.memory_ref()
     }
 
-    /// The underlying machine (advanced controls: tile overrides,
-    /// transposed-data assumptions, timing-only mode).
+    /// The underlying machine: pre-run setup (transposed-data assumptions,
+    /// timing-only mode, fault plan, auditor) and [`Machine::run`], the
+    /// entry that takes a per-run [`infs_sim::RunPlan`].
     pub fn machine(&mut self) -> &mut Machine {
         &mut self.machine
     }
@@ -349,41 +328,5 @@ mod tests {
         s.memory().write_array(a, &vec![1.0; 256]);
         s.run("scale", &[], &[5.0]).unwrap();
         assert!(s.memory_ref().array(a).iter().all(|&x| x == 5.0));
-    }
-
-    /// swap_binary accepts a binary with the identical array table and
-    /// rejects one with a different table, leaving the session untouched.
-    #[test]
-    fn swap_binary_validates_array_table() {
-        let (fb, a) = binary();
-        let mut s = Session::new(SystemConfig::default(), fb, ExecMode::InfS).unwrap();
-        // Same table (the same kernel recompiled): accepted.
-        let (fb2, _) = binary();
-        let old = s.swap_binary(fb2).unwrap();
-        assert!(old.region("scale").is_some());
-        s.memory().write_array(a, &vec![1.0; 256]);
-        s.run("scale", &[], &[4.0]).unwrap();
-        assert!(s.memory_ref().array(a).iter().all(|&x| x == 4.0));
-        // Different table: rejected, session keeps working.
-        let mut k = KernelBuilder::new("misfit", DataType::F32);
-        let b = k.array("B", vec![32]);
-        let i = k.parallel_loop("i", 0, 32);
-        k.assign(b, vec![Idx::var(i)], ScalarExpr::load(b, vec![Idx::var(i)]));
-        let mut bad = FatBinary::new();
-        bad.push(
-            Compiler::default()
-                .compile(k.build().unwrap(), &[])
-                .unwrap(),
-        );
-        assert!(matches!(
-            s.swap_binary(bad),
-            Err(SessionError::InconsistentArrays(_))
-        ));
-        assert!(s.binary().region("scale").is_some());
-        // Empty binary is also rejected.
-        assert!(matches!(
-            s.swap_binary(FatBinary::new()),
-            Err(SessionError::EmptyBinary)
-        ));
     }
 }

@@ -65,9 +65,35 @@ pub fn mix64(seed: u64, domain: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a-style hash of a byte string: tiny, dependency-free, stable across
+/// platforms and processes (unlike `DefaultHasher`, which is seeded per
+/// process) — the one content hash behind artifact ids, pipeline and batch
+/// keys, tune keys and tenant ring positions.
+///
+/// The multiplier is `2^44 + 0x1b3`, **not** the published 64-bit FNV prime
+/// (`2^40 + 0x1b3`): the artifact ids clients hold and the tuner's seeded
+/// decision sequence are functions of it, so it stays as first written.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pins the function artifact ids are made of: the FNV offset basis and
+    /// this crate's multiplier (the published prime would give
+    /// `0xaf63_dc4c_8601_ec8c` for `"a"`).
+    #[test]
+    fn fnv1a_is_pinned() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+    }
 
     #[test]
     fn xorshift_is_deterministic_and_seed_sensitive() {

@@ -1,5 +1,6 @@
 use crate::{IsaError, Schedule, SramGeometry};
 use infs_egraph::CostParams;
+use infs_faults::fnv1a;
 use infs_frontend::{FrontendError, Kernel};
 use infs_geom::layout::LayoutHints;
 use infs_sdfg::Sdfg;
@@ -349,17 +350,6 @@ impl FatBinary {
     }
 }
 
-/// FNV-1a over a byte string: tiny, dependency-free, stable across platforms
-/// and processes (unlike `DefaultHasher`, which is seeded per process).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,8 +480,6 @@ mod tests {
         other.push(c.compile(gather_kernel(), &[]).unwrap());
         assert_ne!(other.content_hash().unwrap(), h1);
         assert_ne!(FatBinary::new().content_hash().unwrap(), h1);
-        // fnv1a itself is the published FNV-1a (empty-string basis check).
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
     }
 
     /// The progress gate sees every stage in order for a tensorizable kernel,

@@ -29,6 +29,7 @@ mod binary;
 mod error;
 mod schedule;
 
-pub use binary::{fnv1a, CompileStage, CompiledRegion, Compiler, FatBinary, RegionInstance};
+pub use binary::{CompileStage, CompiledRegion, Compiler, FatBinary, RegionInstance};
 pub use error::IsaError;
+pub use infs_faults::fnv1a;
 pub use schedule::{Schedule, SramGeometry, WlReg};

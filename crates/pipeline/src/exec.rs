@@ -6,7 +6,9 @@ use crate::{plan_residency, PipelineError, PipelineGraph, ResidencyPlan};
 use infs_geom::TileShape;
 use infs_isa::{Compiler, RegionInstance};
 use infs_runtime::TransposedLayout;
-use infs_sim::{ExecMode, Machine, PipelinePolicy, StageReport, StageRequest, SystemConfig};
+use infs_sim::{
+    ExecMode, Machine, PipelinePolicy, RunPlan, StageReport, StageRequest, SystemConfig,
+};
 use infs_tdfg::Tdfg;
 use std::time::Instant;
 
@@ -138,26 +140,32 @@ impl CompiledPipeline {
         &self.compile_ns
     }
 
-    fn stage_requests(&self, fused: bool) -> Vec<StageRequest<'_>> {
+    /// The stages as [`Machine::run`] takes them: each region with its
+    /// parameters and the residency plan's prefetch and evict lists (which a
+    /// round-trip run ignores).
+    pub fn stage_requests(&self) -> Vec<StageRequest<'_>> {
         self.regions
             .iter()
             .zip(&self.graph.stages)
             .zip(&self.plan.stages)
             .map(|((region, spec), plan)| StageRequest {
                 region,
-                params: spec.params.clone(),
-                prefetch: if fused {
-                    plan.prefetch.clone()
-                } else {
-                    Vec::new()
-                },
-                evict: if fused {
-                    plan.evict.clone()
-                } else {
-                    Vec::new()
-                },
+                params: &spec.params,
+                prefetch: &plan.prefetch,
+                evict: &plan.evict,
             })
             .collect()
+    }
+
+    /// The plan this pipeline runs under for a policy. Both policies pin the
+    /// negotiated tile so the comparison isolates residency and overlap, not
+    /// tile choice.
+    pub fn run_plan(&self, policy: PipelinePolicy) -> RunPlan {
+        RunPlan {
+            tile: self.tile.clone(),
+            policy,
+            ..RunPlan::default()
+        }
     }
 
     fn run(
@@ -166,14 +174,8 @@ impl CompiledPipeline {
         mode: ExecMode,
         policy: PipelinePolicy,
     ) -> Result<PipelineReport, infs_sim::SimError> {
-        let fused = matches!(policy, PipelinePolicy::Fused);
-        // Both policies pin the negotiated tile so the comparison isolates
-        // residency and overlap, not tile choice.
-        m.set_tile_override(self.tile.clone());
         let start = m.stats().cycles;
-        let result = m.run_pipeline(&self.stage_requests(fused), mode, policy);
-        m.set_tile_override(None);
-        let stages = result?;
+        let stages = m.run(&self.stage_requests(), mode, &self.run_plan(policy))?;
         let total = m.stats().cycles - start;
         Ok(PipelineReport::from_stages(stages, total))
     }

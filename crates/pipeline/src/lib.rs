@@ -22,7 +22,7 @@
 //!
 //! The crate deliberately reuses the single-kernel stack unchanged: stages
 //! compile through [`infs_isa::Compiler`] and execute through
-//! [`infs_sim::Machine::run_pipeline`], so fused and per-kernel runs share
+//! [`infs_sim::Machine::run`], so fused and per-kernel runs share
 //! one functional semantics and produce bitwise-identical results.
 
 #![forbid(unsafe_code)]

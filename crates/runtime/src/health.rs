@@ -26,17 +26,6 @@ pub enum Tier {
     InMemory,
 }
 
-impl Tier {
-    /// Stable lowercase label for reports and trace counters.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Tier::Host => "host",
-            Tier::NearMemory => "near-memory",
-            Tier::InMemory => "in-memory",
-        }
-    }
-}
-
 /// Does the health mask leave enough banks for in-memory execution?
 ///
 /// In-memory offload needs a strict majority quorum: at least half the

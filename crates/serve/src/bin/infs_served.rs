@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! infs-served [--addr HOST:PORT] [--workers N] [--queue N] [--trace PATH]
-//!             [--chaos SEED] [--tune SEED] [--shards N] [--legacy-io]
-//!             [--no-batching]
+//!             [--chaos SEED] [--tune SEED] [--shards N] [--no-batching]
 //! ```
 //!
 //! Speaks newline-delimited JSON (see `infs_serve::protocol`). Exits 0 after
@@ -22,11 +21,8 @@
 //!
 //! IO and topology (`DESIGN.md` §14):
 //!
-//! - default: one event-driven reactor thread multiplexes every connection
+//! - one event-driven reactor thread multiplexes every connection
 //!   ([`infs_serve::serve_reactor`]);
-//! - `--legacy-io`: the PR 2 thread-per-connection accept loop
-//!   ([`infs_serve::serve_tcp`]) — kept as the benchmark baseline; implies a
-//!   single shard;
 //! - `--shards N` (N ≥ 2): N full server shards behind the consistent-hash
 //!   tenant router ([`infs_serve::ShardCluster`]); `--workers` counts **per
 //!   shard**, and with `--chaos` each shard runs an independently derived
@@ -34,9 +30,7 @@
 //!   each shard keeps its own tuner under an independently derived seed.
 
 use infs_faults::FaultConfig;
-use infs_serve::{
-    serve_reactor, serve_tcp, ServeConfig, Server, ShardCluster, ShutdownStats, TuneConfig,
-};
+use infs_serve::{serve_reactor, ServeConfig, Server, ShardCluster, ShutdownStats, TuneConfig};
 use infs_shard::ReactorConfig;
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -64,8 +58,6 @@ usage: infs-served [FLAGS]
                     variants that beat the static heuristics
   --shards N        run N full server shards behind the consistent-hash
                     tenant router (default 1; N >= 2 enables the router)
-  --legacy-io       thread-per-connection accept loop instead of the default
-                    event-driven reactor (benchmark baseline; single shard)
   --no-batching     disable coalescing of identical in-flight requests
   --help, -h        print this help and exit
 ";
@@ -74,7 +66,6 @@ struct Args {
     addr: String,
     trace: Option<String>,
     shards: u32,
-    legacy_io: bool,
     cfg: ServeConfig,
 }
 
@@ -89,7 +80,6 @@ fn parse_args() -> Result<Parsed, String> {
         addr: "127.0.0.1:7199".to_string(),
         trace: None,
         shards: 1,
-        legacy_io: false,
         cfg: ServeConfig::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -125,14 +115,10 @@ fn parse_args() -> Result<Parsed, String> {
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?
             }
-            "--legacy-io" => args.legacy_io = true,
             "--no-batching" => args.cfg.batching = false,
             "--help" | "-h" => return Ok(Parsed::Help),
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
-    }
-    if args.legacy_io && args.shards > 1 {
-        return Err("--legacy-io supports a single shard (drop --shards)".to_string());
     }
     Ok(Parsed::Run(Box::new(args)))
 }
@@ -205,13 +191,8 @@ fn main() -> ExitCode {
         cluster.shutdown()
     } else {
         let server = Arc::new(Server::new(args.cfg));
-        let io = if args.legacy_io {
-            serve_tcp(&server, listener)
-        } else {
-            serve_reactor(&server, listener, &ReactorConfig::default()).map(|_| ())
-        };
-        if let Err(e) = io {
-            eprintln!("infs-served: accept loop failed: {e}");
+        if let Err(e) = serve_reactor(&server, listener, &ReactorConfig::default()) {
+            eprintln!("infs-served: reactor failed: {e}");
             return ExitCode::FAILURE;
         }
         server.shutdown()

@@ -33,8 +33,9 @@ pub struct ServeConfig {
     /// per the seeded schedule — see `DESIGN.md` §10.
     pub faults: Option<FaultConfig>,
     /// Coalesce identical in-flight requests into one execution with fan-out
-    /// of per-request responses (`DESIGN.md` §14). Off reproduces the
-    /// PR 2 one-execution-per-request behavior (the benchmark baseline).
+    /// of per-request responses (`DESIGN.md` §14). Off gives one execution
+    /// per request (the tune tests and soak rely on it: every request then
+    /// reaches the tuner, in order).
     pub batching: bool,
     /// Online feedback-directed autotuning (`DESIGN.md` §15; the `--tune
     /// SEED` flag). When set, a deterministic epsilon-greedy sampler routes

@@ -9,10 +9,11 @@
 //! Two faces, one [`Server`]:
 //!
 //! - **in-process**: [`Server::submit`] / [`Server::call`] — used by the
-//!   integration tests and the throughput benchmark;
-//! - **TCP**: [`net::serve_tcp`] speaks newline-delimited JSON (one
-//!   [`Request`] per line in, one [`Response`] per line out) for the
-//!   `infs-served` binary, with [`Client`] as the matching thin client.
+//!   integration tests and `benchmark/`;
+//! - **TCP**: [`serve_reactor`] speaks newline-delimited JSON (one
+//!   [`Request`] per line in, one [`Response`] per line out) from one
+//!   event-driven IO thread (`DESIGN.md` §14) for the `infs-served` binary,
+//!   with [`Client`] as the matching thin client.
 //!
 //! What the server owns:
 //!
@@ -94,7 +95,7 @@ pub use cluster::{Dispatch, ShardCluster};
 pub use config::ServeConfig;
 pub use error::ServeError;
 pub use infs_tune::{TuneConfig, TuneStats, Tuner, Variant};
-pub use net::{serve_reactor, serve_tcp, Client};
+pub use net::{serve_reactor, Client};
 pub use protocol::{
     executed_label, ArrayPayload, CompileRequest, ExecuteRequest, HealthReport, MetricsReport,
     PipelineRequest, Request, RequestBody, Response, ResponseStats, ScalarOut, ShardHealth,

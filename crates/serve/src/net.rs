@@ -1,6 +1,7 @@
 //! The TCP face of the server: newline-delimited JSON over
 //! `std::net::TcpListener`, one [`Request`] line in, one [`Response`] line
-//! out, plus the matching thin [`Client`].
+//! out — [`serve_reactor`], one event-driven IO thread for every connection
+//! (`DESIGN.md` §14) — plus the matching thin [`Client`].
 //!
 //! No async runtime and no HTTP — the protocol is a plain line stream so a
 //! session can be driven with `nc` during debugging, and the whole face fits
@@ -11,7 +12,7 @@ use crate::protocol::{
     ArrayPayload, CompileRequest, ExecuteRequest, PipelineRequest, Request, RequestBody, Response,
     ResponseStats, WireError, WireMode,
 };
-use crate::server::{Reply, Server};
+use crate::server::Reply;
 use infs_faults::RetryPolicy;
 use infs_frontend::Kernel;
 use infs_shard::{
@@ -22,86 +23,6 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How long blocked reads and the accept loop wait before re-checking the
-/// shutdown flag.
-const POLL: Duration = Duration::from_millis(50);
-
-/// Runs the accept loop until the server shuts down (via a `Shutdown` request
-/// from any connection, or [`Server::begin_shutdown`] from another thread).
-/// Every connection is served on its own thread; the loop returns only after
-/// admission has closed, so a caller can then [`Server::shutdown`] to drain.
-///
-/// # Errors
-///
-/// Returns the error if the listener cannot be made non-blocking or accept
-/// fails with anything but `WouldBlock`.
-pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if server.is_shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let server = server.clone();
-                std::thread::spawn(move || serve_connection(&server, stream));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Serves one connection: reads request lines until EOF, client error, or
-/// server shutdown; answers every line with exactly one response line.
-fn serve_connection(server: &Arc<Server>, stream: TcpStream) {
-    // Finite read timeouts keep connection threads from outliving shutdown
-    // when a client holds an idle connection open.
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {
-                let response = match serde_json::from_str::<Request>(line.trim_end()) {
-                    Ok(request) => server.call(request),
-                    Err(e) => bad_request(format!("unparseable request: {e}")),
-                };
-                line.clear();
-                let Ok(encoded) = serde_json::to_string(&response) else {
-                    return;
-                };
-                // Two segments, so Nagle holds the second: known, and left
-                // alone. This loop is the frozen `figures serve` baseline;
-                // written as one segment it reaches the offered quick-scale
-                // load in ~2 runs of 10 and ties the CI soak's rps-ordering
-                // gate. It goes when `--legacy-io` does (ROADMAP item 3).
-                if writer
-                    .write_all(encoded.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Partial bytes (if any) stay buffered in `line`; just check
-                // whether the server went away while this client idled.
-                if server.is_shutting_down() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
 
 /// Bridges the reactor's line-framing to a [`Dispatch`] target: parses each
 /// line into a [`Request`], hands it off without blocking the reactor
@@ -176,8 +97,8 @@ impl<D: Dispatch + ?Sized> LineHandler for ReactorBridge<D> {
 
 /// Runs the event-driven IO path: one reactor thread multiplexes every
 /// connection (`DESIGN.md` §14) and requests flow into `dispatch` — a single
-/// [`Server`] or a [`crate::ShardCluster`]. Returns once `dispatch` reports
-/// shutdown (a `Shutdown` request from any connection, or
+/// [`crate::Server`] or a [`crate::ShardCluster`]. Returns once `dispatch`
+/// reports shutdown (a `Shutdown` request from any connection, or
 /// `begin_shutdown` from another thread) and in-flight responses have
 /// flushed; the caller then drains workers with its own `shutdown()`.
 ///

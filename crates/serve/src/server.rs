@@ -16,13 +16,14 @@ use crate::protocol::{
     WireError, WireMode,
 };
 use crate::queue::{AdmissionQueue, PushError};
-use infinity_stream::{Session, SessionError};
+use infinity_stream::Session;
 use infs_faults::{FaultPlan, RetuneTrigger};
-use infs_isa::{fnv1a, Compiler, FatBinary, IsaError};
+use infs_geom::TileShape;
+use infs_isa::{fnv1a, Compiler, FatBinary, IsaError, RegionInstance};
 use infs_runtime::{JitCache, Tier, TransposedLayout};
-use infs_sdfg::ArrayId;
+use infs_sdfg::{ArrayDecl, ArrayId};
 use infs_shard::{BatchMap, BatchStats, JoinOutcome};
-use infs_sim::Machine;
+use infs_sim::{ExecMode, Machine, PipelinePolicy, RunPlan, StageReport, StageRequest};
 use infs_tune::{Tuner, Variant};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -510,8 +511,8 @@ impl Server {
         }
     }
 
-    /// Submits and waits: the synchronous convenience used by the TCP front
-    /// end. Rejections come back immediately as failure responses.
+    /// Submits and waits: the synchronous convenience for in-process
+    /// callers. Rejections come back immediately as failure responses.
     pub fn call(&self, request: Request) -> Response {
         match self.submit(request) {
             Submitted::Admitted(ticket) => ticket.wait(),
@@ -554,7 +555,7 @@ impl Server {
         self.shared.metrics()
     }
 
-    /// True once shutdown has begun (the TCP accept loop polls this).
+    /// True once shutdown has begun (the IO loop's watcher polls this).
     pub fn is_shutting_down(&self) -> bool {
         self.shared.shutting_down.load(Ordering::SeqCst)
     }
@@ -829,10 +830,7 @@ fn handle(
         );
     }
     let result = if picked >= deadline {
-        Err(WireError::new(
-            WireError::TIMEOUT,
-            "deadline expired while queued",
-        ))
+        Err(timeout("deadline expired while queued"))
     } else {
         match &request.body {
             RequestBody::Ping => Ok(Payload::default()),
@@ -884,6 +882,10 @@ fn bad_request(message: impl Into<String>) -> WireError {
     WireError::new(WireError::BAD_REQUEST, message)
 }
 
+fn timeout(message: impl Into<String>) -> WireError {
+    WireError::new(WireError::TIMEOUT, message)
+}
+
 /// The content-addressing key of a compile request: kernel JSON × symbol
 /// binding × geometry set × optimizer flag. Stable across processes (FNV-1a
 /// over the canonical encoding), so a restarted server re-derives the same
@@ -920,10 +922,9 @@ fn handle_compile(
                 Instant::now() < deadline
             })
             .map_err(|e| match e {
-                IsaError::Cancelled(stage) => WireError::new(
-                    WireError::TIMEOUT,
-                    format!("deadline expired before the {stage} stage"),
-                ),
+                IsaError::Cancelled(stage) => {
+                    timeout(format!("deadline expired before the {stage} stage"))
+                }
                 other => WireError::new(WireError::COMPILE, other.to_string()),
             })?;
         stats.compile_us = t0.elapsed().as_micros() as u64;
@@ -969,6 +970,164 @@ fn resolve_binary(shared: &Shared, e: &ExecuteRequest) -> Result<(u64, Arc<FatBi
     }
 }
 
+/// Checks a request's inputs and outputs against the declaration table of
+/// what it runs. Up front, because functional memory's `write_array` treats
+/// a mismatch as a programming error and panics.
+fn validate_io(
+    decls: &[ArrayDecl],
+    inputs: &[ArrayPayload],
+    outputs: &[u32],
+) -> Result<(), WireError> {
+    for p in inputs {
+        let decl = decls
+            .get(p.array as usize)
+            .ok_or_else(|| bad_request(format!("input array id {} out of range", p.array)))?;
+        if p.data.len() as u64 != decl.num_elements() {
+            return Err(bad_request(format!(
+                "input array {} ('{}') has {} elements, got {}",
+                p.array,
+                decl.name,
+                decl.num_elements(),
+                p.data.len()
+            )));
+        }
+    }
+    for &out in outputs {
+        if decls.get(out as usize).is_none() {
+            return Err(bad_request(format!("output array id {out} out of range")));
+        }
+    }
+    Ok(())
+}
+
+/// Arms a freshly built machine with what every served run carries. Chaos
+/// mode: the server's fault plan, so SRAM flips, dead banks and NoC faults
+/// reach simulated runs. Audit hook (the tuning soak installs `infs-check`
+/// here): every run — incumbent or explorer — is validated before commit.
+fn arm(shared: &Shared, machine: &mut Machine) {
+    if let Some(plan) = &shared.faults {
+        machine.set_fault_plan(plan.clone());
+    }
+    if let Some(auditor) = &shared.cfg.auditor {
+        machine.set_region_auditor(Some(auditor.clone()));
+    }
+}
+
+/// The plan a decided variant runs under: `plan` — what the static
+/// heuristics give this run — with the variant's one decision replaced. The
+/// machine clamps forced tiers to what health and feasibility allow, so an
+/// explorer variant can never place a region somewhere it cannot run. Tile
+/// dims the geometry layer rejects (impossible for planner-ranked tiles;
+/// defensive against rebuilt tables) leave the plan's own tile in place.
+fn plan_for(variant: &Variant, mut plan: RunPlan) -> RunPlan {
+    match variant {
+        Variant::Baseline => {}
+        Variant::Tile(dims) => {
+            if let Ok(tile) = TileShape::new(dims.clone()) {
+                plan.tile = Some(tile);
+            }
+        }
+        Variant::ForceInMemory => plan.tier = Some(Tier::InMemory),
+        Variant::ForceNearMemory => plan.tier = Some(Tier::NearMemory),
+        Variant::Roundtrip => plan.policy = PipelinePolicy::Roundtrip,
+    }
+    plan
+}
+
+/// A tune table's candidate variant space, enumerated when the table opens.
+type Candidates<'a> = &'a dyn Fn() -> Vec<Variant>;
+
+/// What a verb hands [`run_stages`] once it has resolved what runs: a lone
+/// kernel is the one-stage case.
+struct ServedRun<'a> {
+    stages: &'a [StageRequest<'a>],
+    mode: ExecMode,
+    /// The plan the static heuristics give this run.
+    plan: RunPlan,
+    /// When this request may be routed through a variant (`DESIGN.md` §15):
+    /// the tuner, its table key and the candidate space. `None` runs `plan`.
+    tune: Option<(&'a Tuner, u64, Candidates<'a>)>,
+    /// Arrays written before the run.
+    inputs: &'a [ArrayPayload],
+    /// Arrays read back after it.
+    outputs: &'a [u32],
+}
+
+/// The run tail every executing verb shares: write inputs, decide the
+/// variant, run the stages under its plan, watch for degradation, record or
+/// demote, read outputs back. `retune` is the watermark that travels with
+/// `machine`. Fills the run-level stats (`execute_us`, `cycles`, `executed`,
+/// `tuned_*`); the verb shapes the rest from the returned stage reports.
+fn run_stages(
+    shared: &Shared,
+    machine: &mut Machine,
+    retune: &mut RetuneTrigger,
+    run: ServedRun<'_>,
+    deadline: Instant,
+    stats: &mut ResponseStats,
+) -> Result<(Vec<StageReport>, Vec<ArrayPayload>), WireError> {
+    if Instant::now() >= deadline {
+        return Err(timeout("deadline expired before execution"));
+    }
+    for p in run.inputs {
+        machine.memory().write_array(ArrayId(p.array), &p.data);
+    }
+    let tuned = run
+        .tune
+        .map(|(tuner, key, candidates)| (tuner, key, tuner.decide(key, candidates)));
+    let plan = match &tuned {
+        Some((_, _, d)) => plan_for(&d.variant, run.plan),
+        None => run.plan,
+    };
+
+    let t0 = Instant::now();
+    // The fan-out correctness tests pin "K identical requests, one
+    // execution" on this counter.
+    infs_trace::counter!("serve.executions", 1u64);
+    let mut span = infs_trace::span!("serve.execute", stages = run.stages.len() as u64);
+    let start = machine.stats().cycles;
+    let result = machine.run(run.stages, run.mode, &plan);
+    let cycles = machine.stats().cycles - start;
+    span.arg("cycles", cycles);
+    drop(span);
+    stats.execute_us = t0.elapsed().as_micros() as u64;
+
+    // Fault-driven retune: degradation events that landed during this run
+    // (bank quarantines, regions pushed off their Eq-2 tier — forced tiers
+    // never count) invalidate every cycle measured on the healthier machine.
+    // Demote instead of recording: fault-polluted cycles must not enter the
+    // table.
+    let events = retune.observe(machine.fault_counters().degradation_events());
+    shared.banks_lost.fetch_max(
+        machine.fault_counters().banks_quarantined,
+        Ordering::Relaxed,
+    );
+    if let Some((tuner, key, d)) = &tuned {
+        stats.tuned_variant = Some(d.variant.label());
+        stats.tuned_explore = d.explore;
+        if events > 0 {
+            tuner.degrade(*key);
+        } else if result.is_ok() {
+            tuner.record(*key, d, cycles);
+        }
+    }
+
+    let stages = result.map_err(|e| WireError::new(WireError::EXECUTION, e.to_string()))?;
+    stats.cycles = cycles;
+    stats.executed = stages
+        .last()
+        .map(|s| executed_label(s.region.executed).to_string());
+    let outputs = run
+        .outputs
+        .iter()
+        .map(|&id| ArrayPayload {
+            array: id,
+            data: machine.memory_ref().array(ArrayId(id)).to_vec(),
+        })
+        .collect();
+    Ok((stages, outputs))
+}
+
 /// The tuner's table key for an execute target: the content-addressed
 /// artifact id refined by region name and symbol binding, because the tile
 /// candidate space (and hence the whole variant table) depends on the
@@ -983,14 +1142,8 @@ fn tune_key(artifact_id: u64, e: &ExecuteRequest) -> u64 {
 /// *is* the §4.1 pick the baseline already runs), and the two forced tiers.
 /// Host-only (non-tensorizable) instantiations get just the baseline —
 /// there is no placement to tune.
-fn execute_candidates(shared: &Shared, binary: &FatBinary, e: &ExecuteRequest) -> Vec<Variant> {
+fn execute_candidates(shared: &Shared, instance: &RegionInstance) -> Vec<Variant> {
     let mut list = vec![Variant::Baseline];
-    let Some(instance) = binary
-        .region(&e.region)
-        .and_then(|r| r.instantiate(&e.syms).ok())
-    else {
-        return list;
-    };
     let Some(tdfg) = &instance.tdfg else {
         return list;
     };
@@ -1005,24 +1158,6 @@ fn execute_candidates(shared: &Shared, binary: &FatBinary, e: &ExecuteRequest) -
     list
 }
 
-/// Applies a decided variant's overrides to the session machine. The machine
-/// clamps forced tiers to what health and feasibility allow, so an explorer
-/// variant can never place a region somewhere it cannot run. Tile dims the
-/// geometry layer rejects (impossible for planner-ranked tiles; defensive
-/// against rebuilt tables) silently fall back to the heuristic.
-fn apply_variant(machine: &mut Machine, variant: &Variant) {
-    match variant {
-        Variant::Baseline | Variant::Roundtrip => {}
-        Variant::Tile(dims) => {
-            if let Ok(tile) = infs_geom::TileShape::new(dims.clone()) {
-                machine.set_tile_override(Some(tile));
-            }
-        }
-        Variant::ForceInMemory => machine.set_tier_override(Some(Tier::InMemory)),
-        Variant::ForceNearMemory => machine.set_tier_override(Some(Tier::NearMemory)),
-    }
-}
-
 fn handle_execute(
     shared: &Shared,
     pool: &mut SessionPool,
@@ -1031,34 +1166,23 @@ fn handle_execute(
     stats: &mut ResponseStats,
 ) -> Result<Payload, WireError> {
     let (artifact_id, binary) = resolve_binary(shared, e)?;
-    // Validate array ids and lengths up front: functional memory's
-    // `write_array` treats mismatches as programming errors and panics.
-    let arrays = binary
+    let decls = binary
         .regions
         .first()
         .ok_or_else(|| bad_request("inline binary contains no regions"))?
         .kernel()
         .arrays();
-    for p in &e.inputs {
-        let decl = arrays
-            .get(p.array as usize)
-            .ok_or_else(|| bad_request(format!("input array id {} out of range", p.array)))?;
-        if p.data.len() as u64 != decl.num_elements() {
-            return Err(bad_request(format!(
-                "input array {} ('{}') has {} elements, got {}",
-                p.array,
-                decl.name,
-                decl.num_elements(),
-                p.data.len()
-            )));
-        }
-    }
-    for &out in &e.outputs {
-        if arrays.get(out as usize).is_none() {
-            return Err(bad_request(format!("output array id {out} out of range")));
-        }
-    }
-    stats.tensorizable = binary.region(&e.region).map(|r| r.tensorizable);
+    validate_io(decls, &e.inputs, &e.outputs)?;
+    let compiled = binary.region(&e.region).ok_or_else(|| {
+        WireError::new(
+            WireError::UNKNOWN_REGION,
+            format!("no region named '{}' in the artifact", e.region),
+        )
+    })?;
+    stats.tensorizable = Some(compiled.tensorizable);
+    let instance = compiled.instantiate(&e.syms).map_err(|err| {
+        WireError::new(WireError::EXECUTION, format!("instantiation failed: {err}"))
+    })?;
 
     let key = (artifact_id, e.mode.index());
     let mut pooled = match pool.take(key) {
@@ -1068,25 +1192,16 @@ fn handle_execute(
             p
         }
         None => {
-            let mut s = Session::with_jit(
+            let mut session = Session::with_jit(
                 shared.cfg.system.clone(),
                 (*binary).clone(),
                 e.mode.exec_mode(),
                 shared.jit.clone(),
             )
             .map_err(|err| bad_request(format!("unusable binary: {err}")))?;
-            // Chaos mode: fresh machines inherit the server's fault plan, so
-            // SRAM flips, dead banks, and NoC faults reach simulated runs.
-            if let Some(plan) = &shared.faults {
-                s.machine().set_fault_plan(plan.clone());
-            }
-            // Audit hook (the tuning soak installs `infs-check` here): every
-            // run — incumbent or explorer — is validated before commit.
-            if let Some(auditor) = &shared.cfg.auditor {
-                s.machine().set_region_auditor(Some(auditor.clone()));
-            }
+            arm(shared, session.machine());
             PooledSession {
-                session: s,
+                session,
                 retune: RetuneTrigger::new(),
             }
         }
@@ -1094,46 +1209,53 @@ fn handle_execute(
 
     // Tuning covers full Inf-S executes: that is the mode where the §4.1
     // tile and Eq-2 tier decisions — the variant space — actually apply.
-    let tuned = match &shared.tuner {
-        Some(tuner) if e.mode == WireMode::InfS => {
-            let tk = tune_key(artifact_id, e);
-            let d = tuner.decide(tk, || execute_candidates(shared, &binary, e));
-            apply_variant(pooled.session.machine(), &d.variant);
-            Some((tuner, tk, d))
-        }
-        _ => None,
-    };
-    let result = run_region(&mut pooled.session, e, deadline, stats);
-    {
-        let machine = pooled.session.machine();
-        machine.set_tile_override(None);
-        machine.set_tier_override(None);
-        // Fault-driven retune: degradation events that landed since this
-        // session's last run (bank quarantines, regions pushed off their
-        // Eq-2 tier — overridden runs never count) invalidate every cycle
-        // measured on the healthier machine. Demote instead of recording:
-        // fault-polluted cycles must not enter the table.
-        let events = pooled
-            .retune
-            .observe(machine.fault_counters().degradation_events());
-        shared.banks_lost.fetch_max(
-            machine.fault_counters().banks_quarantined,
-            Ordering::Relaxed,
-        );
-        if let Some((tuner, tk, d)) = &tuned {
-            stats.tuned_variant = Some(d.variant.label());
-            stats.tuned_explore = d.explore;
-            if events > 0 {
-                tuner.degrade(*tk);
-            } else if result.is_ok() {
-                tuner.record(*tk, d, stats.cycles);
-            }
-        }
-    }
+    let tuner = shared.tuner.as_deref().filter(|_| e.mode == WireMode::InfS);
+    let candidates = || execute_candidates(shared, &instance);
+    let result = run_stages(
+        shared,
+        pooled.session.machine(),
+        &mut pooled.retune,
+        ServedRun {
+            stages: &[StageRequest {
+                region: &instance,
+                params: &e.params,
+                prefetch: &[],
+                evict: &[],
+            }],
+            mode: e.mode.exec_mode(),
+            plan: RunPlan::default(),
+            tune: tuner.map(|t| (t, tune_key(artifact_id, e), &candidates as _)),
+            inputs: &e.inputs,
+            outputs: &e.outputs,
+        },
+        deadline,
+        stats,
+    );
     pool.put(key, pooled);
+    let (stages, outputs) = result?;
+    let region = stages
+        .into_iter()
+        .next()
+        .expect("one stage in, one report out")
+        .region;
+    stats.jit_cache_hit = region.jit_hit;
+    stats.jit_outcome = region.jit_outcome.map(|o| {
+        match o {
+            infs_sim::JitOutcome::ConcreteHit => "concrete",
+            infs_sim::JitOutcome::TemplateHit => "template",
+            infs_sim::JitOutcome::Miss => "miss",
+        }
+        .to_string()
+    });
     Ok(Payload {
         artifact: Some(format_id(artifact_id)),
-        ..result?
+        outputs,
+        scalars: region
+            .scalars
+            .into_iter()
+            .map(|(name, value)| ScalarOut { name, value })
+            .collect(),
+        ..Payload::default()
     })
 }
 
@@ -1173,95 +1295,44 @@ fn handle_pipeline(
         stats.compile_us = t0.elapsed().as_micros() as u64;
         shared.pipelines.insert(key, Arc::new(compiled))
     };
-
     let tensors = &compiled.graph().tensors;
-    for payload in &p.inputs {
-        let decl = tensors.get(payload.array as usize).ok_or_else(|| {
-            bad_request(format!("input tensor id {} out of range", payload.array))
-        })?;
-        if payload.data.len() as u64 != decl.num_elements() {
-            return Err(bad_request(format!(
-                "input tensor {} ('{}') has {} elements, got {}",
-                payload.array,
-                decl.name,
-                decl.num_elements(),
-                payload.data.len()
-            )));
-        }
-    }
-    for &out in &p.outputs {
-        if tensors.get(out as usize).is_none() {
-            return Err(bad_request(format!("output tensor id {out} out of range")));
-        }
-    }
-    if Instant::now() >= deadline {
-        return Err(WireError::new(
-            WireError::TIMEOUT,
-            "deadline expired before pipeline execution",
-        ));
-    }
+    validate_io(tensors, &p.inputs, &p.outputs)?;
 
     // Pipelines run on a fresh machine per request: the graph owns its whole
     // tensor table, so there is no artifact×mode session to keep warm.
     let mut machine = Machine::new(shared.cfg.system.clone(), tensors);
-    if let Some(plan) = &shared.faults {
-        machine.set_fault_plan(plan.clone());
-    }
-    if let Some(auditor) = &shared.cfg.auditor {
-        machine.set_region_auditor(Some(auditor.clone()));
-    }
-    for payload in &p.inputs {
-        machine
-            .memory()
-            .write_array(ArrayId(payload.array), &payload.data);
-    }
+    arm(shared, &mut machine);
 
     // Residency-policy tuning (`DESIGN.md` §15): a fused pipeline request may
     // be routed through the per-kernel round trip instead — legal because
     // the two schedules produce bitwise-identical outputs (the PR 7
     // invariant) — to learn which is actually cheaper for this graph.
     // Explicit round-trip requests are a baseline measurement; never tuned.
-    let tuned = match &shared.tuner {
-        Some(tuner) if p.fused => {
-            let tk = fnv1a(format!("pipeline|{key:016x}|{}", p.mode.index()).as_bytes());
-            let d = tuner.decide(tk, || vec![Variant::Baseline, Variant::Roundtrip]);
-            Some((tuner, tk, d))
-        }
-        _ => None,
-    };
-    let run_fused = match &tuned {
-        Some((_, _, d)) => d.variant != Variant::Roundtrip,
-        None => p.fused,
-    };
-
-    let t0 = Instant::now();
-    infs_trace::counter!("serve.executions", 1u64);
-    let mut span = infs_trace::span!(
-        "serve.pipeline",
-        graph = compiled.graph().name.as_str(),
-        fused = run_fused,
-    );
-    let report = if run_fused {
-        compiled.run_fused(&mut machine, p.mode.exec_mode())
-    } else {
-        compiled.run_roundtrip(&mut machine, p.mode.exec_mode())
-    }
-    .map_err(|e| WireError::new(WireError::EXECUTION, e.to_string()))?;
-    span.arg("cycles", report.total_cycles);
-    drop(span);
-    if let Some((tuner, tk, d)) = &tuned {
-        stats.tuned_variant = Some(d.variant.label());
-        stats.tuned_explore = d.explore;
-        tuner.record(*tk, d, report.total_cycles);
-    }
-    stats.execute_us = t0.elapsed().as_micros() as u64;
-    stats.cycles = report.total_cycles;
-    stats.executed = report
-        .stages
-        .last()
-        .map(|s| executed_label(s.region.executed).to_string());
-    stats.stages = report
-        .stages
+    let tuner = shared.tuner.as_deref().filter(|_| p.fused);
+    let candidates = || vec![Variant::Baseline, Variant::Roundtrip];
+    let (stages, outputs) = run_stages(
+        shared,
+        &mut machine,
+        &mut RetuneTrigger::new(),
+        ServedRun {
+            stages: &compiled.stage_requests(),
+            mode: p.mode.exec_mode(),
+            plan: compiled.run_plan(if p.fused {
+                PipelinePolicy::Fused
+            } else {
+                PipelinePolicy::Roundtrip
+            }),
+            tune: tuner.map(|t| {
+                let tk = fnv1a(format!("pipeline|{key:016x}|{}", p.mode.index()).as_bytes());
+                (t, tk, &candidates as _)
+            }),
+            inputs: &p.inputs,
+            outputs: &p.outputs,
+        },
+        deadline,
+        stats,
+    )?;
+    stats.stages = stages
         .iter()
         .enumerate()
         .map(|(i, s)| StageStats {
@@ -1279,83 +1350,9 @@ fn handle_pipeline(
             executed: executed_label(s.region.executed).to_string(),
         })
         .collect();
-
     Ok(Payload {
         artifact: Some(format_id(key)),
-        outputs: p
-            .outputs
-            .iter()
-            .map(|&id| ArrayPayload {
-                array: id,
-                data: machine.memory_ref().array(ArrayId(id)).to_vec(),
-            })
-            .collect(),
-        scalars: Vec::new(),
-        metrics: None,
-        health: None,
-    })
-}
-
-fn run_region(
-    session: &mut Session,
-    e: &ExecuteRequest,
-    deadline: Instant,
-    stats: &mut ResponseStats,
-) -> Result<Payload, WireError> {
-    if Instant::now() >= deadline {
-        return Err(WireError::new(
-            WireError::TIMEOUT,
-            "deadline expired before execution",
-        ));
-    }
-    for p in &e.inputs {
-        session.memory().write_array(ArrayId(p.array), &p.data);
-    }
-    let t0 = Instant::now();
-    // The fan-out correctness tests pin "K identical requests, one
-    // execution" on this counter.
-    infs_trace::counter!("serve.executions", 1u64);
-    let mut span = infs_trace::span!("serve.execute", region = e.region.as_str());
-    let report = session
-        .run(&e.region, &e.syms, &e.params)
-        .map_err(|err| match err {
-            SessionError::UnknownRegion(name) => WireError::new(
-                WireError::UNKNOWN_REGION,
-                format!("no region named '{name}' in the artifact"),
-            ),
-            other => WireError::new(WireError::EXECUTION, other.to_string()),
-        })?;
-    span.arg("cycles", report.cycles);
-    span.arg("jit_hit", report.jit_hit.unwrap_or(false));
-    drop(span);
-    stats.execute_us = t0.elapsed().as_micros() as u64;
-    stats.jit_cache_hit = report.jit_hit;
-    stats.jit_outcome = report.jit_outcome.map(|o| {
-        match o {
-            infs_sim::JitOutcome::ConcreteHit => "concrete",
-            infs_sim::JitOutcome::TemplateHit => "template",
-            infs_sim::JitOutcome::Miss => "miss",
-        }
-        .to_string()
-    });
-    stats.cycles = report.cycles;
-    stats.executed = Some(executed_label(report.executed).to_string());
-    Ok(Payload {
-        artifact: None,
-        outputs: e
-            .outputs
-            .iter()
-            .map(|&id| ArrayPayload {
-                array: id,
-                data: session.memory_ref().array(ArrayId(id)).to_vec(),
-            })
-            .collect(),
-        scalars: report
-            .scalars
-            .into_iter()
-            .map(|(name, value)| ScalarOut { name, value })
-            .collect(),
-        metrics: None,
-        health: None,
+        outputs,
+        ..Payload::default()
     })
 }

@@ -338,7 +338,9 @@ fn tcp_backpressure_resolves_with_retry_and_backoff() {
     }));
     let accept = {
         let server = server.clone();
-        std::thread::spawn(move || infs_serve::serve_tcp(&server, listener))
+        std::thread::spawn(move || {
+            infs_serve::serve_reactor(&server, listener, &infs_shard::ReactorConfig::default())
+        })
     };
     let ping = |id: u64| Request {
         id,
@@ -407,4 +409,74 @@ fn tcp_backpressure_resolves_with_retry_and_backoff() {
     accept.join().unwrap().unwrap();
     let stats = server.shutdown();
     assert!(stats.rejected >= 1, "the saturating submit was rejected");
+}
+
+/// A bank quarantined *inside* a served pipeline is a degradation event like
+/// any other: `Health` reports the lost bank, and on a tuned server the
+/// request demotes instead of recording — cycles measured across a
+/// quarantine are not evidence for either residency policy.
+#[test]
+fn bank_quarantined_inside_a_pipeline_reaches_health_and_the_tuner() {
+    let server = Server::new(ServeConfig {
+        workers: 1,
+        batching: false,
+        faults: Some(FaultConfig {
+            seed: 0xBA2C,
+            // Every region entry scrubs a flipped wordline.
+            sram_flip_period: 1,
+            ..FaultConfig::none()
+        }),
+        tune: Some(infs_serve::TuneConfig::seeded(7)),
+        ..ServeConfig::default()
+    });
+    assert_eq!(server.health().healthy_banks, 64, "the plan boots healthy");
+
+    let n = 128u64;
+    let input: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let r = server.call(Request {
+        id: 1,
+        tenant: "chaos".into(),
+        deadline_ms: None,
+        body: RequestBody::Pipeline(infs_serve::PipelineRequest {
+            graph: demo::pipeline(n, 2.0).to_json().unwrap(),
+            mode: WireMode::InfS,
+            fused: true,
+            inputs: vec![ArrayPayload {
+                array: 0,
+                data: input.clone(),
+            }],
+            outputs: vec![3],
+        }),
+    });
+    assert!(r.ok, "pipeline under SRAM flips failed: {:?}", r.error);
+    assert_eq!(r.outputs[0].data, demo::pipeline_reference(&input, 2.0));
+    assert!(r.stats.tuned_variant.is_some(), "fused requests are tuned");
+
+    let h = server.health();
+    assert!(
+        h.healthy_banks < 64,
+        "the quarantine never reached Health: {h:?}"
+    );
+    assert_eq!(h.status, HealthReport::DEGRADED);
+
+    // Decided once, observed never: the polluted cycles stayed out.
+    let artifact = r.artifact.expect("pipeline replies name their artifact");
+    let tuner = server.tuner().expect("tuning is on");
+    assert_eq!(tuner.stats().artifacts, 1);
+    // The table key is the artifact id and the mode's (crate-private) pool
+    // index; with one table open, whichever index finds it is the right one.
+    let table = (0..6)
+        .find_map(|mode| {
+            tuner.table(infs_isa::fnv1a(
+                format!("pipeline|{artifact}|{mode}").as_bytes(),
+            ))
+        })
+        .expect("the request opened a tune table");
+    assert_eq!(table.seq, 1);
+    assert!(
+        table.stats.iter().all(|s| s.samples == 0),
+        "fault-polluted cycles were recorded: {:?}",
+        table.stats
+    );
+    server.shutdown();
 }

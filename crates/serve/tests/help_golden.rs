@@ -27,8 +27,6 @@ usage: infs-served [FLAGS]
                     variants that beat the static heuristics
   --shards N        run N full server shards behind the consistent-hash
                     tenant router (default 1; N >= 2 enables the router)
-  --legacy-io       thread-per-connection accept loop instead of the default
-                    event-driven reactor (benchmark baseline; single shard)
   --no-batching     disable coalescing of identical in-flight requests
   --help, -h        print this help and exit
 ";

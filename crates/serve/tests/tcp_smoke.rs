@@ -1,8 +1,9 @@
 //! End-to-end TCP round trip on loopback: a real listener, a real client
 //! socket, newline-delimited JSON both ways, and a clean shutdown of the
-//! accept loop — the in-process twin of the CI server-smoke step.
+//! IO loop — the in-process twin of the CI server-smoke step.
 
-use infs_serve::{demo, serve_tcp, ArrayPayload, Client, ServeConfig, Server, WireMode};
+use infs_serve::{demo, serve_reactor, ArrayPayload, Client, ServeConfig, Server, WireMode};
+use infs_shard::ReactorConfig;
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ fn tcp_round_trip_and_clean_shutdown() {
     }));
     let accept = {
         let server = server.clone();
-        std::thread::spawn(move || serve_tcp(&server, listener))
+        std::thread::spawn(move || serve_reactor(&server, listener, &ReactorConfig::default()))
     };
 
     let mut client = Client::connect(addr, "tcp-test").unwrap();
@@ -65,12 +66,18 @@ fn tcp_round_trip_and_clean_shutdown() {
     use std::io::{BufRead, BufReader, Write};
     let raw = std::net::TcpStream::connect(addr).unwrap();
     let mut w = raw.try_clone().unwrap();
+    let mut lines = BufReader::new(raw);
     w.write_all(b"this is not json\n").unwrap();
     let mut line = String::new();
-    BufReader::new(raw).read_line(&mut line).unwrap();
+    lines.read_line(&mut line).unwrap();
     assert!(line.contains("bad-request"), "got: {line}");
+    w.write_all(b"{\"id\":7,\"tenant\":\"raw\",\"body\":\"Ping\"}\n")
+        .unwrap();
+    line.clear();
+    lines.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "got: {line}");
 
-    // Graceful shutdown over the wire; the accept loop must return.
+    // Graceful shutdown over the wire; the IO loop must return.
     let r = client.shutdown().unwrap();
     assert!(r.ok);
     accept.join().unwrap().unwrap();

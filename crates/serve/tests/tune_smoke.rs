@@ -4,8 +4,8 @@
 //! the metrics verb surfaces the tune counters.
 
 use infs_serve::{
-    demo, ArrayPayload, CompileRequest, ExecuteRequest, Request, RequestBody, ServeConfig, Server,
-    TuneConfig, WireMode,
+    demo, ArrayPayload, CompileRequest, ExecuteRequest, PipelineRequest, Request, RequestBody,
+    ServeConfig, Server, TuneConfig, WireMode,
 };
 
 const D: u64 = 256;
@@ -184,4 +184,78 @@ fn untuned_server_reports_zero_tune_counters() {
         (0, 0, 0, 0, 0)
     );
     s.shutdown();
+}
+
+fn pipeline(server: &Server, id: u64, fused: bool) -> infs_serve::Response {
+    let n = 4096u64;
+    let r = server.call(Request {
+        id,
+        tenant: "tune".into(),
+        deadline_ms: None,
+        body: RequestBody::Pipeline(PipelineRequest {
+            graph: demo::pipeline(n, 2.0).to_json().unwrap(),
+            mode: WireMode::InfS,
+            fused,
+            inputs: vec![ArrayPayload {
+                array: 0,
+                data: (0..n).map(|i| 0.25 * i as f32).collect(),
+            }],
+            outputs: vec![3],
+        }),
+    });
+    assert!(r.ok, "pipeline {id} failed: {:?}", r.error);
+    r
+}
+
+/// The tuned Pipeline path: fused requests are routed through the residency
+/// policy the tuner picks — both get served — and whichever it picks, the
+/// reply's outputs are the untuned server's bit for bit. An explicit
+/// round-trip request is a baseline measurement and never tuned.
+#[test]
+fn tuned_pipeline_explores_the_round_trip_bitwise_identically() {
+    let bits = |r: &infs_serve::Response| -> Vec<u32> {
+        r.outputs[0].data.iter().map(|v| v.to_bits()).collect()
+    };
+    let static_server = server(None);
+    let reference = pipeline(&static_server, 1, true);
+    assert_eq!(reference.stats.tuned_variant, None);
+    static_server.shutdown();
+
+    let tuned_server = server(Some(tune_cfg(0x5EED)));
+    let mut variants = std::collections::BTreeSet::new();
+    for i in 0..16u64 {
+        let r = pipeline(&tuned_server, 1 + i, true);
+        let variant = r.stats.tuned_variant.clone().expect("fused is tuned");
+        assert_eq!(
+            bits(&r),
+            bits(&reference),
+            "request {i} ({variant}) diverges bitwise from the untuned server"
+        );
+        if variant == "pipeline:round-trip" {
+            // The reply reports the schedule that actually ran.
+            let hidden = |s: &infs_serve::StageStats| s.prefetch_hidden_cycles;
+            assert!(r.stats.stages.iter().all(|s| hidden(s) == 0));
+        }
+        variants.insert(variant);
+    }
+    assert_eq!(
+        variants.into_iter().collect::<Vec<_>>(),
+        ["baseline", "pipeline:round-trip"]
+    );
+
+    let before = tuned_server.metrics();
+    let r = pipeline(&tuned_server, 100, false);
+    assert_eq!(
+        r.stats.tuned_variant, None,
+        "explicit round trip is never tuned"
+    );
+    assert!(!r.stats.tuned_explore);
+    assert_eq!(bits(&r), bits(&reference));
+    let after = tuned_server.metrics();
+    assert_eq!(
+        (after.tune_explored, after.tune_exploited),
+        (before.tune_explored, before.tune_exploited),
+        "an untuned request must not touch the tuner"
+    );
+    tuned_server.shutdown();
 }

@@ -8,26 +8,15 @@
 //! *next distinct* shard on the ring — a deterministic, minimal reshuffle —
 //! and fall straight back when it recovers.
 
-use infs_faults::mix64;
+use infs_faults::{fnv1a, mix64};
 
 /// Domain tag separating ring-point hashes from tenant hashes.
 const DOM_POINT: u64 = 0x5269_6e67; // "Ring"
 /// Domain tag for the tenant-hash finalizer.
 const DOM_TENANT: u64 = 0x546e_6e74; // "Tnnt"
 
-/// FNV-1a over a byte string; the same hash family the artifact cache keys
-/// use, so tenant placement is stable across processes and runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Tenant name → ring position. Raw FNV-1a is *not* enough here: similar
-/// short names ("t0" … "t7") hash within ~`prime × Δbyte` ≈ 2^43 of each
+/// Tenant name → ring position. Raw [`fnv1a`] is *not* enough here: similar
+/// short names ("t0" … "t7") hash within ~`multiplier × Δbyte` ≈ 2^47 of each
 /// other, far tighter than the ~2^56 average arc between ring points, so a
 /// whole tenant family would pile onto one shard. A `mix64` finalizer
 /// restores avalanche — one flipped input bit moves the tenant anywhere on

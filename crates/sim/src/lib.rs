@@ -47,11 +47,11 @@ mod stats;
 pub use config::SystemConfig;
 pub use core_model::{core_time, CoreProfile};
 pub use energy::{area_report, AreaReport, EnergyBreakdown, EnergyParams};
-pub use infs_runtime::JitOutcome;
+pub use infs_runtime::{JitOutcome, Tier};
 pub use inmem::InMemOutcome;
 pub use machine::{
     ExecMode, Executed, FaultCounters, Machine, PipelinePolicy, RegionAuditor, RegionReport,
-    SimError, StageReport, StageRequest,
+    RunPlan, SimError, StageReport, StageRequest,
 };
 pub use nearmem::NearMemOutcome;
 pub use noc::Mesh;

@@ -83,28 +83,27 @@ pub struct RegionReport {
     /// The three-way JIT resolution for in-memory execution: concrete hit,
     /// template (copy-and-patch) hit, or full lowering.
     pub jit_outcome: Option<JitOutcome>,
-    /// Per-variant cycle attribution for the autotuner (`DESIGN.md` §15):
-    /// the override(s) active while these cycles were measured — e.g.
-    /// `"tile:4x64"` or `"tier:near-memory"` — or `None` when the run used
-    /// the static §4.1/Eq-2 heuristics unmodified.
-    pub variant: Option<String>,
+    /// Cycles of `cycles` spent preparing (fetching and transposing)
+    /// operands before the command stream could start; 0 for core and
+    /// near-memory runs.
+    pub prepare_cycles: u64,
 }
 
-/// One stage of a pipelined multi-kernel run (see [`Machine::run_pipeline`]).
+/// One stage of a run (see [`Machine::run`]).
 #[derive(Debug)]
 pub struct StageRequest<'a> {
     /// Region to execute.
     pub region: &'a RegionInstance,
     /// Runtime parameters for the region.
-    pub params: Vec<f32>,
+    pub params: &'a [f32],
     /// Arrays to stage for the *next* stage while this one executes — the
     /// prefetch half of the 3-phase prepare/stream/prefetch loop. Staging
     /// cycles overlap with this stage's execution; only the excess stalls
     /// the timeline.
-    pub prefetch: Vec<u32>,
+    pub prefetch: &'a [u32],
     /// Arrays dead after this stage (the residency planner's eviction list):
     /// written back and dropped from L3, freeing compute ways.
-    pub evict: Vec<u32>,
+    pub evict: &'a [u32],
 }
 
 /// Per-stage result of a pipelined run: the region's own report plus the
@@ -129,18 +128,40 @@ pub struct StageReport {
     pub host_ns: u64,
 }
 
-/// How [`Machine::run_pipeline`] treats inter-stage state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How [`Machine::run`] treats inter-stage state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelinePolicy {
     /// Fused streaming execution: intermediates stay resident (and
     /// transposed) across stages, the next stage's operands are prefetched
     /// under the current stage's execution, and only planner-declared
     /// evictions write back.
+    #[default]
     Fused,
     /// Per-kernel host round trip (the pre-pipeline baseline): after every
     /// stage all resident and transposed state is written back and dropped,
     /// so each stage re-stages its operands from cold.
     Roundtrip,
+}
+
+/// The placement decisions of one run, made once at region entry — the
+/// `inf_cfg` moment — and immutable for the run's duration. The default is
+/// the static heuristics: the §4.1 tile pick, the Eq-2 tier, fused stages.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RunPlan {
+    /// Tile shape every in-memory layout of the run uses instead of the §4.1
+    /// heuristic's pick (the Fig 16/17 sweep, a pipeline's negotiated
+    /// cross-stage tile, the autotuner's tile variants — `DESIGN.md` §15).
+    pub tile: Option<TileShape>,
+    /// Tier the Inf-S placement is forced onto instead of the Eq-2 decision
+    /// (the autotuner's tier variants). Only `ExecMode::InfS`/`InfSNoJit`
+    /// consult it, and it is clamped to feasibility: forced in-memory falls
+    /// back to near-memory when the region has no schedulable tDFG, no
+    /// feasible layout or no healthy-bank quorum, and forced near-memory
+    /// lands on the host when no bank survives. A forced run never counts as
+    /// a degradation event — the caller asked for the placement.
+    pub tier: Option<Tier>,
+    /// How inter-stage state is treated.
+    pub policy: PipelinePolicy,
 }
 
 /// Simulator errors.
@@ -220,7 +241,7 @@ impl fmt::Debug for RegionAuditor {
 }
 
 /// What an in-memory placement of one region needs, resolved once per
-/// [`Machine::run_region`] and shared by the tier decision and the execution:
+/// region entry and shared by the tier decision and the execution:
 /// the healthy-bank hardware view, the planned layout and the distilled JIT
 /// template.
 struct InMemoryPlan<'r> {
@@ -308,12 +329,10 @@ pub struct Machine {
     transposed: Option<ActiveTranspose>,
     touched: HashSet<u32>,
     assume_transposed: bool,
-    tile_override: Option<TileShape>,
-    /// Forces the Inf-S placement onto a specific tier (autotuner explorer
-    /// variants, `DESIGN.md` §15). Clamped to what the health mask and the
-    /// region's in-memory feasibility actually allow — an override can never
-    /// make a region run somewhere it could not.
-    tier_override: Option<Tier>,
+    /// The plan [`Machine::run_region`] enters every region under: fixed at
+    /// construction ([`Machine::with_plan`]), the static heuristics
+    /// otherwise.
+    plan: RunPlan,
     functional: bool,
     /// Which L3 banks are healthy. Starts all-healthy; a fault plan or
     /// explicit mask degrades it, and — like real silicon — it never heals
@@ -324,13 +343,9 @@ pub struct Machine {
     /// Regions executed so far — the sequence number fault queries key on.
     region_seq: u64,
     fault_counts: FaultCounters,
-    /// Optional pre-execution validation hook (machine configuration, like
-    /// the tile override: it survives [`Machine::reset`]).
+    /// Optional pre-execution validation hook (machine configuration: it
+    /// survives [`Machine::reset`]).
     auditor: Option<RegionAuditor>,
-    /// Prepare cycles the most recent [`Machine::run_region`] charged (0 for
-    /// core/near-memory runs) — the per-stage stall [`Machine::run_pipeline`]
-    /// reports without widening [`RegionReport`].
-    last_prepare_cycles: u64,
 }
 
 impl Machine {
@@ -338,6 +353,18 @@ impl Machine {
     /// shared array table; all of its kernels use the same [`infs_sdfg::ArrayId`]s).
     pub fn new(cfg: SystemConfig, arrays: &[infs_sdfg::ArrayDecl]) -> Self {
         Machine::with_jit(cfg, arrays, Arc::new(JitCache::new()))
+    }
+
+    /// Creates a machine whose [`Machine::run_region`] enters every region
+    /// under `plan` instead of the static heuristics — for a driver that
+    /// holds one placement fixed over a whole workload (the Fig 16/17 tile
+    /// sweep). The plan is part of the machine from here on; a caller that
+    /// decides per run passes its plan to [`Machine::run`] instead.
+    pub fn with_plan(cfg: SystemConfig, arrays: &[infs_sdfg::ArrayDecl], plan: RunPlan) -> Self {
+        Machine {
+            plan,
+            ..Machine::new(cfg, arrays)
+        }
     }
 
     /// Creates a machine that memoizes JIT-lowered command streams in a
@@ -368,15 +395,13 @@ impl Machine {
             transposed: None,
             touched: HashSet::new(),
             assume_transposed: false,
-            tile_override: None,
-            tier_override: None,
+            plan: RunPlan::default(),
             functional: true,
             health,
             faults: None,
             region_seq: 0,
             fault_counts: FaultCounters::default(),
             auditor: None,
-            last_prepare_cycles: 0,
         }
     }
 
@@ -385,8 +410,8 @@ impl Machine {
         &self.cfg
     }
 
-    /// Installs (or clears) a [`RegionAuditor`] consulted on every
-    /// [`Machine::run_region`] call before any execution or fault accounting.
+    /// Installs (or clears) a [`RegionAuditor`] consulted on every region
+    /// entry before any execution or fault accounting.
     pub fn set_region_auditor(&mut self, auditor: Option<RegionAuditor>) {
         self.auditor = auditor;
     }
@@ -423,9 +448,11 @@ impl Machine {
     /// Resets the machine for reuse by an unrelated request: fresh functional
     /// memory (all zeros), no transposed/resident state, zeroed run stats.
     /// The JIT cache handle is kept — reuse of lowered commands across
-    /// requests is the point of pooling. Configuration flags
-    /// (`assume_transposed`, tile override, functional mode) also persist;
-    /// they describe the machine, not the request. So do the bank-health
+    /// requests is the point of pooling. What was fixed when the machine was
+    /// set up (`assume_transposed`, functional mode, the construction-time
+    /// [`RunPlan`], the auditor) also persists; it describes the machine, not
+    /// the request — a request's own placement travels in the plan it passes
+    /// to [`Machine::run`] and leaves nothing behind. So do the bank-health
     /// mask, fault plan and fault counters: quarantined silicon does not
     /// heal because a new tenant shows up.
     pub fn reset(&mut self) {
@@ -467,25 +494,6 @@ impl Machine {
                 self.touched.insert(i as u32);
             }
         }
-    }
-
-    /// Forces a specific tile shape instead of the runtime heuristic — the
-    /// Fig 16/17 sweep hook, and the autotuner's tile-variant hook
-    /// (`DESIGN.md` §15).
-    pub fn set_tile_override(&mut self, tile: Option<TileShape>) {
-        self.tile_override = tile;
-    }
-
-    /// Forces the Inf-S placement onto a specific tier instead of the Eq-2
-    /// decision — the autotuner's tier-variant hook (`DESIGN.md` §15). Only
-    /// `ExecMode::InfS`/`InfSNoJit` consult it, and the override is clamped
-    /// to feasibility: a forced in-memory placement falls back to the Eq-2
-    /// tier when the region has no schedulable tDFG or the healthy-bank
-    /// quorum is gone, and a forced near-memory placement degrades to the
-    /// host when no banks survive. Overridden runs never count as
-    /// degradation events — the tuner asked for the placement.
-    pub fn set_tier_override(&mut self, tier: Option<Tier>) {
-        self.tier_override = tier;
     }
 
     /// Marks every array L3-resident (warm, untransposed) — the §6 assumption
@@ -606,24 +614,28 @@ impl Machine {
         cycles
     }
 
-    /// Runs a sequence of regions as one pipeline on a single timeline — the
-    /// 3-phase prepare/stream/prefetch loop: while stage *k* streams, stage
-    /// *k+1*'s operands (each request's `prefetch` list) are staged, and only
-    /// staging cycles exceeding the execution window stall the clock.
+    /// Runs a sequence of regions on a single timeline under one
+    /// [`RunPlan`] — the one entry that takes placement decisions. Every
+    /// stage's layout and tier follow `plan.tile` / `plan.tier`; between
+    /// stages, [`PipelinePolicy::Fused`] runs the 3-phase
+    /// prepare/stream/prefetch loop: while stage *k* streams, stage *k+1*'s
+    /// operands (each request's `prefetch` list) are staged, and only
+    /// staging cycles exceeding the execution window stall the clock. A lone
+    /// kernel is the one-stage case.
     ///
     /// Under [`PipelinePolicy::Roundtrip`] every stage instead behaves like an
-    /// isolated request: prefetch lists are ignored and all resident state is
-    /// written back after each stage — the per-kernel baseline the fused
-    /// pipeline is measured against.
+    /// isolated request: prefetch and evict lists are ignored and all
+    /// resident state is written back after each stage — the per-kernel
+    /// baseline the fused pipeline is measured against.
     ///
     /// # Errors
     ///
     /// As [`Machine::run_region`]; the first failing stage aborts the run.
-    pub fn run_pipeline(
+    pub fn run(
         &mut self,
         stages: &[StageRequest<'_>],
         mode: ExecMode,
-        policy: PipelinePolicy,
+        plan: &RunPlan,
     ) -> Result<Vec<StageReport>, SimError> {
         let _span = infs_trace::span!(
             "sim.pipeline",
@@ -633,10 +645,10 @@ impl Machine {
         let mut reports = Vec::with_capacity(stages.len());
         for st in stages {
             let t0 = std::time::Instant::now();
-            let region = self.run_region(st.region, &st.params, mode)?;
-            let prepare_stall = self.last_prepare_cycles;
+            let region = self.enter_region(st.region, st.params, mode, plan)?;
+            let prepare_stall = region.prepare_cycles;
             let (mut prefetch_issued, mut prefetch_hidden) = (0, 0);
-            match policy {
+            match plan.policy {
                 PipelinePolicy::Fused => {
                     if !st.prefetch.is_empty() {
                         let wanted: HashSet<u32> = st.prefetch.iter().copied().collect();
@@ -649,7 +661,7 @@ impl Machine {
                         infs_trace::counter!("pipeline.prefetch_stall_cycles", stall);
                     }
                     if !st.evict.is_empty() {
-                        self.evict_resident(&st.evict);
+                        self.evict_resident(st.evict);
                     }
                 }
                 PipelinePolicy::Roundtrip => {
@@ -670,7 +682,13 @@ impl Machine {
         Ok(reports)
     }
 
-    /// Runs one region under a configuration.
+    /// Runs one region under a configuration: the one-stage form of
+    /// [`Machine::run`] under the machine's own plan (the static heuristics
+    /// unless [`Machine::with_plan`] fixed another), for workload drivers
+    /// that enter regions one at a time. Resident and transposed state
+    /// carries over from call to call (delayed release, §5.2) — what happens
+    /// between a driver's regions is the driver's business, so the plan's
+    /// `policy` is not consulted here.
     ///
     /// # Errors
     ///
@@ -683,7 +701,19 @@ impl Machine {
         params: &[f32],
         mode: ExecMode,
     ) -> Result<RegionReport, SimError> {
-        self.last_prepare_cycles = 0;
+        let plan = self.plan.clone();
+        self.enter_region(region, params, mode, &plan)
+    }
+
+    /// One region entry under a plan — what [`Machine::run`] does per stage.
+    fn enter_region(
+        &mut self,
+        region: &RegionInstance,
+        params: &[f32],
+        mode: ExecMode,
+        plan: &RunPlan,
+    ) -> Result<RegionReport, SimError> {
+        let tile = plan.tile.as_ref();
         let mut span = infs_trace::span!(
             "sim.region",
             region = region.name.as_str(),
@@ -707,27 +737,27 @@ impl Machine {
                     self.run_core(region, params, self.cfg.cores)
                 }
             }
-            ExecMode::InL3 => match self.plan_in_memory(region, &self.health) {
-                Some(plan) => self.run_in_memory(region, plan, params, false),
+            ExecMode::InL3 => match self.plan_in_memory(region, &self.health, tile) {
+                Some(inmem) => self.run_in_memory(region, inmem, params, false),
                 None => self.run_core(region, params, self.cfg.cores),
             },
             ExecMode::InfS | ExecMode::InfSNoJit => {
                 let nojit = mode == ExecMode::InfSNoJit;
-                let plan = self.plan_in_memory(region, &self.health);
-                let tier = match self.tier_override {
-                    Some(forced) => self.clamp_forced_tier(forced, plan.is_some()),
-                    None => self.tier_with_health(region, nojit, &self.health, plan.as_ref()),
+                let inmem = self.plan_in_memory(region, &self.health, tile);
+                let tier = match plan.tier {
+                    Some(forced) => self.clamp_forced_tier(forced, inmem.is_some()),
+                    None => self.tier_with_health(region, nojit, &self.health, inmem.as_ref()),
                 };
                 // Degradation accounting tracks the *heuristic* placement
-                // only: a tuner-forced tier is a choice, not a fault, so it
-                // must not advance the retune trigger it feeds.
-                if self.tier_override.is_none() && !self.health.fully_healthy() {
+                // only: a forced tier is a choice, not a fault, so it must
+                // not advance the retune trigger it feeds.
+                if plan.tier.is_none() && !self.health.fully_healthy() {
                     let all_healthy = BankHealth::all_healthy(self.cfg.n_banks);
                     let baseline = self.tier_with_health(
                         region,
                         nojit,
                         &all_healthy,
-                        self.plan_in_memory(region, &all_healthy).as_ref(),
+                        self.plan_in_memory(region, &all_healthy, tile).as_ref(),
                     );
                     if tier < baseline {
                         self.count_degradation(tier);
@@ -735,8 +765,8 @@ impl Machine {
                 }
                 match tier {
                     Tier::InMemory => {
-                        let plan = plan.expect("the in-memory tier is only chosen from a plan");
-                        self.run_in_memory(region, plan, params, nojit)
+                        let inmem = inmem.expect("the in-memory tier is only chosen from a plan");
+                        self.run_in_memory(region, inmem, params, nojit)
                     }
                     Tier::NearMemory => self.run_near(region, params, true),
                     Tier::Host => self.run_core(region, params, self.cfg.cores),
@@ -744,7 +774,6 @@ impl Machine {
             }
         }?;
         self.charge_noc_fault(seq, &mut report);
-        report.variant = self.variant_label();
         span.arg("cycles", report.cycles);
         span.arg("executed", executed_trace_label(report.executed));
         Ok(report)
@@ -813,11 +842,11 @@ impl Machine {
         }
     }
 
-    /// Clamps a tuner-forced tier to what the machine can actually honor:
-    /// in-memory requires the healthy-bank quorum and a feasible layout
-    /// (`in_memory_feasible`: the region resolved an [`InMemoryPlan`]),
-    /// near-memory requires at least one live bank (the stream engines sit
-    /// at the banks), and the host is always available.
+    /// Clamps a forced tier ([`RunPlan::tier`]) to what the machine can
+    /// actually honor: in-memory requires the healthy-bank quorum and a
+    /// feasible layout (`in_memory_feasible`: the region resolved an
+    /// [`InMemoryPlan`]), near-memory requires at least one live bank (the
+    /// stream engines sit at the banks), and the host is always available.
     fn clamp_forced_tier(&self, forced: Tier, in_memory_feasible: bool) -> Tier {
         match forced {
             Tier::InMemory if in_memory_feasible => Tier::InMemory,
@@ -825,20 +854,6 @@ impl Machine {
             _ if self.health.any_healthy() => Tier::NearMemory,
             _ => Tier::Host,
         }
-    }
-
-    /// The attribution label for the overrides currently active (`None` when
-    /// the machine runs the static heuristics unmodified) — what
-    /// [`RegionReport::variant`] carries back to the autotuner.
-    fn variant_label(&self) -> Option<String> {
-        let mut parts = Vec::new();
-        if let Some(tile) = &self.tile_override {
-            parts.push(format!("tile:{tile}"));
-        }
-        if let Some(tier) = self.tier_override {
-            parts.push(format!("tier:{}", tier.label()));
-        }
-        (!parts.is_empty()).then(|| parts.join("+"))
     }
 
     /// The Inf-S placement for a region under a given health mask: the Eq 2
@@ -889,13 +904,15 @@ impl Machine {
         hw
     }
 
-    /// Resolves everything an in-memory run of `region` under `health` needs,
-    /// or `None` when the region cannot run in memory there: no healthy-bank
-    /// quorum, no tDFG or schedule for this geometry, or no feasible layout.
+    /// Resolves everything an in-memory run of `region` under `health` needs
+    /// (with the run's forced `tile`, if any), or `None` when the region
+    /// cannot run in memory there: no healthy-bank quorum, no tDFG or
+    /// schedule for this geometry, or no feasible layout.
     fn plan_in_memory<'r>(
         &self,
         region: &'r RegionInstance,
         health: &BankHealth,
+        tile: Option<&TileShape>,
     ) -> Option<InMemoryPlan<'r>> {
         if !infs_runtime::in_memory_quorum(health) {
             return None;
@@ -903,7 +920,7 @@ impl Machine {
         let tdfg = region.tdfg.as_ref()?;
         let schedule = region.schedule_for(self.cfg.geometry)?;
         let hw = self.hw_for(health);
-        let layout = self.plan_layout(tdfg, &region.hints, &hw).ok()?;
+        let layout = self.plan_layout(tdfg, &region.hints, &hw, tile).ok()?;
         let jit = infs_runtime::distill(tdfg, schedule, &hw);
         Some(InMemoryPlan {
             tdfg,
@@ -923,18 +940,18 @@ impl Machine {
         tdfg: &infs_tdfg::Tdfg,
         hints: &infs_geom::layout::LayoutHints,
         hw: &HwConfig,
+        tile: Option<&TileShape>,
     ) -> Result<Arc<TransposedLayout>, RuntimeError> {
         let lattice = TransposedLayout::lattice_shape_for(tdfg)?;
         let key = format!(
-            "{lattice:?}|{}|{hints:?}|{}|{:?}",
+            "{lattice:?}|{}|{hints:?}|{}|{tile:?}",
             tdfg.dtype().size_bytes(),
             hw.n_banks,
-            self.tile_override,
         );
         if let Some(cached) = self.layouts.lock().expect("layout cache lock").get(&key) {
             return Ok(cached.clone());
         }
-        let planned = match &self.tile_override {
+        let planned = match tile {
             Some(t) => TransposedLayout::plan_with_tile(tdfg, t.clone(), hw),
             None => TransposedLayout::plan(tdfg, hints, hw),
         }?;
@@ -1008,7 +1025,7 @@ impl Machine {
             executed: Executed::Core,
             jit_hit: None,
             jit_outcome: None,
-            variant: None,
+            prepare_cycles: 0,
         })
     }
 
@@ -1048,7 +1065,7 @@ impl Machine {
             executed: Executed::NearMemory,
             jit_hit: None,
             jit_outcome: None,
-            variant: None,
+            prepare_cycles: 0,
         })
     }
 
@@ -1070,7 +1087,6 @@ impl Machine {
         // 1. Prepare transposed data (TC_core flush + TTU transpose streams).
         let needed = Self::used_arrays(tdfg);
         let prepare_cycles = self.prepare_transposed(&needed, layout.tile().dims());
-        self.last_prepare_cycles = prepare_cycles;
 
         // 2. JIT: resolve the distilled template (O(nodes), done with the
         // plan) through the two-level cache — exact stream (concrete hit),
@@ -1185,7 +1201,7 @@ impl Machine {
             executed: Executed::InMemory,
             jit_hit: Some(hit),
             jit_outcome: Some(outcome),
-            variant: None,
+            prepare_cycles,
         })
     }
 

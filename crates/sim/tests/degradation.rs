@@ -5,9 +5,12 @@
 
 use infs_faults::{FaultConfig, FaultPlan};
 use infs_frontend::{Idx, KernelBuilder, ScalarExpr};
+use infs_geom::TileShape;
 use infs_isa::{Compiler, RegionInstance};
 use infs_sdfg::{ArrayId, DataType};
-use infs_sim::{ExecMode, Executed, Machine, SystemConfig};
+use infs_sim::{
+    ExecMode, Executed, Machine, RegionReport, RunPlan, StageRequest, SystemConfig, Tier,
+};
 use std::sync::Arc;
 
 /// vec_add over n elements — large enough that healthy Inf-S goes in-memory.
@@ -210,4 +213,81 @@ fn initial_health_comes_from_the_plan() {
     m.set_fault_plan(plan.clone());
     assert_eq!(m.bank_health(), &plan.initial_health(64));
     assert_eq!(m.bank_health().healthy_count(), 58);
+}
+
+/// One Inf-S region entry through [`Machine::run`] under `plan`.
+fn run_under(m: &mut Machine, region: &RegionInstance, plan: &RunPlan) -> RegionReport {
+    let stage = StageRequest {
+        region,
+        params: &[],
+        prefetch: &[],
+        evict: &[],
+    };
+    let mut reports = m.run(&[stage], ExecMode::InfS, plan).unwrap();
+    assert_eq!(reports.len(), 1);
+    reports.remove(0).region
+}
+
+fn forced(tier: Tier) -> RunPlan {
+    RunPlan {
+        tier: Some(tier),
+        ..RunPlan::default()
+    }
+}
+
+#[test]
+fn forced_in_memory_without_a_feasible_layout_falls_back_to_near_memory() {
+    let reference = host_reference();
+    let region = vec_add_region(N);
+    let mut m = machine_for(&region);
+    load_inputs(&mut m, N);
+
+    // Feasible: the forced tier is honored.
+    let r = run_under(&mut m, &region, &forced(Tier::InMemory));
+    assert_eq!(r.executed, Executed::InMemory);
+
+    // A tile that does not fill the bitlines admits no layout, so there is
+    // nothing to run in memory: the stream engines take the region.
+    let plan = RunPlan {
+        tile: Some(TileShape::new(vec![3]).unwrap()),
+        ..forced(Tier::InMemory)
+    };
+    let r = run_under(&mut m, &region, &plan);
+    assert_eq!(r.executed, Executed::NearMemory);
+    assert_eq!(m.memory_ref().array(ArrayId(2)), &reference[..]);
+    assert_eq!(m.fault_counters().degradation_events(), 0);
+}
+
+#[test]
+fn forced_near_memory_with_no_healthy_bank_lands_on_the_host() {
+    let reference = host_reference();
+    let region = vec_add_region(N);
+    let mut m = machine_for(&region);
+    kill_banks(&mut m, 64);
+    load_inputs(&mut m, N);
+    let r = run_under(&mut m, &region, &forced(Tier::NearMemory));
+    assert_eq!(r.executed, Executed::Core);
+    assert_eq!(m.memory_ref().array(ArrayId(2)), &reference[..]);
+    assert_eq!(m.fault_counters().degradation_events(), 0);
+}
+
+#[test]
+fn forced_runs_never_count_as_degradation_events() {
+    let region = vec_add_region(N);
+    let mut m = machine_for(&region);
+    kill_banks(&mut m, 33); // below the in-memory quorum
+    load_inputs(&mut m, N);
+
+    // Both forced tiers land on the stream engines here (in-memory is
+    // clamped), and neither is a fault: the caller chose the placement.
+    for tier in [Tier::InMemory, Tier::NearMemory] {
+        let r = run_under(&mut m, &region, &forced(tier));
+        assert_eq!(r.executed, Executed::NearMemory);
+        assert_eq!(m.fault_counters().degradation_events(), 0, "{tier:?}");
+    }
+
+    // The same placement reached by the heuristic *is* one.
+    let r = run_under(&mut m, &region, &RunPlan::default());
+    assert_eq!(r.executed, Executed::NearMemory);
+    assert_eq!(m.fault_counters().degradation_events(), 1);
 }
