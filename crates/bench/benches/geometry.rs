@@ -1,36 +1,8 @@
-//! Geometric kernels on the JIT's critical path: Algorithm 1 tensor
-//! decomposition, tile-overlap enumeration, and the §4.1 tiling search.
+//! The geometric kernel on the JIT's critical path: tile-overlap enumeration.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use infs_geom::layout::{pick_tile_shape, LayoutHints, TilingRequest};
-use infs_geom::{decompose, HyperRect, TileGrid, TileShape};
+use criterion::{criterion_group, criterion_main, Criterion};
+use infs_geom::{HyperRect, TileGrid, TileShape};
 use std::hint::black_box;
-
-fn bench_decompose(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decompose");
-    for (label, rect, tile) in [
-        (
-            "2d_unaligned",
-            HyperRect::new(vec![(1, 2047), (1, 2047)]).unwrap(),
-            vec![16u64, 16],
-        ),
-        (
-            "3d_unaligned",
-            HyperRect::new(vec![(1, 511), (1, 511), (1, 15)]).unwrap(),
-            vec![16, 4, 4],
-        ),
-        (
-            "1d_aligned",
-            HyperRect::new(vec![(0, 4 << 20)]).unwrap(),
-            vec![256],
-        ),
-    ] {
-        group.bench_with_input(BenchmarkId::new("alg1", label), &rect, |b, r| {
-            b.iter(|| black_box(decompose(black_box(r), &tile)))
-        });
-    }
-    group.finish();
-}
 
 fn bench_tiles_overlapping(c: &mut Criterion) {
     let grid = TileGrid::new(
@@ -57,28 +29,5 @@ fn bench_tiles_overlapping(c: &mut Criterion) {
     });
 }
 
-fn bench_tiling_search(c: &mut Criterion) {
-    let req = TilingRequest {
-        array_shape: vec![512, 512, 16],
-        elem_size: 4,
-        bitlines: 256,
-        arrays_per_bank: 256,
-        line_bytes: 64,
-        hints: LayoutHints {
-            shift_dims: vec![0, 1, 2],
-            reduce_dim: None,
-            broadcast_dims: vec![],
-        },
-    };
-    c.bench_function("pick_tile_shape_3d", |b| {
-        b.iter(|| black_box(pick_tile_shape(black_box(&req)).expect("valid tiling")))
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_decompose,
-    bench_tiles_overlapping,
-    bench_tiling_search
-);
+criterion_group!(benches, bench_tiles_overlapping);
 criterion_main!(benches);

@@ -63,21 +63,31 @@ fn bench_memoization(c: &mut Criterion) {
     let g = stencil_tdfg(1024);
     let schedule = Schedule::compute(&g, hw.geometry).expect("schedules");
     let layout = TransposedLayout::plan(&g, &g.layout_hints(), &hw).expect("plans");
+    let (tpl, slots) = infs_runtime::distill(&g, &schedule, &hw).expect("distills");
     let cache = JitCache::new();
+    let not_cached = || Err(infs_runtime::RuntimeError::NotInMemory);
     cache
-        .get_or_lower("stencil", &[0], layout.tile().dims(), || {
-            infs_runtime::lower(&g, &schedule, &layout, &hw)
-        })
+        .get_or_instantiate(
+            "stencil",
+            &tpl,
+            &slots,
+            layout.tile().dims(),
+            |_| not_cached(),
+            || infs_runtime::lower(&g, &schedule, &layout, &hw),
+        )
         .expect("first lowering");
     c.bench_function("jit_cache_hit", |b| {
         b.iter(|| {
             black_box(
                 cache
-                    .get_or_lower("stencil", &[0], layout.tile().dims(), || {
-                        Err::<infs_runtime::CommandStream, infs_runtime::RuntimeError>(
-                            infs_runtime::RuntimeError::NotInMemory,
-                        )
-                    })
+                    .get_or_instantiate(
+                        "stencil",
+                        &tpl,
+                        &slots,
+                        layout.tile().dims(),
+                        |_| not_cached(),
+                        not_cached,
+                    )
                     .expect("hit"),
             )
         })

@@ -1,12 +1,15 @@
 //! One runner per table/figure of the paper's evaluation. See EXPERIMENTS.md
 //! for the paper-vs-measured record each runner feeds.
 
-use crate::{ConfigName, Ctx, RunMatrix, Table};
+use crate::matrix::{run_one, WORKLOADS};
+use crate::records::{
+    rounded, BenchJit, BenchPipeline, BenchServe, BenchTune, JitRow, PipelineRow, RetuneRow,
+    ServeLoad, ServeRow, TuneRow,
+};
+use crate::{ConfigName, Ctx, MatrixEntry, RunMatrix, Table};
 use infs_geom::TileShape;
 use infs_sim::{ExecMode, Machine, RunPlan, SystemConfig};
-use infs_workloads::{
-    by_name, ArraySum, Benchmark, MlpStack, PointNet, PointNetVariant, Scale, VecAdd,
-};
+use infs_workloads::{ArraySum, Benchmark, MlpStack, PointNet, PointNetVariant, Scale, VecAdd};
 use rayon::prelude::*;
 
 /// Steady-state cycles of one benchmark run (second invocation on a warmed
@@ -23,7 +26,7 @@ fn steady_cycles(b: &dyn Benchmark, mode: ExecMode, cfg: &SystemConfig) -> u64 {
     m.finish().cycles - warm
 }
 
-/// Per-workload summary of the cached run matrix: Inf-S cycles and the
+/// Per-workload summary of the run matrix: Inf-S cycles and the
 /// shape-polymorphic JIT cache behaviour. "jit hits" counts region dispatches
 /// served from the cache (exact stream or template patch), "template hits"
 /// the copy-and-patch subset, "jit misses" the full lowerings, and "jit hit
@@ -31,11 +34,11 @@ fn steady_cycles(b: &dyn Benchmark, mode: ExecMode, cfg: &SystemConfig) -> u64 {
 /// in-memory execution that did not pay the full per-command lowering rate
 /// ([`infs_sim::RunStats::jit_cmd_hit_rate`]).
 ///
-/// Also emits `BENCH_jit.json` next to the tables: the machine-readable
-/// per-workload record (cycles, hit rate, lowerings, patch count) that CI's
-/// `jit-smoke` step diffs against its committed baseline.
+/// Also emits the matrix itself (`matrix.json`, every cell's full
+/// [`infs_sim::RunStats`]) and `BENCH_jit.json`, the per-workload record of
+/// the same table.
 pub fn matrix_summary(ctx: &Ctx) {
-    let m = RunMatrix::load_or_run(ctx);
+    let m = ctx.matrix();
     let mut t = Table::new(
         "Run matrix summary: per-workload Inf-S JIT cache behaviour \
          (hit rate is command-level; hits include template patches)",
@@ -49,67 +52,49 @@ pub fn matrix_summary(ctx: &Ctx) {
             "noJIT cycles",
         ],
     );
-    let mut bench_entries = Vec::new();
-    for name in crate::matrix::WORKLOADS {
-        let Some(e) = m.get(name, ConfigName::InfS) else {
-            continue;
-        };
-        let st = &e.stats;
-        let (h, mi) = (st.jit_hits, st.jit_misses);
+    let mut record = BenchJit {
+        scale: m.scale.clone(),
+        workloads: Default::default(),
+    };
+    for name in WORKLOADS {
+        let st = &m.get(name, ConfigName::InfS).expect("entry").stats;
         let cmd_total = st.jit_cmd_hits + st.jit_cmd_template + st.jit_cmd_misses;
         let rate = if cmd_total == 0 {
             "-".to_string()
         } else {
             Table::f(st.jit_cmd_hit_rate())
         };
-        let nojit = m.get(name, ConfigName::InfSNoJit).map(|e| e.stats.cycles);
+        let nojit = m.cycles(name, ConfigName::InfSNoJit);
         t.row(vec![
             name.into(),
             st.cycles.to_string(),
-            h.to_string(),
+            st.jit_hits.to_string(),
             st.jit_template_hits.to_string(),
-            mi.to_string(),
+            st.jit_misses.to_string(),
             rate,
-            nojit.map_or_else(|| "-".into(), |c| c.to_string()),
+            nojit.to_string(),
         ]);
-        bench_entries.push(format!(
-            concat!(
-                "    \"{}\": {{\n",
-                "      \"cycles\": {},\n",
-                "      \"nojit_cycles\": {},\n",
-                "      \"jit_hits\": {},\n",
-                "      \"template_hits\": {},\n",
-                "      \"lowerings\": {},\n",
-                "      \"cmd_hits\": {},\n",
-                "      \"cmd_template\": {},\n",
-                "      \"cmd_misses\": {},\n",
-                "      \"cmd_hit_rate\": {:.6}\n",
-                "    }}"
-            ),
-            name,
-            st.cycles,
-            nojit.map_or_else(|| "null".into(), |c| c.to_string()),
-            h,
-            st.jit_template_hits,
-            mi,
-            st.jit_cmd_hits,
-            st.jit_cmd_template,
-            st.jit_cmd_misses,
-            st.jit_cmd_hit_rate(),
-        ));
+        record.workloads.insert(
+            name.to_string(),
+            JitRow {
+                cycles: st.cycles,
+                nojit_cycles: nojit,
+                jit_hits: st.jit_hits,
+                template_hits: st.jit_template_hits,
+                lowerings: st.jit_misses,
+                cmd_hits: st.jit_cmd_hits,
+                cmd_template: st.jit_cmd_template,
+                cmd_misses: st.jit_cmd_misses,
+                cmd_hit_rate: rounded(st.jit_cmd_hit_rate(), 6),
+            },
+        );
     }
-    ctx.emit("matrix", &t);
-    let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"workloads\": {{\n{}\n  }}\n}}\n",
-        if ctx.quick { "test" } else { "paper" },
-        bench_entries.join(",\n"),
+    ctx.emit(
+        "matrix.json",
+        &serde_json::to_string(m).expect("the matrix serializes"),
     );
-    let path = ctx.out_dir.join("BENCH_jit.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("[figures] failed to write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+    ctx.table("matrix", &t);
+    ctx.record("jit", &record);
 }
 
 /// Fig 2: speedup of the paradigms on `vec_add` / `array_sum` across input
@@ -152,28 +137,34 @@ pub fn fig2(ctx: &Ctx) {
             t.row(row);
         }
     }
-    ctx.emit("fig2", &t);
+    ctx.table("fig2", &t);
 }
 
-/// The ten Fig 11 workload families with per-configuration best dataflow.
-fn fig11_family_cycles(m: &RunMatrix, config: ConfigName) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for name in [
-        "stencil1d",
-        "stencil2d",
-        "stencil3d",
-        "dwt2d",
-        "gauss_elim",
-        "conv2d",
-        "conv3d",
-    ] {
-        out.push((name.to_string(), m.cycles(name, config)));
-    }
-    for family in ["mm", "kmeans", "gather_mlp"] {
-        let (_, c) = m.best_variant(family, config);
-        out.push((family.to_string(), c));
-    }
+/// The ten Fig 11 rows: the matrix workloads, with the two dataflows of a
+/// reduction workload (`mm/in`, `mm/out`) folded into one family (`mm`).
+fn families() -> Vec<&'static str> {
+    let mut out: Vec<&str> = WORKLOADS
+        .iter()
+        .map(|w| w.split_once('/').map_or(*w, |(family, _)| family))
+        .collect();
+    out.dedup();
     out
+}
+
+/// A family's entry under a configuration: the workload itself or, where the
+/// family has two dataflows, the faster of them — the paper "picks the best
+/// implementation for each configuration".
+fn best_entry<'m>(m: &'m RunMatrix, family: &str, config: ConfigName) -> &'m MatrixEntry {
+    m.get(family, config)
+        .or_else(|| m.get(&m.best_variant(family, config).0, config))
+        .expect("entry")
+}
+
+fn family_cycles(m: &RunMatrix, config: ConfigName) -> Vec<u64> {
+    families()
+        .iter()
+        .map(|f| best_entry(m, f, config).stats.cycles)
+        .collect()
 }
 
 fn geomean(xs: &[f64]) -> f64 {
@@ -182,7 +173,7 @@ fn geomean(xs: &[f64]) -> f64 {
 
 /// Fig 11: overall speedup over Base for every configuration.
 pub fn fig11(ctx: &Ctx) {
-    let m = RunMatrix::load_or_run(ctx);
+    let m = ctx.matrix();
     let mut t = Table::new(
         "Fig 11: speedup over Base (best dataflow per configuration)",
         &[
@@ -194,31 +185,31 @@ pub fn fig11(ctx: &Ctx) {
             "Inf-S-noJIT",
         ],
     );
-    let base = fig11_family_cycles(&m, ConfigName::Base);
+    let base = family_cycles(m, ConfigName::Base);
     let mut per_cfg: Vec<Vec<f64>> = Vec::new();
     for config in ConfigName::FIG11 {
-        let cycles = fig11_family_cycles(&m, config);
+        let cycles = family_cycles(m, config);
         per_cfg.push(
             base.iter()
                 .zip(&cycles)
-                .map(|((_, b), (_, c))| *b as f64 / *c as f64)
+                .map(|(b, c)| *b as f64 / *c as f64)
                 .collect(),
         );
     }
-    for (i, (name, _)) in base.iter().enumerate() {
-        let mut row = vec![name.clone()];
+    for (i, name) in families().iter().enumerate() {
+        let mut row = vec![name.to_string()];
         row.extend(per_cfg.iter().map(|s| Table::f(s[i])));
         t.row(row);
     }
     let mut row = vec!["geomean".to_string()];
     row.extend(per_cfg.iter().map(|s| Table::f(geomean(s))));
     t.row(row);
-    ctx.emit("fig11", &t);
+    ctx.table("fig11", &t);
 }
 
 /// Fig 12: NoC traffic breakdown (byte-hops, normalized to Base) + utilization.
 pub fn fig12(ctx: &Ctx) {
-    let m = RunMatrix::load_or_run(ctx);
+    let m = ctx.matrix();
     let mut t = Table::new(
         "Fig 12: NoC byte-hops normalized to Base (control/data/offload) and utilization",
         &[
@@ -231,21 +222,16 @@ pub fn fig12(ctx: &Ctx) {
             "noc util",
         ],
     );
-    for (family, _) in fig11_family_cycles(&m, ConfigName::Base) {
-        let base_total = {
-            let (name, _) = best_or_self(&m, &family, ConfigName::Base);
-            m.get(&name, ConfigName::Base)
-                .expect("entry")
-                .stats
-                .traffic
-                .noc_total()
-        };
+    for family in families() {
+        let base_total = best_entry(m, family, ConfigName::Base)
+            .stats
+            .traffic
+            .noc_total();
         for config in [ConfigName::Base, ConfigName::NearL3, ConfigName::InfS] {
-            let (name, _) = best_or_self(&m, &family, config);
-            let e = m.get(&name, config).expect("entry");
+            let e = best_entry(m, family, config);
             let tr = &e.stats.traffic;
             t.row(vec![
-                family.clone(),
+                family.to_string(),
                 config.label().into(),
                 Table::f(tr.noc_control / base_total),
                 Table::f((tr.noc_data + tr.noc_inter_tile) / base_total),
@@ -255,21 +241,13 @@ pub fn fig12(ctx: &Ctx) {
             ]);
         }
     }
-    ctx.emit("fig12", &t);
-}
-
-fn best_or_self(m: &RunMatrix, family: &str, config: ConfigName) -> (String, u64) {
-    if matches!(family, "mm" | "kmeans" | "gather_mlp") {
-        m.best_variant(family, config)
-    } else {
-        (family.to_string(), m.cycles(family, config))
-    }
+    ctx.table("fig12", &t);
 }
 
 /// Fig 13: Inf-S traffic breakdown per workload variant (bytes, normalized per
 /// benchmark to its total).
 pub fn fig13(ctx: &Ctx) {
-    let m = RunMatrix::load_or_run(ctx);
+    let m = ctx.matrix();
     let mut t = Table::new(
         "Fig 13: Inf-S traffic breakdown (fraction of bytes×hops + in-array bytes)",
         &[
@@ -282,24 +260,8 @@ pub fn fig13(ctx: &Ctx) {
             "control",
         ],
     );
-    for name in [
-        "stencil1d",
-        "stencil2d",
-        "stencil3d",
-        "dwt2d",
-        "gauss_elim",
-        "conv2d",
-        "conv3d",
-        "mm/in",
-        "mm/out",
-        "kmeans/in",
-        "kmeans/out",
-        "gather_mlp/in",
-        "gather_mlp/out",
-    ] {
-        let Some(e) = m.get(name, ConfigName::InfS) else {
-            continue;
-        };
+    for name in WORKLOADS {
+        let e = m.get(name, ConfigName::InfS).expect("entry");
         let tr = &e.stats.traffic;
         let total = tr.noc_total() + tr.intra_tile + tr.inter_tile_local;
         if total == 0.0 {
@@ -315,12 +277,12 @@ pub fn fig13(ctx: &Ctx) {
             Table::f(tr.noc_control / total),
         ]);
     }
-    ctx.emit("fig13", &t);
+    ctx.table("fig13", &t);
 }
 
 /// Fig 14: Inf-S cycle breakdown + fraction of ops executed on bitlines.
 pub fn fig14(ctx: &Ctx) {
-    let m = RunMatrix::load_or_run(ctx);
+    let m = ctx.matrix();
     let mut t = Table::new(
         "Fig 14: Inf-S cycle breakdown (fractions) and in-memory op share",
         &[
@@ -338,24 +300,8 @@ pub fn fig14(ctx: &Ctx) {
     );
     let mut avgs = [0.0f64; 8];
     let mut count = 0.0f64;
-    for name in [
-        "stencil1d",
-        "stencil2d",
-        "stencil3d",
-        "dwt2d",
-        "gauss_elim",
-        "conv2d",
-        "conv3d",
-        "mm/in",
-        "mm/out",
-        "kmeans/in",
-        "kmeans/out",
-        "gather_mlp/in",
-        "gather_mlp/out",
-    ] {
-        let Some(e) = m.get(name, ConfigName::InfS) else {
-            continue;
-        };
+    for name in WORKLOADS {
+        let e = m.get(name, ConfigName::InfS).expect("entry");
         let b = &e.stats.breakdown;
         let total = b.total().max(1) as f64;
         let parts = [
@@ -382,13 +328,13 @@ pub fn fig14(ctx: &Ctx) {
     row.extend(avgs.iter().map(|&a| Table::f(a / count.max(1.0))));
     row.push(String::new());
     t.row(row);
-    ctx.emit("fig14", &t);
+    ctx.table("fig14", &t);
 }
 
 /// Fig 15: inner vs outer dataflow per configuration, normalized to the
 /// Base inner-product implementation.
 pub fn fig15(ctx: &Ctx) {
-    let m = RunMatrix::load_or_run(ctx);
+    let m = ctx.matrix();
     let mut t = Table::new(
         "Fig 15: inner vs outer product speedup over Base-In",
         &[
@@ -401,7 +347,8 @@ pub fn fig15(ctx: &Ctx) {
             "Inf-S-Out",
         ],
     );
-    for family in ["mm", "kmeans", "gather_mlp"] {
+    // The reduction families: the workloads that come in two dataflows.
+    for family in WORKLOADS.iter().filter_map(|w| w.strip_suffix("/in")) {
         let base_in = m.cycles(&format!("{family}/in"), ConfigName::Base) as f64;
         let mut row = vec![family.to_string()];
         for config in [ConfigName::Base, ConfigName::NearL3, ConfigName::InfS] {
@@ -412,10 +359,12 @@ pub fn fig15(ctx: &Ctx) {
         }
         t.row(row);
     }
-    ctx.emit("fig15", &t);
+    ctx.table("fig15", &t);
 }
 
-/// Tile-size sweep core: cycles of a benchmark under Inf-S for each tile.
+/// Tile-size sweep core: cycles of a benchmark under Inf-S with every region
+/// forced onto one tile, for each tile — run exactly as the matrix runs its
+/// cells (inputs warm in L3), so a row is comparable with the matrix's.
 fn sweep_tiles(ctx: &Ctx, name: &str, ndim: usize) -> Vec<(TileShape, u64)> {
     let bitlines = ctx.cfg.geometry.bitlines as u64;
     // All factorizations of the bitline count over `ndim` dims.
@@ -444,17 +393,15 @@ fn sweep_tiles(ctx: &Ctx, name: &str, ndim: usize) -> Vec<(TileShape, u64)> {
         .into_par_iter()
         .map(|dims| {
             let tile = TileShape::new(dims).expect("nonzero dims");
-            let b = by_name(name, ctx.scale()).expect("workload exists");
-            let arrays = b.arrays();
             let plan = RunPlan {
                 tile: Some(tile.clone()),
                 ..RunPlan::default()
             };
-            let mut m = Machine::with_plan(ctx.cfg.clone(), &arrays, plan);
-            m.set_functional(false);
-            b.run(&mut m, ExecMode::InfS)
+            // A tile no layout of the workload admits is not a point of the
+            // sweep.
+            run_one(name, ConfigName::InfS, ctx, plan)
                 .ok()
-                .map(|_| (tile, m.finish().cycles))
+                .map(|stats| (tile, stats.cycles))
         })
         .collect::<Vec<_>>()
         .into_iter()
@@ -463,7 +410,9 @@ fn sweep_tiles(ctx: &Ctx, name: &str, ndim: usize) -> Vec<(TileShape, u64)> {
 }
 
 /// Fig 16: cycle sensitivity to the 2-D tile size, with the runtime heuristic's
-/// choice and the oracle best.
+/// choice (the matrix's Inf-S cell) and the oracle best — and, from the same
+/// sweep, the §4.1 tiling analysis (`tiling.md`): heuristic vs oracle vs no
+/// tiling.
 pub fn fig16(ctx: &Ctx) {
     let benches: &[&str] = if ctx.quick {
         &["stencil2d", "mm/out"]
@@ -481,9 +430,14 @@ pub fn fig16(ctx: &Ctx) {
             "gather_mlp/out",
         ]
     };
+    let tiling_benches = ["stencil2d", "dwt2d", "conv2d", "mm/out", "kmeans/out"];
     let mut t = Table::new(
         "Fig 16: Inf-S cycles vs 2-D tile size (ratio to best; heuristic choice marked)",
         &["benchmark", "tile", "cycles", "ratio to best", "notes"],
+    );
+    let mut tiling = Table::new(
+        "Tiling heuristic vs oracle vs no tiling (§8: heuristic within 2% of oracle)",
+        &["benchmark", "heuristic/oracle", "no-tiling/heuristic"],
     );
     for name in benches {
         let sweep = sweep_tiles(ctx, name, 2);
@@ -491,15 +445,7 @@ pub fn fig16(ctx: &Ctx) {
             continue;
         }
         let best = sweep.iter().map(|&(_, c)| c).min().expect("nonempty");
-        // The heuristic's own choice: run without override.
-        let heuristic = {
-            let b = by_name(name, ctx.scale()).expect("exists");
-            let arrays = b.arrays();
-            let mut m = Machine::new(ctx.cfg.clone(), &arrays);
-            m.set_functional(false);
-            b.run(&mut m, ExecMode::InfS).expect("runs");
-            m.finish().cycles
-        };
+        let heuristic = ctx.matrix().cycles(name, ConfigName::InfS);
         for (tile, cycles) in &sweep {
             t.row(vec![
                 name.to_string(),
@@ -516,8 +462,22 @@ pub fn fig16(ctx: &Ctx) {
             Table::f(heuristic as f64 / best as f64),
             "runtime default".into(),
         ]);
+        if tiling_benches.contains(name) {
+            // "No tiling": innermost dimension fully contiguous (B×1 tiles).
+            let bl = ctx.cfg.geometry.bitlines as u64;
+            let no_tiling = sweep
+                .iter()
+                .find(|(tile, _)| tile.dims()[0] == bl)
+                .map_or(f64::NAN, |&(_, c)| c as f64);
+            tiling.row(vec![
+                name.to_string(),
+                Table::f(heuristic as f64 / best as f64),
+                Table::f(no_tiling / heuristic as f64),
+            ]);
+        }
     }
-    ctx.emit("fig16", &t);
+    ctx.table("fig16", &t);
+    ctx.table("tiling", &tiling);
 }
 
 /// Fig 17: speedup vs 3-D tile size for the 3-D workloads.
@@ -546,12 +506,12 @@ pub fn fig17(ctx: &Ctx) {
             ]);
         }
     }
-    ctx.emit("fig17", &t);
+    ctx.table("fig17", &t);
 }
 
 /// Fig 18: energy efficiency over Base.
 pub fn fig18(ctx: &Ctx) {
-    let m = RunMatrix::load_or_run(ctx);
+    let m = ctx.matrix();
     let mut t = Table::new(
         "Fig 18: energy efficiency over Base (higher is better)",
         &[
@@ -564,20 +524,11 @@ pub fn fig18(ctx: &Ctx) {
         ],
     );
     let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); 5];
-    let families = fig11_family_cycles(&m, ConfigName::Base);
-    for (family, _) in &families {
-        let base_e = {
-            let (name, _) = best_or_self(&m, family, ConfigName::Base);
-            m.get(&name, ConfigName::Base)
-                .expect("entry")
-                .stats
-                .energy
-                .total()
-        };
-        let mut row = vec![family.clone()];
+    for family in families() {
+        let base_e = best_entry(m, family, ConfigName::Base).stats.energy.total();
+        let mut row = vec![family.to_string()];
         for (i, config) in ConfigName::FIG11.iter().enumerate() {
-            let (name, _) = best_or_self(&m, family, *config);
-            let e = m.get(&name, *config).expect("entry").stats.energy.total();
+            let e = best_entry(m, family, *config).stats.energy.total();
             let eff = base_e / e.max(1e-9);
             per_cfg[i].push(eff);
             row.push(Table::f(eff));
@@ -587,7 +538,7 @@ pub fn fig18(ctx: &Ctx) {
     let mut row = vec!["geomean".to_string()];
     row.extend(per_cfg.iter().map(|s| Table::f(geomean(s))));
     t.row(row);
-    ctx.emit("fig18", &t);
+    ctx.table("fig18", &t);
 }
 
 /// Fig 19: PointNet++ SSG/MSG per-stage timeline and overall speedups.
@@ -651,14 +602,14 @@ pub fn fig19(ctx: &Ctx) {
             Table::f(totals[0] as f64 / totals[3] as f64),
         ]);
     }
-    ctx.emit("fig19_timeline", &t);
-    ctx.emit("fig19", &summary);
+    ctx.table("fig19_timeline", &t);
+    ctx.table("fig19", &summary);
 }
 
 /// §8 JIT analysis: lowering share of runtime, memoization counts, and the
-/// noJIT speedup — plus real (host-measured) lowering times.
+/// noJIT speedup, for each workload at its outer-product dataflow.
 pub fn jit(ctx: &Ctx) {
-    let m = RunMatrix::load_or_run(ctx);
+    let m = ctx.matrix();
     let mut t = Table::new(
         "JIT overheads under Inf-S (§8)",
         &[
@@ -670,26 +621,13 @@ pub fn jit(ctx: &Ctx) {
         ],
     );
     let mut fracs = Vec::new();
-    for name in [
-        "stencil1d",
-        "stencil2d",
-        "stencil3d",
-        "dwt2d",
-        "gauss_elim",
-        "conv2d",
-        "conv3d",
-        "mm/out",
-        "kmeans/out",
-        "gather_mlp/out",
-    ] {
-        let Some(e) = m.get(name, ConfigName::InfS) else {
-            continue;
-        };
+    for name in WORKLOADS.iter().filter(|w| !w.ends_with("/in")) {
+        let e = m.get(name, ConfigName::InfS).expect("entry");
         let frac = e.stats.breakdown.jit as f64 / e.stats.cycles.max(1) as f64;
         fracs.push(frac);
         let nojit = m.cycles(name, ConfigName::InfSNoJit) as f64;
         t.row(vec![
-            name.into(),
+            name.to_string(),
             Table::f(frac),
             e.stats.jit_hits.to_string(),
             e.stats.jit_misses.to_string(),
@@ -703,49 +641,7 @@ pub fn jit(ctx: &Ctx) {
         String::new(),
         String::new(),
     ]);
-    ctx.emit("jit", &t);
-}
-
-/// §4.1 tiling analysis: heuristic vs oracle vs no-tiling, derived from the
-/// Fig 16 sweep machinery.
-pub fn tiling(ctx: &Ctx) {
-    let benches: &[&str] = if ctx.quick {
-        &["stencil2d"]
-    } else {
-        &["stencil2d", "dwt2d", "conv2d", "mm/out", "kmeans/out"]
-    };
-    let mut t = Table::new(
-        "Tiling heuristic vs oracle vs no tiling (§8: heuristic within 2% of oracle)",
-        &["benchmark", "heuristic/oracle", "no-tiling/heuristic"],
-    );
-    for name in benches {
-        let sweep = sweep_tiles(ctx, name, 2);
-        if sweep.is_empty() {
-            continue;
-        }
-        let oracle = sweep.iter().map(|&(_, c)| c).min().expect("nonempty") as f64;
-        // "No tiling": innermost dimension fully contiguous (B×1 tiles).
-        let bl = ctx.cfg.geometry.bitlines as u64;
-        let no_tiling = sweep
-            .iter()
-            .find(|(tile, _)| tile.dims()[0] == bl)
-            .map(|&(_, c)| c as f64)
-            .unwrap_or(f64::NAN);
-        let heuristic = {
-            let b = by_name(name, ctx.scale()).expect("exists");
-            let arrays = b.arrays();
-            let mut m = Machine::new(ctx.cfg.clone(), &arrays);
-            m.set_functional(false);
-            b.run(&mut m, ExecMode::InfS).expect("runs");
-            m.finish().cycles as f64
-        };
-        t.row(vec![
-            name.to_string(),
-            Table::f(heuristic / oracle),
-            Table::f(no_tiling / heuristic),
-        ]);
-    }
-    ctx.emit("tiling", &t);
+    ctx.table("jit", &t);
 }
 
 /// Eq 1 and Table 2 closed-form quantities.
@@ -768,7 +664,7 @@ pub fn eq1(ctx: &Ctx) {
         "L3 capacity (MB)".into(),
         (c.l3_bytes() >> 20).to_string(),
     ]);
-    ctx.emit("eq1", &t);
+    ctx.table("eq1", &t);
 }
 
 /// §8 area model.
@@ -785,7 +681,7 @@ pub fn area(ctx: &Ctx) {
         "total overhead".into(),
         format!("{:.2}%", a.overhead_fraction() * 100.0),
     ]);
-    ctx.emit("area", &t);
+    ctx.table("area", &t);
 }
 
 /// Ablation: the e-graph optimizer's effect on conv2d (the Fig 6 showcase) —
@@ -798,9 +694,8 @@ pub fn ablate(ctx: &Ctx) {
         &["variant", "tDFG computes", "Inf-S cycles"],
     );
     for (label, optimize) in [("optimized", true), ("unoptimized", false)] {
-        // Rebuild the conv2d kernel with the chosen compiler setting.
-        let bench = by_name("conv2d", ctx.scale()).expect("conv2d exists");
-        let _ = bench; // the workload hard-codes optimize=true; recompile here:
+        // The conv2d workload hard-codes optimize=true: rebuild its kernel
+        // with the chosen compiler setting.
         let mut k = infs_frontend::KernelBuilder::new("conv2d", infs_sdfg::DataType::F32);
         let a = k.array("A", vec![n, n]);
         let b = k.array("B", vec![n, n]);
@@ -866,7 +761,7 @@ pub fn ablate(ctx: &Ctx) {
             m.finish().cycles.to_string(),
         ]);
     }
-    ctx.emit("ablate_egraph", &t);
+    ctx.table("ablate_egraph", &t);
 }
 
 /// Ablation: data-type sensitivity of in-memory execution — bit-serial
@@ -918,7 +813,7 @@ pub fn ablate_dtype(ctx: &Ctx) {
             Table::f(f32_cycles as f64 / cycles as f64),
         ]);
     }
-    ctx.emit("ablate_dtype", &t);
+    ctx.table("ablate_dtype", &t);
 }
 
 /// Table 3 echo: the workload inventory actually built.
@@ -936,7 +831,7 @@ pub fn table3(ctx: &Ctx) {
             Table::f(bytes as f64 / (1024.0 * 1024.0)),
         ]);
     }
-    ctx.emit("table3", &t);
+    ctx.table("table3", &t);
 }
 
 /// Chaos report (`results/chaos.md`): the `DESIGN.md` §10 degradation ladder,
@@ -1042,7 +937,7 @@ pub fn chaos(ctx: &Ctx) {
         "-".to_string(),
         format!("{} scheduled faults, replay-identical", first.len()),
     ]);
-    ctx.emit("chaos", &t);
+    ctx.table("chaos", &t);
 }
 
 /// `results/check.md` — coverage report of the differential verification
@@ -1117,7 +1012,7 @@ pub fn check(ctx: &Ctx) {
         report.failures.len().to_string(),
         "bit-identical".to_string(),
     ]);
-    ctx.emit("check", &t);
+    ctx.table("check", &t);
 }
 
 /// One pipeline graph's fused-vs-roundtrip measurement for [`pipeline`].
@@ -1180,10 +1075,8 @@ fn measure_pipeline(
 /// movement differs, so the outputs are asserted bitwise identical before any
 /// cycle count is reported.
 ///
-/// Also emits `BENCH_pipeline.json`: the machine-readable per-graph record
-/// (fused/roundtrip cycles, speedup, stall/overlap cycles, spill count) that
-/// CI's `pipeline-smoke` step schema-checks and diffs against its committed
-/// baseline.
+/// Also emits `BENCH_pipeline.json`, the per-graph record of the same table.
+/// Fused must beat the round-trip on every graph, or the run fails.
 pub fn pipeline(ctx: &Ctx) {
     let mlp = MlpStack::new(ctx.scale());
     let pn = PointNet::new(ctx.scale(), PointNetVariant::Ssg);
@@ -1210,9 +1103,19 @@ pub fn pipeline(ctx: &Ctx) {
             "spills",
         ],
     );
-    let mut entries = Vec::new();
+    let mut record = BenchPipeline {
+        scale: ctx.scale_tag().to_string(),
+        workloads: Default::default(),
+    };
     for r in &runs {
-        let speedup = r.roundtrip.total_cycles as f64 / r.fused.total_cycles.max(1) as f64;
+        assert!(
+            r.fused.total_cycles < r.roundtrip.total_cycles,
+            "{}: fused {} cycles no longer beats the round-trip's {}",
+            r.name,
+            r.fused.total_cycles,
+            r.roundtrip.total_cycles
+        );
+        let speedup = r.roundtrip.total_cycles as f64 / r.fused.total_cycles as f64;
         t.row(vec![
             r.name.into(),
             r.stages.to_string(),
@@ -1223,40 +1126,21 @@ pub fn pipeline(ctx: &Ctx) {
             r.fused.prefetch_hidden_cycles.to_string(),
             r.spills.to_string(),
         ]);
-        entries.push(format!(
-            concat!(
-                "    \"{}\": {{\n",
-                "      \"stages\": {},\n",
-                "      \"fused_cycles\": {},\n",
-                "      \"roundtrip_cycles\": {},\n",
-                "      \"speedup\": {:.6},\n",
-                "      \"prepare_stall_cycles\": {},\n",
-                "      \"prefetch_hidden_cycles\": {},\n",
-                "      \"spills\": {}\n",
-                "    }}"
-            ),
-            r.name,
-            r.stages,
-            r.fused.total_cycles,
-            r.roundtrip.total_cycles,
-            speedup,
-            r.fused.prepare_stall_cycles,
-            r.fused.prefetch_hidden_cycles,
-            r.spills,
-        ));
+        record.workloads.insert(
+            r.name.to_string(),
+            PipelineRow {
+                stages: r.stages as u64,
+                fused_cycles: r.fused.total_cycles,
+                roundtrip_cycles: r.roundtrip.total_cycles,
+                speedup: rounded(speedup, 6),
+                prepare_stall_cycles: r.fused.prepare_stall_cycles,
+                prefetch_hidden_cycles: r.fused.prefetch_hidden_cycles,
+                spills: r.spills,
+            },
+        );
     }
-    ctx.emit("pipeline", &t);
-    let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"workloads\": {{\n{}\n  }}\n}}\n",
-        if ctx.quick { "test" } else { "paper" },
-        entries.join(",\n"),
-    );
-    let path = ctx.out_dir.join("BENCH_pipeline.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("[figures] failed to write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+    ctx.table("pipeline", &t);
+    ctx.record("pipeline", &record);
 }
 
 /// Serving soak (DESIGN.md §14): a deterministic open-loop load —
@@ -1266,7 +1150,10 @@ pub fn pipeline(ctx: &Ctx) {
 ///
 /// Emits `results/serve.md` and `BENCH_serve.json` (client p50/p99/max
 /// latency, goodput RPS, cache hit rates, batch occupancy, per-shard request
-/// counts) — the record CI's `serve-soak` step schema-checks and gates on.
+/// counts). The load is one fixed size: the numbers are host wall-clock, so
+/// there is no paper scale to shrink from. Every request must be answered and
+/// every shard accounted for, or the run fails; the latency tail is bounded
+/// against the committed record by [`crate::verify`].
 pub fn serve(ctx: &Ctx) {
     use infs_serve::loadgen::{self, LoadgenConfig};
     use infs_serve::{serve_reactor, MetricsReport, ServeConfig, ShardCluster};
@@ -1276,8 +1163,8 @@ pub fn serve(ctx: &Ctx) {
     const WORKERS: usize = 4;
     const SHARDS: u32 = 4;
     let lg = LoadgenConfig {
-        rate_rps: if ctx.quick { 2_000.0 } else { 4_000.0 },
-        duration_ms: if ctx.quick { 2_000 } else { 6_000 },
+        rate_rps: 2_000.0,
+        duration_ms: 2_000,
         connections: 8,
         // Enough tenants that the consistent-hash ring spreads them over all
         // four shards (8 tenants on 4 shards leaves a shard idle ~40% of the
@@ -1306,14 +1193,16 @@ pub fn serve(ctx: &Ctx) {
     };
     let report = loadgen::run(addr, &lg).expect("load run");
     let metrics = cluster.metrics();
-    let per_shard: Vec<String> = cluster
-        .shard_requests()
-        .iter()
-        .map(u64::to_string)
-        .collect();
+    let per_shard_requests = cluster.shard_requests();
     cluster.begin_shutdown();
     io.join().expect("io thread").expect("reactor");
     cluster.shutdown();
+    assert_eq!(report.lost, 0, "the soak lost responses");
+    assert_eq!(
+        per_shard_requests.len(),
+        SHARDS as usize,
+        "per-shard request counts do not cover the shards"
+    );
 
     // Goodput: successful responses per wall second — rejections don't count.
     let rps = report.ok as f64 / (report.elapsed_ms.max(1) as f64 / 1000.0);
@@ -1354,68 +1243,39 @@ pub fn serve(ctx: &Ctx) {
         pct(artifact_hit_rate),
         pct(jit_hit_rate),
     ]);
-    ctx.emit("serve", &t);
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scale\": \"{}\",\n",
-            "  \"workers_total\": {},\n",
-            "  \"load\": {{ \"rate_rps\": {}, \"duration_ms\": {}, \"connections\": {}, ",
-            "\"tenants\": {}, \"variants\": {}, \"seed\": {} }},\n",
-            "  \"sharded\": {{\n",
-            "    \"io\": \"reactor\",\n",
-            "    \"shards\": {},\n",
-            "    \"batching\": true,\n",
-            "    \"sent\": {},\n",
-            "    \"ok\": {},\n",
-            "    \"rejected\": {},\n",
-            "    \"lost\": {},\n",
-            "    \"rps\": {:.3},\n",
-            "    \"p50_us\": {},\n",
-            "    \"p99_us\": {},\n",
-            "    \"max_us\": {},\n",
-            "    \"artifact_hit_rate\": {:.6},\n",
-            "    \"jit_hit_rate\": {:.6},\n",
-            "    \"batch_executions\": {},\n",
-            "    \"batch_joined\": {},\n",
-            "    \"batch_max_occupancy\": {},\n",
-            "    \"mean_batch_occupancy\": {:.4},\n",
-            "    \"per_shard_requests\": [{}]\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        if ctx.quick { "test" } else { "paper" },
-        WORKERS,
-        lg.rate_rps,
-        lg.duration_ms,
-        lg.connections,
-        lg.tenants,
-        lg.variants,
-        lg.seed,
-        SHARDS,
-        report.sent,
-        report.ok,
-        metrics.rejected,
-        report.lost,
-        rps,
-        report.latency.percentile(0.50),
-        report.latency.percentile(0.99),
-        report.latency.max(),
-        artifact_hit_rate.unwrap_or(0.0),
-        jit_hit_rate.unwrap_or(0.0),
-        metrics.batch_executions,
-        metrics.batch_joined,
-        metrics.batch_max_occupancy,
-        mean_occupancy,
-        per_shard.join(", "),
+    ctx.table("serve", &t);
+    ctx.record(
+        "serve",
+        &BenchServe {
+            workers_total: WORKERS as u64,
+            load: ServeLoad {
+                rate_rps: lg.rate_rps,
+                duration_ms: lg.duration_ms,
+                connections: lg.connections as u64,
+                tenants: lg.tenants as u64,
+                variants: lg.variants,
+                seed: lg.seed,
+            },
+            sharded: ServeRow {
+                shards: u64::from(SHARDS),
+                sent: report.sent,
+                ok: report.ok,
+                rejected: metrics.rejected,
+                lost: report.lost,
+                rps: rounded(rps, 3),
+                p50_us: report.latency.percentile(0.50),
+                p99_us: report.latency.percentile(0.99),
+                max_us: report.latency.max(),
+                artifact_hit_rate: rounded(artifact_hit_rate.unwrap_or(0.0), 6),
+                jit_hit_rate: rounded(jit_hit_rate.unwrap_or(0.0), 6),
+                batch_executions: metrics.batch_executions,
+                batch_joined: metrics.batch_joined,
+                batch_max_occupancy: metrics.batch_max_occupancy,
+                mean_batch_occupancy: rounded(mean_occupancy, 4),
+                per_shard_requests,
+            },
+        },
     );
-    let path = ctx.out_dir.join("BENCH_serve.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("[figures] failed to write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
 }
 
 /// One workload of the autotuning soak.
@@ -1453,6 +1313,10 @@ struct TuneRun {
 /// stream engines actually finish first. That model error is exactly what
 /// the tuner's observed-cycles feedback corrects.
 const TUNE_D: u64 = 256;
+
+/// Execute requests per workload and server — enough for every workload to
+/// converge: at 256 the steady-state cycles and incumbents are the same.
+const TUNE_REQUESTS: u64 = 96;
 
 fn tune_workloads() -> Vec<TuneWorkload> {
     use infs_serve::demo;
@@ -1508,14 +1372,13 @@ fn tune_workloads() -> Vec<TuneWorkload> {
     ]
 }
 
-/// Drives `requests` identical execute requests for one workload against a
-/// server and distills the steady state. Sequential calls on a single-worker,
-/// batching-off server: the request order — and with it every tune decision —
-/// is a pure function of the config.
+/// Drives [`TUNE_REQUESTS`] identical execute requests for one workload
+/// against a server and distills the steady state. Sequential calls on a
+/// single-worker, batching-off server: the request order — and with it every
+/// tune decision — is a pure function of the config.
 fn tune_soak(
     server: &infs_serve::Server,
     w: &TuneWorkload,
-    requests: u64,
     reference_bits: Option<&[u32]>,
 ) -> TuneRun {
     use infs_serve::{
@@ -1540,7 +1403,7 @@ fn tune_soak(
 
     let mut log: Vec<(u64, bool, String)> = Vec::new();
     let mut output_bits = Vec::new();
-    for i in 0..requests {
+    for i in 0..TUNE_REQUESTS {
         let r = server.call(Request {
             id: 1 + i,
             tenant: "tune".into(),
@@ -1619,12 +1482,12 @@ fn tune_server(
 /// tuned server under a fixed seed — plus a chaos-and-retune drill. Every
 /// tuned response is checked bitwise against the static reference, so the
 /// tuner can only ever re-place work, never change its result. Emits
-/// `results/tune.md` and `BENCH_tune.json` — the record CI's `tune-smoke`
-/// step regenerates and gates on.
+/// `results/tune.md`, `results/tune_retune.md` and `BENCH_tune.json`. The soak
+/// serves 256×256 demo kernels, not a Table 3 workload, so it has one size at
+/// every scale.
 pub fn tune(ctx: &Ctx) {
     use infs_serve::TuneConfig;
 
-    let requests: u64 = if ctx.quick { 96 } else { 256 };
     let tune_cfg = TuneConfig {
         // Hotter exploration and a lower sample floor than the serving
         // default: the soak wants convergence within a bounded request
@@ -1648,15 +1511,15 @@ pub fn tune(ctx: &Ctx) {
             "explored",
         ],
     );
-    let mut entries = Vec::new();
-    let mut wins = 0u32;
+    let mut workloads = std::collections::BTreeMap::new();
+    let mut wins = 0u64;
     for w in &tune_workloads() {
         let static_server = tune_server(None, None);
-        let stat = tune_soak(&static_server, w, requests, None);
+        let stat = tune_soak(&static_server, w, None);
         static_server.shutdown();
 
         let tuned_server = tune_server(Some(tune_cfg.clone()), None);
-        let tuned = tune_soak(&tuned_server, w, requests, Some(&stat.output_bits));
+        let tuned = tune_soak(&tuned_server, w, Some(&stat.output_bits));
         tuned_server.shutdown();
 
         let speedup = stat.steady_cycles as f64 / tuned.steady_cycles.max(1) as f64;
@@ -1685,33 +1548,22 @@ pub fn tune(ctx: &Ctx) {
             tuned.metrics.tune_promotions.to_string(),
             tuned.metrics.tune_explored.to_string(),
         ]);
-        entries.push(format!(
-            concat!(
-                "    \"{}\": {{\n",
-                "      \"static_cycles\": {},\n",
-                "      \"tuned_cycles\": {},\n",
-                "      \"speedup\": {:.4},\n",
-                "      \"incumbent\": \"{}\",\n",
-                "      \"promotions\": {},\n",
-                "      \"demotions\": {},\n",
-                "      \"explored\": {},\n",
-                "      \"exploited\": {},\n",
-                "      \"bitwise_identical\": true\n",
-                "    }}"
-            ),
-            w.name,
-            stat.steady_cycles,
-            tuned.steady_cycles,
-            speedup,
-            tuned.incumbent,
-            tuned.metrics.tune_promotions,
-            tuned.metrics.tune_demotions,
-            tuned.metrics.tune_explored,
-            tuned.metrics.tune_exploited,
-        ));
+        workloads.insert(
+            w.name.to_string(),
+            TuneRow {
+                static_cycles: stat.steady_cycles,
+                tuned_cycles: tuned.steady_cycles,
+                speedup: rounded(speedup, 4),
+                incumbent: tuned.incumbent,
+                promotions: tuned.metrics.tune_promotions,
+                demotions: tuned.metrics.tune_demotions,
+                explored: tuned.metrics.tune_explored,
+                exploited: tuned.metrics.tune_exploited,
+            },
+        );
     }
     assert!(wins >= 3, "fewer than 3 tuner wins ({wins})");
-    ctx.emit("tune", &t);
+    ctx.table("tune", &t);
 
     // The retune drill: same tuned soak, but a seeded SRAM-flip schedule
     // quarantines banks mid-run. The first flips land after the tuner has
@@ -1719,7 +1571,7 @@ pub fn tune(ctx: &Ctx) {
     // demote -> re-converge on the post-fault machine.
     let drill = &tune_workloads()[1]; // mat_update/32: the widest-margin win
     let static_server = tune_server(None, None);
-    let healthy = tune_soak(&static_server, drill, requests, None);
+    let healthy = tune_soak(&static_server, drill, None);
     static_server.shutdown();
     let faults = infs_faults::FaultConfig {
         seed: 0xD2111,
@@ -1731,7 +1583,7 @@ pub fn tune(ctx: &Ctx) {
         ..infs_faults::FaultConfig::none()
     };
     let chaos_server = tune_server(Some(tune_cfg.clone()), Some(faults));
-    let drilled = tune_soak(&chaos_server, drill, requests, Some(&healthy.output_bits));
+    let drilled = tune_soak(&chaos_server, drill, Some(&healthy.output_bits));
     let health = chaos_server.health();
     chaos_server.shutdown();
     assert!(
@@ -1762,51 +1614,27 @@ pub fn tune(ctx: &Ctx) {
         drilled.steady_cycles.to_string(),
         drilled.incumbent.clone(),
     ]);
-    ctx.emit("tune_retune", &rt);
+    ctx.table("tune_retune", &rt);
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scale\": \"{}\",\n",
-            "  \"seed\": {},\n",
-            "  \"requests\": {},\n",
-            "  \"explore_percent\": {},\n",
-            "  \"min_samples\": {},\n",
-            "  \"promote_margin_percent\": {},\n",
-            "  \"d\": {},\n",
-            "  \"wins\": {},\n",
-            "  \"workloads\": {{\n{}\n  }},\n",
-            "  \"retune\": {{\n",
-            "    \"workload\": \"{}\",\n",
-            "    \"banks_lost\": {},\n",
-            "    \"demotions\": {},\n",
-            "    \"promotions\": {},\n",
-            "    \"steady_cycles\": {},\n",
-            "    \"incumbent\": \"{}\",\n",
-            "    \"bitwise_identical\": true\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        if ctx.quick { "test" } else { "paper" },
-        tune_cfg.seed,
-        requests,
-        tune_cfg.explore_percent,
-        tune_cfg.min_samples,
-        tune_cfg.promote_margin_percent,
-        TUNE_D,
-        wins,
-        entries.join(",\n"),
-        drill.name,
-        health.total_banks - health.healthy_banks,
-        drilled.metrics.tune_demotions,
-        drilled.metrics.tune_promotions,
-        drilled.steady_cycles,
-        drilled.incumbent,
+    ctx.record(
+        "tune",
+        &BenchTune {
+            seed: tune_cfg.seed,
+            requests: TUNE_REQUESTS,
+            explore_percent: u64::from(tune_cfg.explore_percent),
+            min_samples: tune_cfg.min_samples,
+            promote_margin_percent: u64::from(tune_cfg.promote_margin_percent),
+            d: TUNE_D,
+            wins,
+            workloads,
+            retune: RetuneRow {
+                workload: drill.name.to_string(),
+                banks_lost: u64::from(health.total_banks - health.healthy_banks),
+                demotions: drilled.metrics.tune_demotions,
+                promotions: drilled.metrics.tune_promotions,
+                steady_cycles: drilled.steady_cycles,
+                incumbent: drilled.incumbent,
+            },
+        },
     );
-    let path = ctx.out_dir.join("BENCH_tune.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("[figures] failed to write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
 }

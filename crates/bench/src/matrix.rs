@@ -1,8 +1,8 @@
-//! The run matrix: every (workload variant, configuration) simulated once,
-//! cached to JSON, shared by all figure runners.
+//! The run matrix: every (workload variant, configuration) simulated once
+//! per process and shared by all figure runners ([`Ctx::matrix`]).
 
 use crate::Ctx;
-use infs_sim::{ExecMode, RunStats};
+use infs_sim::{ExecMode, RunPlan, RunStats};
 use infs_workloads::{by_name, run_timed, Scale};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -149,7 +149,7 @@ pub struct MatrixEntry {
     pub stats: RunStats,
 }
 
-/// The cached run matrix.
+/// The run matrix.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunMatrix {
     /// Scale the matrix was produced at (`"paper"` / `"test"`).
@@ -186,84 +186,42 @@ impl RunMatrix {
         }
     }
 
-    /// Loads (or simulates and caches) the full matrix for a context.
-    ///
-    /// Panics on a simulation failure; use [`RunMatrix::try_load_or_run`] to
-    /// handle errors (the partial matrix is persisted either way).
-    pub fn load_or_run(ctx: &Ctx) -> RunMatrix {
-        Self::try_load_or_run(ctx).unwrap_or_else(|e| panic!("run matrix failed: {e}"))
-    }
-
-    /// Loads (or simulates and caches) the full matrix, fanning the missing
-    /// (workload, configuration) pairs out across worker threads.
+    /// Simulates the full matrix, fanning the (workload, configuration)
+    /// pairs out across worker threads.
     ///
     /// # Errors
     ///
-    /// Returns the first failed pair. Entries that completed — including ones
-    /// finished by other workers after the failure — are written to
-    /// `matrix.json` first, so a rerun resumes instead of starting over.
-    pub fn try_load_or_run(ctx: &Ctx) -> Result<RunMatrix, MatrixError> {
+    /// Returns the first failed pair.
+    pub fn run(ctx: &Ctx) -> Result<RunMatrix, MatrixError> {
         Self::run_subset(ctx, &WORKLOADS, &ALL_CONFIGS, true)
     }
 
-    /// [`RunMatrix::try_load_or_run`] with an explicit sequential/parallel
-    /// switch; the determinism tests diff the two paths byte-for-byte.
-    pub fn try_load_or_run_with(ctx: &Ctx, parallel: bool) -> Result<RunMatrix, MatrixError> {
-        Self::run_subset(ctx, &WORKLOADS, &ALL_CONFIGS, parallel)
-    }
-
-    /// Core sweep over `names` × `configs`: reuses any cached entries whose
-    /// scale matches (a partial `matrix.json` from an interrupted run is
-    /// resumed, not discarded), simulates only the missing pairs, and
-    /// persists the merged result.
+    /// Core sweep over `names` × `configs`, with an explicit
+    /// sequential/parallel switch: the result does not depend on it (the
+    /// determinism tests diff the two byte-for-byte).
     pub fn run_subset(
         ctx: &Ctx,
         names: &[&str],
         configs: &[ConfigName],
         parallel: bool,
     ) -> Result<RunMatrix, MatrixError> {
-        let path = ctx.out_dir.join("matrix.json");
-        let scale_tag = if ctx.quick { "test" } else { "paper" };
-        let mut m = RunMatrix {
-            scale: scale_tag.to_string(),
-            entries: BTreeMap::new(),
-        };
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(prev) = serde_json::from_str::<RunMatrix>(&text) {
-                if prev.scale == scale_tag {
-                    m.entries = prev.entries;
-                }
-            }
-        }
-
-        let missing: Vec<(&str, ConfigName)> = names
+        let pairs: Vec<(&str, ConfigName)> = names
             .iter()
             .flat_map(|&name| configs.iter().map(move |&config| (name, config)))
-            .filter(|&(name, config)| !m.entries.contains_key(&Self::key(name, config)))
             .collect();
-        if missing.is_empty() {
-            if !m.entries.is_empty() {
-                eprintln!(
-                    "[matrix] reusing cached {path:?} ({} entries)",
-                    m.entries.len()
-                );
-            }
-            return Ok(m);
-        }
         let workers = if parallel {
             rayon::current_num_threads()
         } else {
             1
         };
         eprintln!(
-            "[matrix] {} cached, {} to simulate on {workers} worker(s)",
-            m.entries.len(),
-            missing.len()
+            "[matrix] {} pairs to simulate on {workers} worker(s)",
+            pairs.len()
         );
 
         let sim_pair = |(name, config): (&str, ConfigName)| {
             let t0 = std::time::Instant::now();
-            let stats = run_one(name, config, ctx)?;
+            let stats = run_one(name, config, ctx, RunPlan::default())?;
             eprintln!(
                 "[matrix] {name} / {}: {} cycles ({:.1}s host)",
                 config.label(),
@@ -280,37 +238,22 @@ impl RunMatrix {
             ))
         };
         let results: Vec<Result<(String, MatrixEntry), MatrixError>> = if parallel {
-            missing.into_par_iter().map(&sim_pair).collect()
+            pairs.into_par_iter().map(&sim_pair).collect()
         } else {
-            missing.into_iter().map(sim_pair).collect()
+            pairs.into_iter().map(sim_pair).collect()
         };
-
-        let mut first_err = None;
-        for r in results {
-            match r {
-                Ok((key, entry)) => {
-                    m.entries.insert(key, entry);
-                }
-                Err(e) if first_err.is_none() => first_err = Some(e),
-                Err(_) => {}
-            }
-        }
-
-        // Persist whatever completed — on failure a rerun resumes from here.
-        std::fs::create_dir_all(&ctx.out_dir).ok();
-        if let Ok(text) = serde_json::to_string(&m) {
-            std::fs::write(&path, text).ok();
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(m),
-        }
+        Ok(RunMatrix {
+            scale: ctx.scale_tag().to_string(),
+            entries: results.into_iter().collect::<Result<_, _>>()?,
+        })
     }
 }
 
-/// Simulates one (workload, configuration) pair. Functional execution is on
-/// only at test scale — paper-scale runs are timing-only, with correctness
-/// covered by the test-scale verification suite.
+/// Simulates one (workload, configuration) pair under `plan` (the default
+/// for a matrix cell, a forced tile for a point of the Fig 16/17 sweep).
+/// Functional execution is on only at test scale — paper-scale runs are
+/// timing-only, with correctness covered by the test-scale verification
+/// suite.
 ///
 /// # Errors
 ///
@@ -318,7 +261,12 @@ impl RunMatrix {
 /// pair) for a name `by_name` does not know, and [`MatrixFailure::Sim`] for
 /// simulation failures — never panics, so a long-lived process can feed it
 /// untrusted names.
-pub fn run_one(name: &str, config: ConfigName, ctx: &Ctx) -> Result<RunStats, MatrixError> {
+pub fn run_one(
+    name: &str,
+    config: ConfigName,
+    ctx: &Ctx,
+    plan: RunPlan,
+) -> Result<RunStats, MatrixError> {
     let err = |source| MatrixError {
         bench: name.to_string(),
         config,
@@ -326,7 +274,7 @@ pub fn run_one(name: &str, config: ConfigName, ctx: &Ctx) -> Result<RunStats, Ma
     };
     let b = by_name(name, ctx.scale()).ok_or_else(|| err(MatrixFailure::UnknownWorkload))?;
     let functional = ctx.scale() == Scale::Test;
-    run_timed(b.as_ref(), config.mode(), &ctx.cfg, functional, false)
+    run_timed(b.as_ref(), config.mode(), &ctx.cfg, functional, plan)
         .map_err(|e| err(MatrixFailure::Sim(e)))
 }
 
@@ -392,11 +340,14 @@ mod tests {
     /// process embedding the bench API must survive a bad request.
     #[test]
     fn unknown_workload_is_an_error_not_a_panic() {
-        let ctx = Ctx {
-            out_dir: std::env::temp_dir().join("infs-matrix-unknown-test"),
-            ..Ctx::new(true)
-        };
-        let e = run_one("no_such_workload", ConfigName::InfS, &ctx).unwrap_err();
+        let ctx = Ctx::new(true);
+        let e = run_one(
+            "no_such_workload",
+            ConfigName::InfS,
+            &ctx,
+            RunPlan::default(),
+        )
+        .unwrap_err();
         assert!(matches!(e.source, MatrixFailure::UnknownWorkload));
         let msg = e.to_string();
         assert!(msg.contains("no_such_workload"), "{msg}");

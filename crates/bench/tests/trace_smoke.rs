@@ -5,6 +5,7 @@
 //! and running with tracing disabled records nothing and changes no result.
 
 use infs_bench::{matrix::run_one, ConfigName, Ctx};
+use infs_sim::RunPlan;
 use std::sync::{Mutex, MutexGuard};
 
 /// Both tests read and reset the process-wide collector, one of them with
@@ -20,19 +21,13 @@ fn serialized() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn quick_ctx() -> Ctx {
-    Ctx {
-        out_dir: std::env::temp_dir().join("infs-trace-smoke"),
-        ..Ctx::new(true)
-    }
-}
-
 #[test]
 fn one_run_traces_every_pipeline_stage() {
     let _serial = serialized();
     let session = infs_trace::exclusive();
-    let ctx = quick_ctx();
-    let stats = run_one("stencil1d", ConfigName::InL3, &ctx).expect("stencil1d simulates");
+    let ctx = Ctx::new(true);
+    let stats = run_one("stencil1d", ConfigName::InL3, &ctx, RunPlan::default())
+        .expect("stencil1d simulates");
     assert!(stats.cycles > 0);
     let snap = infs_trace::snapshot();
     drop(session);
@@ -91,15 +86,16 @@ fn one_run_traces_every_pipeline_stage() {
 #[test]
 fn disabled_tracing_records_nothing_and_changes_nothing() {
     let _serial = serialized();
-    let ctx = quick_ctx();
+    let ctx = Ctx::new(true);
     let traced = {
         let _session = infs_trace::exclusive();
-        run_one("stencil1d", ConfigName::InL3, &ctx).expect("traced run")
+        run_one("stencil1d", ConfigName::InL3, &ctx, RunPlan::default()).expect("traced run")
     };
     // exclusive() has dropped: tracing is off again.
     infs_trace::clear();
     assert!(!infs_trace::enabled());
-    let plain = run_one("stencil1d", ConfigName::InL3, &ctx).expect("untraced run");
+    let plain =
+        run_one("stencil1d", ConfigName::InL3, &ctx, RunPlan::default()).expect("untraced run");
     assert_eq!(
         infs_trace::snapshot().events.len(),
         0,

@@ -45,7 +45,7 @@ pub use stencil::{Dwt2d, Stencil1d, Stencil2d, Stencil3d};
 pub use util::Dataflow;
 
 use infs_sdfg::{ArrayDecl, Memory};
-use infs_sim::{ExecMode, Machine, RunStats, SimError, SystemConfig};
+use infs_sim::{ExecMode, Machine, RunPlan, RunStats, SimError, SystemConfig};
 
 /// Input-size scale of a benchmark instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,9 @@ const _: () = {
     assert_sync::<SystemConfig>();
 };
 
-/// Runs a benchmark end-to-end and returns the machine statistics.
+/// Runs a benchmark end-to-end and returns the machine statistics. Every
+/// region is entered under `plan`: the default is the static §4.1/Eq-2
+/// heuristics, a forced tile is one point of the Fig 16/17 sweep.
 ///
 /// With `functional` disabled the run is timing-only (for paper-scale inputs
 /// whose interpretation would take hours); functional verification then
@@ -113,12 +115,11 @@ pub fn run_timed(
     mode: ExecMode,
     cfg: &SystemConfig,
     functional: bool,
-    assume_transposed: bool,
+    plan: RunPlan,
 ) -> Result<RunStats, SimError> {
     let arrays = b.arrays();
-    let mut m = Machine::new(cfg.clone(), &arrays);
+    let mut m = Machine::with_plan(cfg.clone(), &arrays, plan);
     m.set_functional(functional);
-    m.set_assume_transposed(assume_transposed);
     // §6: inputs are assumed tiled to fit in (and warm in) the L3.
     m.set_resident_all();
     if functional {
