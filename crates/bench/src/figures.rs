@@ -171,6 +171,10 @@ fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
+/// Fig 11/19 column: Inf-S against the better of the two paradigms it fuses
+/// (below 1 the fused configuration loses to one of its own parts).
+const FUSION_RATIO: &str = "Inf-S / max(Near-L3, In-L3)";
+
 /// Fig 11: overall speedup over Base for every configuration.
 pub fn fig11(ctx: &Ctx) {
     let m = ctx.matrix();
@@ -183,6 +187,7 @@ pub fn fig11(ctx: &Ctx) {
             "In-L3",
             "Inf-S",
             "Inf-S-noJIT",
+            FUSION_RATIO,
         ],
     );
     let base = family_cycles(m, ConfigName::Base);
@@ -196,6 +201,9 @@ pub fn fig11(ctx: &Ctx) {
                 .collect(),
         );
     }
+    // FIG11 order: Base, Near-L3, In-L3, Inf-S, Inf-S-noJIT.
+    let ratio = |i: usize| per_cfg[3][i] / per_cfg[1][i].max(per_cfg[2][i]);
+    per_cfg.push((0..base.len()).map(ratio).collect());
     for (i, name) in families().iter().enumerate() {
         let mut row = vec![name.to_string()];
         row.extend(per_cfg.iter().map(|s| Table::f(s[i])));
@@ -480,7 +488,8 @@ pub fn fig16(ctx: &Ctx) {
     ctx.table("tiling", &tiling);
 }
 
-/// Fig 17: speedup vs 3-D tile size for the 3-D workloads.
+/// Fig 17: speedup vs 3-D tile size for the 3-D workloads, with the runtime's
+/// own choice (the matrix's Inf-S cell) as the `(heuristic)` row.
 pub fn fig17(ctx: &Ctx) {
     let benches: &[&str] = if ctx.quick {
         &["stencil3d"]
@@ -505,6 +514,13 @@ pub fn fig17(ctx: &Ctx) {
                 Table::f(worst as f64 / *cycles as f64),
             ]);
         }
+        let heuristic = ctx.matrix().cycles(name, ConfigName::InfS);
+        t.row(vec![
+            name.to_string(),
+            "(heuristic)".into(),
+            heuristic.to_string(),
+            Table::f(worst as f64 / heuristic as f64),
+        ]);
     }
     ctx.table("fig17", &t);
 }
@@ -549,7 +565,7 @@ pub fn fig19(ctx: &Ctx) {
     );
     let mut summary = Table::new(
         "Fig 19 summary: speedup over Base",
-        &["variant", "Near-L3", "In-L3", "Inf-S"],
+        &["variant", "Near-L3", "In-L3", "Inf-S", FUSION_RATIO],
     );
     for variant in [PointNetVariant::Ssg, PointNetVariant::Msg] {
         let vname = match variant {
@@ -575,6 +591,12 @@ pub fn fig19(ctx: &Ctx) {
                 .run_detailed(&mut m, config.mode())
                 .expect("pointnet runs");
             let total: u64 = reports.iter().map(|r| r.cycles).sum();
+            assert_eq!(
+                total,
+                m.stats().cycles,
+                "{vname} {}: the stage reports must add up to the machine clock",
+                config.label()
+            );
             totals.push(total);
             // Aggregate per (stage, phase).
             let mut agg: std::collections::BTreeMap<String, (u64, String)> = Default::default();
@@ -595,11 +617,13 @@ pub fn fig19(ctx: &Ctx) {
                 ]);
             }
         }
+        let speedup = |i: usize| totals[0] as f64 / totals[i] as f64;
         summary.row(vec![
             vname.into(),
-            Table::f(totals[0] as f64 / totals[1] as f64),
-            Table::f(totals[0] as f64 / totals[2] as f64),
-            Table::f(totals[0] as f64 / totals[3] as f64),
+            Table::f(speedup(1)),
+            Table::f(speedup(2)),
+            Table::f(speedup(3)),
+            Table::f(speedup(3) / speedup(1).max(speedup(2))),
         ]);
     }
     ctx.table("fig19_timeline", &t);

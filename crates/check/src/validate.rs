@@ -685,7 +685,7 @@ pub fn validate_pipeline(
     g.validate().map_err(|e| CheckError::Pipeline {
         what: e.to_string(),
     })?;
-    let capacity = infs_pipeline::compute_capacity(cfg);
+    let capacity = cfg.compute_capacity_bytes();
     let plan = infs_pipeline::plan_residency(g, capacity).map_err(|e| CheckError::Pipeline {
         what: e.to_string(),
     })?;

@@ -1,26 +1,21 @@
 //! Pipeline compilation and streaming execution: lowers a validated graph to
-//! region instances, negotiates a cross-stage SRAM layout, and drives the
-//! machine's 3-phase prepare/stream/prefetch loop.
+//! region instances and drives the machine's 3-phase prepare/stream/prefetch
+//! loop.
 
 use crate::{plan_residency, PipelineError, PipelineGraph, ResidencyPlan};
-use infs_geom::TileShape;
 use infs_isa::{Compiler, RegionInstance};
-use infs_runtime::TransposedLayout;
 use infs_sim::{
     ExecMode, Machine, PipelinePolicy, RunPlan, StageReport, StageRequest, SystemConfig,
 };
-use infs_tdfg::Tdfg;
 use std::time::Instant;
 
 /// A graph lowered against one machine configuration: validated, residency-
-/// planned, every stage compiled and instantiated, and a shared tile shape
-/// negotiated so a producer's transposed output is consumed in place.
+/// planned, every stage compiled and instantiated.
 #[derive(Debug)]
 pub struct CompiledPipeline {
     graph: PipelineGraph,
     plan: ResidencyPlan,
     regions: Vec<RegionInstance>,
-    tile: Option<TileShape>,
     compile_ns: Vec<u64>,
 }
 
@@ -61,11 +56,10 @@ impl PipelineReport {
 /// Validates, plans and compiles a graph for a machine configuration.
 ///
 /// Every stage is compiled with its own symbol binding as the representative
-/// instantiation. If two or more stages are tensorizable, a tile shape
-/// admissible to all of them is negotiated
-/// ([`TransposedLayout::negotiate_tile`]) so intermediate tensors keep their
-/// SRAM layout across the producer→consumer handoff instead of being
-/// re-transposed at every stage boundary.
+/// instantiation. No tile is fixed here: at each stage entry the machine
+/// keeps the tile the stage's operands are already resident in whenever the
+/// stage admits it, so intermediate tensors keep their SRAM layout across
+/// the producer→consumer handoff on their own.
 ///
 /// # Errors
 ///
@@ -76,13 +70,13 @@ pub fn compile(
     graph: &PipelineGraph,
     cfg: &SystemConfig,
 ) -> Result<CompiledPipeline, PipelineError> {
-    let mut span = infs_trace::span!(
+    let _span = infs_trace::span!(
         "pipeline.compile",
         graph = graph.name.as_str(),
         stages = graph.stages.len() as u64,
     );
     graph.validate()?;
-    let plan = plan_residency(graph, crate::compute_capacity(cfg))?;
+    let plan = plan_residency(graph, cfg.compute_capacity_bytes())?;
     let mut regions = Vec::with_capacity(graph.stages.len());
     let mut compile_ns = Vec::with_capacity(graph.stages.len());
     for st in &graph.stages {
@@ -98,18 +92,10 @@ pub fn compile(
         compile_ns.push(t0.elapsed().as_nanos() as u64);
         regions.push(region);
     }
-    let tdfgs: Vec<&Tdfg> = regions.iter().filter_map(|r| r.tdfg.as_ref()).collect();
-    let tile = if tdfgs.len() >= 2 {
-        TransposedLayout::negotiate_tile(&tdfgs, &cfg.hw())
-    } else {
-        None
-    };
-    span.arg("shared_tile", tile.is_some());
     Ok(CompiledPipeline {
         graph: graph.clone(),
         plan,
         regions,
-        tile,
         compile_ns,
     })
 }
@@ -128,11 +114,6 @@ impl CompiledPipeline {
     /// The compiled region instances, one per stage.
     pub fn regions(&self) -> &[RegionInstance] {
         &self.regions
-    }
-
-    /// The negotiated cross-stage tile shape, if one exists.
-    pub fn shared_tile(&self) -> Option<&TileShape> {
-        self.tile.as_ref()
     }
 
     /// Host nanoseconds each stage took to compile.
@@ -157,17 +138,6 @@ impl CompiledPipeline {
             .collect()
     }
 
-    /// The plan this pipeline runs under for a policy. Both policies pin the
-    /// negotiated tile so the comparison isolates residency and overlap, not
-    /// tile choice.
-    pub fn run_plan(&self, policy: PipelinePolicy) -> RunPlan {
-        RunPlan {
-            tile: self.tile.clone(),
-            policy,
-            ..RunPlan::default()
-        }
-    }
-
     fn run(
         &self,
         m: &mut Machine,
@@ -175,7 +145,13 @@ impl CompiledPipeline {
         policy: PipelinePolicy,
     ) -> Result<PipelineReport, infs_sim::SimError> {
         let start = m.stats().cycles;
-        let stages = m.run(&self.stage_requests(), mode, &self.run_plan(policy))?;
+        // Default placements under either policy, so the comparison isolates
+        // residency and overlap.
+        let plan = RunPlan {
+            policy,
+            ..RunPlan::default()
+        };
+        let stages = m.run(&self.stage_requests(), mode, &plan)?;
         let total = m.stats().cycles - start;
         Ok(PipelineReport::from_stages(stages, total))
     }

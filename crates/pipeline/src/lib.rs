@@ -17,8 +17,8 @@
 //! * [`CompiledPipeline`] — the phase scheduler running the 3-phase
 //!   prepare/stream/prefetch loop on the simulated machine, so stage *k+1*'s
 //!   operands are staged while stage *k* executes and a producer's transposed
-//!   output is consumed in place by the next stage (a tile shape negotiated
-//!   across all stages).
+//!   output is consumed in place by the next stage (the machine keeps the
+//!   tile a stage's operands are resident in).
 //!
 //! The crate deliberately reuses the single-kernel stack unchanged: stages
 //! compile through [`infs_isa::Compiler`] and execute through
@@ -34,7 +34,7 @@ mod plan;
 
 pub use exec::{compile, CompiledPipeline, PipelineReport};
 pub use graph::{PipelineBuilder, PipelineGraph, StageSpec};
-pub use plan::{compute_capacity, plan_residency, ResidencyPlan, StagePlan};
+pub use plan::{plan_residency, ResidencyPlan, StagePlan};
 
 use std::error::Error;
 use std::fmt;

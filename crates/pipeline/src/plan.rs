@@ -3,7 +3,6 @@
 //! model says the cache cannot hold them.
 
 use crate::{PipelineError, PipelineGraph};
-use infs_sim::SystemConfig;
 use std::collections::BTreeSet;
 
 /// Residency decisions for one stage of the pipeline.
@@ -51,12 +50,6 @@ impl ResidencyPlan {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// L3 bytes available to pipeline residency: the compute ways of the cache
-/// (total minus the ways reserved for normal cache traffic, §4).
-pub fn compute_capacity(cfg: &SystemConfig) -> u64 {
-    cfg.l3_bytes() / cfg.ways as u64 * (cfg.ways - cfg.reserved_ways) as u64
 }
 
 /// Plans tensor residency for the graph against a byte capacity.

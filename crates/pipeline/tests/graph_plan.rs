@@ -3,9 +3,7 @@
 //! synthetic capacities.
 
 use infs_frontend::{Idx, ScalarExpr};
-use infs_pipeline::{
-    compute_capacity, plan_residency, PipelineBuilder, PipelineError, PipelineGraph,
-};
+use infs_pipeline::{plan_residency, PipelineBuilder, PipelineError, PipelineGraph};
 use infs_sdfg::{ArrayId, DataType};
 use infs_sim::SystemConfig;
 
@@ -143,10 +141,10 @@ fn compute_capacity_uses_compute_ways_only() {
     let cfg = SystemConfig::default();
     let per_way = cfg.l3_bytes() / cfg.ways as u64;
     assert_eq!(
-        compute_capacity(&cfg),
+        cfg.compute_capacity_bytes(),
         per_way * (cfg.ways - cfg.reserved_ways) as u64
     );
-    assert!(compute_capacity(&cfg) < cfg.l3_bytes());
+    assert!(cfg.compute_capacity_bytes() < cfg.l3_bytes());
 }
 
 #[test]

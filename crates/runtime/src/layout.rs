@@ -151,46 +151,20 @@ impl TransposedLayout {
         Ok(feasible.into_iter().map(|(_, tile)| tile).collect())
     }
 
-    /// All tile shapes the constraint solver admits for this region — the
-    /// sweep space of Fig 16/17.
+    /// All tile shapes the constraint solver admits for this region — what
+    /// [`plan`](Self::plan) picks from, so none when the lattice is not
+    /// line-aligned. The simulated machine keeps a tile its operands are
+    /// already resident in only if it is one of these.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadBounding`] for a non-origin lattice.
     pub fn candidate_tiles(tdfg: &Tdfg, hw: &HwConfig) -> Result<Vec<TileShape>, RuntimeError> {
         let request = Self::request(tdfg, &LayoutHints::default(), hw)?;
-        Ok(valid_tilings(&request))
-    }
-
-    /// Cross-region layout handoff: the tile shape a *pipeline* of regions
-    /// should share so a producer's transposed output is consumed in place by
-    /// the next region without re-transposition (a tile-shape change releases
-    /// the whole transposed working set — see the machine's prepare path).
-    ///
-    /// Returns the candidate tile admissible **and feasible** for every given
-    /// region that minimizes the summed per-region layout score, or `None`
-    /// when the regions share no tile (callers then fall back to per-region
-    /// planning and pay the boundary re-transposition).
-    pub fn negotiate_tile(tdfgs: &[&Tdfg], hw: &HwConfig) -> Option<TileShape> {
-        let mut span = infs_trace::span!("runtime.negotiate_tile", regions = tdfgs.len());
-        let (&first, rest) = tdfgs.split_first()?;
-        let mut requests = vec![Self::request(first, &LayoutHints::default(), hw).ok()?];
-        let mut common = valid_tilings(&requests[0]);
-        for tdfg in rest {
-            let request = Self::request(tdfg, &LayoutHints::default(), hw).ok()?;
-            let admissible = valid_tilings(&request);
-            common.retain(|t| admissible.contains(t));
-            requests.push(request);
-        }
-        common.retain(|tile| {
-            tdfgs
-                .iter()
-                .all(|&tdfg| Self::with_tile_internal(tdfg, tile.clone(), hw).is_ok())
-        });
-        span.arg("candidates", common.len());
-        common.into_iter().min_by(|a, b| {
-            let score = |t: &TileShape| requests.iter().map(|r| tile_score(t, r)).sum::<f64>();
-            score(a).total_cmp(&score(b))
+        Ok(if request.array_is_line_aligned() {
+            valid_tilings(&request)
+        } else {
+            Vec::new()
         })
     }
 
@@ -335,12 +309,6 @@ impl TransposedLayout {
     /// the `u32` fields of [`TileAddr`].
     pub fn locate(&self, point: &[i64]) -> Result<Option<TileAddr>, RuntimeError> {
         Ok(self.grid.locate(point)?)
-    }
-
-    /// Total transposed bytes one array of the region occupies (the lattice
-    /// footprint of its band; used for prepare/release traffic accounting).
-    pub fn lattice_cells(&self) -> u64 {
-        self.lattice_shape.iter().product()
     }
 }
 

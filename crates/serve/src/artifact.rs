@@ -162,8 +162,8 @@ impl ArtifactCache {
 /// A bounded cache of compiled pipelines, keyed by the graph's content key
 /// ([`infs_pipeline::PipelineGraph::content_key`]). The pipeline-level
 /// analogue of [`ArtifactCache`]: a whole multi-kernel graph — every stage's
-/// compiled region, the residency plan, and the negotiated cross-stage tile —
-/// is one artifact, so a repeated graph skips compilation *and* planning.
+/// compiled region and the residency plan — is one artifact, so a repeated
+/// graph skips compilation *and* planning.
 ///
 /// No checksum layer: a [`CompiledPipeline`](infs_pipeline::CompiledPipeline)
 /// has no canonical byte encoding to re-hash (unlike a fat binary), so the

@@ -1283,7 +1283,7 @@ fn handle_pipeline(
     let key = graph.content_key().map_err(pipeline_error)?;
 
     // Pipeline-level artifact cache: the whole graph — compiled stages,
-    // residency plan, negotiated tile — is one content-addressed artifact.
+    // residency plan — is one content-addressed artifact.
     let compiled = if let Some(cached) = shared.pipelines.get(key) {
         stats.artifact_cache_hit = true;
         cached
@@ -1317,11 +1317,14 @@ fn handle_pipeline(
         ServedRun {
             stages: &compiled.stage_requests(),
             mode: p.mode.exec_mode(),
-            plan: compiled.run_plan(if p.fused {
-                PipelinePolicy::Fused
-            } else {
-                PipelinePolicy::Roundtrip
-            }),
+            plan: RunPlan {
+                policy: if p.fused {
+                    PipelinePolicy::Fused
+                } else {
+                    PipelinePolicy::Roundtrip
+                },
+                ..RunPlan::default()
+            },
             tune: tuner.map(|t| {
                 let tk = fnv1a(format!("pipeline|{key:016x}|{}", p.mode.index()).as_bytes());
                 (t, tk, &candidates as _)

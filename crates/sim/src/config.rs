@@ -64,9 +64,6 @@ pub struct SystemConfig {
     pub sync_latency: u64,
     /// JIT cycle-model constants (shared with the runtime).
     pub jit: JitModel,
-    /// Threshold of normal requests after which transposed data is released
-    /// (§5.2 "delayed release", 100k in the paper).
-    pub release_request_threshold: u64,
 }
 
 /// JIT lowering cycle-model constants (see [`HwConfig`]).
@@ -120,7 +117,6 @@ impl Default for SystemConfig {
                 hit: 500,
                 patch_per_cmd: 2,
             },
-            release_request_threshold: 100_000,
         }
     }
 }
@@ -145,6 +141,14 @@ impl SystemConfig {
             * self.ways as u64
             * self.arrays_per_way as u64
             * self.geometry.size_bytes()
+    }
+
+    /// L3 bytes that can hold transposed data: the compute ways, i.e. the
+    /// cache minus the ways reserved for normal traffic (§4) — 128 MB by
+    /// default. Bounds the machine's residency ledger and the pipeline
+    /// residency planner alike.
+    pub fn compute_capacity_bytes(&self) -> u64 {
+        self.l3_bytes() / self.ways as u64 * (self.ways - self.reserved_ways) as u64
     }
 
     /// Peak int32 in-memory additions per cycle — Eq 1 of the paper:

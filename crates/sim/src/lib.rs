@@ -42,6 +42,7 @@ mod inmem;
 mod machine;
 mod nearmem;
 mod noc;
+mod residency;
 mod stats;
 
 pub use config::SystemConfig;

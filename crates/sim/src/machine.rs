@@ -1,5 +1,6 @@
 use crate::core_model::{core_time, CoreProfile};
 use crate::nearmem::nearmem_time;
+use crate::residency::{Charge, Residency};
 use crate::{inmem, EnergyParams, Mesh, RunStats, SystemConfig};
 use infs_faults::{BankHealth, FaultPlan, NocFault};
 use infs_geom::TileShape;
@@ -8,9 +9,9 @@ use infs_runtime::{
     decide_healthy, CommandTemplate, HwConfig, JitCache, JitClass, JitOutcome, RuntimeError, Tier,
     TransposedLayout,
 };
-use infs_sdfg::{Memory, SdfgError};
-use infs_tdfg::{Node, OutputTarget, TdfgError};
-use std::collections::{HashMap, HashSet};
+use infs_sdfg::{Memory, SdfgError, StreamKind};
+use infs_tdfg::TdfgError;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -83,9 +84,9 @@ pub struct RegionReport {
     /// The three-way JIT resolution for in-memory execution: concrete hit,
     /// template (copy-and-patch) hit, or full lowering.
     pub jit_outcome: Option<JitOutcome>,
-    /// Cycles of `cycles` spent preparing (fetching and transposing)
-    /// operands before the command stream could start; 0 for core and
-    /// near-memory runs.
+    /// Cycles of `cycles` spent preparing operands before the command stream
+    /// could start — fetching and transposing them, and writing back what the
+    /// entry displaced; 0 for core and near-memory runs.
     pub prepare_cycles: u64,
 }
 
@@ -102,7 +103,7 @@ pub struct StageRequest<'a> {
     /// the timeline.
     pub prefetch: &'a [u32],
     /// Arrays dead after this stage (the residency planner's eviction list):
-    /// written back and dropped from L3, freeing compute ways.
+    /// dropped from L3 (the dirty ones written back), freeing compute ways.
     pub evict: &'a [u32],
 }
 
@@ -138,8 +139,8 @@ pub enum PipelinePolicy {
     #[default]
     Fused,
     /// Per-kernel host round trip (the pre-pipeline baseline): after every
-    /// stage all resident and transposed state is written back and dropped,
-    /// so each stage re-stages its operands from cold.
+    /// stage all resident state is dropped (what the stage wrote is written
+    /// back), so each stage re-stages its operands from cold.
     Roundtrip,
 }
 
@@ -148,9 +149,10 @@ pub enum PipelinePolicy {
 /// the static heuristics: the §4.1 tile pick, the Eq-2 tier, fused stages.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunPlan {
-    /// Tile shape every in-memory layout of the run uses instead of the §4.1
-    /// heuristic's pick (the Fig 16/17 sweep, a pipeline's negotiated
-    /// cross-stage tile, the autotuner's tile variants — `DESIGN.md` §15).
+    /// Tile shape every in-memory layout of the run uses instead of the
+    /// default pick — the tile the entry's operands are already resident in
+    /// when the region admits it, else the §4.1 heuristic's (the Fig 16/17
+    /// sweep, the autotuner's tile variants — `DESIGN.md` §15).
     pub tile: Option<TileShape>,
     /// Tier the Inf-S placement is forced onto instead of the Eq-2 decision
     /// (the autotuner's tier variants). Only `ExecMode::InfS`/`InfSNoJit`
@@ -249,16 +251,16 @@ struct InMemoryPlan<'r> {
     schedule: &'r infs_isa::Schedule,
     hw: HwConfig,
     layout: Arc<TransposedLayout>,
+    /// Whether `layout` keeps the tile the operands are already resident in
+    /// rather than the §4.1 pick.
+    kept_resident_tile: bool,
+    /// Arrays the region reads or writes (ascending), and the written subset.
+    needed: Vec<u32>,
+    written: Vec<u32>,
     /// The relocatable template and this instance's slot table. An error
     /// (malformed graph) prices as a JIT miss and surfaces when the region
     /// executes.
     jit: Result<(CommandTemplate, Vec<i64>), RuntimeError>,
-}
-
-#[derive(Debug, Clone)]
-struct ActiveTranspose {
-    tile: Vec<u64>,
-    arrays: HashSet<u32>,
 }
 
 /// Per-machine fault and degradation counters (`DESIGN.md` §10). These are
@@ -326,9 +328,9 @@ pub struct Machine {
     /// in-memory anyway, and the concrete error must stay fresh.
     layouts: Mutex<HashMap<String, Arc<TransposedLayout>>>,
     stats: RunStats,
-    transposed: Option<ActiveTranspose>,
-    touched: HashSet<u32>,
-    assume_transposed: bool,
+    /// Where every array lives (cold, warm, transposed under which tile,
+    /// dirty) — the one piece of residency state (`DESIGN.md` §7).
+    residency: Residency,
     /// The plan [`Machine::run_region`] enters every region under: fixed at
     /// construction ([`Machine::with_plan`]), the static heuristics
     /// otherwise.
@@ -378,6 +380,10 @@ impl Machine {
     ) -> Self {
         let mesh = Mesh::new(&cfg);
         let health = BankHealth::all_healthy(cfg.n_banks);
+        let residency = Residency::new(
+            arrays.iter().map(infs_sdfg::ArrayDecl::size_bytes),
+            cfg.compute_capacity_bytes(),
+        );
         Machine {
             cfg,
             mesh,
@@ -392,9 +398,7 @@ impl Machine {
             jit_cmd_misses: 0,
             layouts: Mutex::new(HashMap::new()),
             stats: RunStats::default(),
-            transposed: None,
-            touched: HashSet::new(),
-            assume_transposed: false,
+            residency,
             plan: RunPlan::default(),
             functional: true,
             health,
@@ -465,13 +469,7 @@ impl Machine {
         self.jit_cmd_template = 0;
         self.jit_cmd_misses = 0;
         self.stats = RunStats::default();
-        self.transposed = None;
-        self.touched.clear();
-        if self.assume_transposed {
-            for i in 0..self.mem.decls().len() {
-                self.touched.insert(i as u32);
-            }
-        }
+        self.residency.clear();
     }
 
     /// Functional memory (for writing inputs / reading results).
@@ -487,21 +485,13 @@ impl Machine {
     /// Microbenchmark mode (Fig 2): data is assumed cached in L3 and already
     /// transposed, skipping prepare charges.
     pub fn set_assume_transposed(&mut self, yes: bool) {
-        self.assume_transposed = yes;
-        if yes {
-            // Everything counts as resident.
-            for i in 0..self.mem.decls().len() {
-                self.touched.insert(i as u32);
-            }
-        }
+        self.residency.set_assume_transposed(yes);
     }
 
     /// Marks every array L3-resident (warm, untransposed) — the §6 assumption
     /// that inputs are already tiled to fit in L3. Transposition is still paid.
     pub fn set_resident_all(&mut self) {
-        for i in 0..self.mem.decls().len() {
-            self.touched.insert(i as u32);
-        }
+        self.residency.warm_all();
     }
 
     /// Disables functional execution (timing-only mode) for paper-scale runs
@@ -530,88 +520,70 @@ impl Machine {
         self.stats
     }
 
-    /// Releases the transposed data (delayed-release trigger, §5.2): evicts it
-    /// to memory and unreserves the compute ways.
+    /// Releases all resident data (delayed-release trigger, §5.2): everything
+    /// leaves L3, and what was written in transposed form is written back.
     pub fn release_transposed(&mut self) {
-        if let Some(active) = self.transposed.take() {
-            let bytes: u64 = active
-                .arrays
-                .iter()
-                .map(|&a| self.mem.decls()[a as usize].size_bytes())
-                .sum();
-            let cycles = (bytes as f64 / self.cfg.dram_bytes_per_cycle).ceil() as u64;
-            self.stats.cycles += cycles;
-            self.stats.breakdown.dram += cycles;
-            self.stats.traffic.noc_data += bytes as f64 * self.mesh.avg_hops() * 0.5;
-            self.stats.energy.dram += bytes as f64 * self.eparams.dram_byte;
-        }
+        let charge = self.residency.evict_all();
+        self.stall(charge);
     }
 
-    /// Writes back a specific set of resident arrays and drops them from L3
-    /// (the residency planner's per-stage eviction, as opposed to the global
-    /// [`Machine::release_transposed`]). Arrays still in transposed form pay
-    /// the DRAM writeback; untransposed resident arrays are simply dropped
-    /// (clean lines need no writeback in this model).
+    /// Drops a specific set of arrays from L3 (the residency planner's
+    /// per-stage eviction, as opposed to the global
+    /// [`Machine::release_transposed`]). Dirty transposed arrays pay the DRAM
+    /// write-back; clean and untransposed ones are simply dropped.
     pub fn evict_resident(&mut self, arrays: &[u32]) {
-        let mut bytes = 0u64;
-        let sizes: Vec<u64> = arrays
-            .iter()
-            .map(|&a| self.mem.decls()[a as usize].size_bytes())
-            .collect();
-        if let Some(active) = &mut self.transposed {
-            for (&a, &sz) in arrays.iter().zip(&sizes) {
-                if active.arrays.remove(&a) {
-                    bytes += sz;
-                }
-            }
-            if active.arrays.is_empty() {
-                self.transposed = None;
-            }
-        }
-        for &a in arrays {
-            self.touched.remove(&a);
-        }
-        if bytes > 0 {
-            let cycles = (bytes as f64 / self.cfg.dram_bytes_per_cycle).ceil() as u64;
-            self.stats.cycles += cycles;
-            self.stats.breakdown.dram += cycles;
-            self.stats.traffic.noc_data += bytes as f64 * self.mesh.avg_hops() * 0.5;
-            self.stats.energy.dram += bytes as f64 * self.eparams.dram_byte;
-        }
+        let charge = self.residency.evict(arrays.iter().copied());
+        self.stall(charge);
         infs_trace::counter!("pipeline.evictions", arrays.len() as u64);
+    }
+
+    /// Advances the timeline by a charge no region entry owns.
+    fn stall(&mut self, charge: Charge) {
+        let cycles = self.charge(charge);
+        self.stats.cycles += cycles;
+        self.stats.breakdown.dram += cycles;
+    }
+
+    /// The one place residency bytes become time: prices a [`Charge`] in
+    /// cycles — the write-back, then the cold fetch overlapped with the
+    /// transpose-unit stream and its NoC phase — and books its NoC byte-hops
+    /// and energy. The timeline is the caller's to advance.
+    fn charge(&mut self, c: Charge) -> u64 {
+        let dram_cycles = |bytes: u64| bytes as f64 / self.cfg.dram_bytes_per_cycle;
+        let hops = self.mesh.avg_hops() * 0.5;
+        let relayout_hops = c.relayout as f64 * hops;
+        let t_ttu =
+            c.relayout as f64 / (self.cfg.n_banks as f64 * self.cfg.bank_bytes_per_cycle as f64);
+        let t_noc = self.mesh.phase_cycles(relayout_hops, 0.0) as f64;
+        let fill = dram_cycles(c.cold).max(t_ttu).max(t_noc).ceil() as u64
+            + if c.cold > 0 { self.cfg.dram_latency } else { 0 };
+        let writeback = dram_cycles(c.writeback).ceil() as u64;
+        self.stats.traffic.noc_data += relayout_hops + c.writeback as f64 * hops;
+        self.stats.energy.dram += (c.cold + c.writeback) as f64 * self.eparams.dram_byte;
+        self.stats.energy.l3 += c.relayout as f64 * self.eparams.l3_byte;
+        self.stats.energy.noc += relayout_hops * self.eparams.noc_byte_hop;
+        infs_trace::counter!("residency.relayout_bytes", c.relayout);
+        infs_trace::counter!("residency.writeback_bytes", c.writeback);
+        infs_trace::counter!("residency.capacity_evictions", c.capacity_evictions);
+        writeback + fill
     }
 
     /// Stages arrays into L3 ahead of their consuming stage, returning the
     /// cycles the staging occupies **without** advancing the timeline — the
-    /// caller decides how much hides under concurrent execution. With an
-    /// active transposed region the arrays also enter transposed form (so a
-    /// following in-memory stage's prepare finds them); otherwise they are
-    /// pulled warm from DRAM.
-    fn prefetch_resident(&mut self, wanted: &HashSet<u32>) -> u64 {
-        if self.assume_transposed || wanted.is_empty() {
-            return 0;
-        }
-        let cycles = match self.transposed.as_ref().map(|a| a.tile.clone()) {
-            Some(tile) => self.prepare_transposed(wanted, &tile),
-            None => {
-                let cold: u64 = wanted
-                    .iter()
-                    .filter(|a| !self.touched.contains(a))
-                    .map(|&a| self.mem.decls()[a as usize].size_bytes())
-                    .sum();
-                if cold == 0 {
-                    0
-                } else {
-                    self.stats.energy.dram += cold as f64 * self.eparams.dram_byte;
-                    (cold as f64 / self.cfg.dram_bytes_per_cycle).ceil() as u64
-                        + self.cfg.dram_latency
-                }
-            }
+    /// caller decides how much hides under concurrent execution. While
+    /// transposed data is resident the arrays enter its tile (so a following
+    /// in-memory stage's prepare finds them); otherwise they are pulled warm
+    /// from DRAM.
+    fn prefetch_resident(&mut self, wanted: &[u32]) -> u64 {
+        let all = 0..self.mem.decls().len() as u32;
+        let charge = match self.residency.resident_tile(all).cloned() {
+            Some(tile) => self.residency.admit(wanted, &[], &tile),
+            None => Charge {
+                cold: self.residency.touch(wanted, &[]),
+                ..Charge::default()
+            },
         };
-        for &a in wanted {
-            self.touched.insert(a);
-        }
-        cycles
+        self.charge(charge)
     }
 
     /// Runs a sequence of regions on a single timeline under one
@@ -625,7 +597,7 @@ impl Machine {
     ///
     /// Under [`PipelinePolicy::Roundtrip`] every stage instead behaves like an
     /// isolated request: prefetch and evict lists are ignored and all
-    /// resident state is written back after each stage — the per-kernel
+    /// resident state is released after each stage — the per-kernel
     /// baseline the fused pipeline is measured against.
     ///
     /// # Errors
@@ -651,8 +623,7 @@ impl Machine {
             match plan.policy {
                 PipelinePolicy::Fused => {
                     if !st.prefetch.is_empty() {
-                        let wanted: HashSet<u32> = st.prefetch.iter().copied().collect();
-                        prefetch_issued = self.prefetch_resident(&wanted);
+                        prefetch_issued = self.prefetch_resident(st.prefetch);
                         prefetch_hidden = prefetch_issued.min(region.cycles);
                         let stall = prefetch_issued - prefetch_hidden;
                         self.stats.cycles += stall;
@@ -664,10 +635,7 @@ impl Machine {
                         self.evict_resident(st.evict);
                     }
                 }
-                PipelinePolicy::Roundtrip => {
-                    self.release_transposed();
-                    self.touched.clear();
-                }
+                PipelinePolicy::Roundtrip => self.release_transposed(),
             }
             infs_trace::counter!("pipeline.prepare_stall_cycles", prepare_stall);
             reports.push(StageReport {
@@ -738,7 +706,7 @@ impl Machine {
                 }
             }
             ExecMode::InL3 => match self.plan_in_memory(region, &self.health, tile) {
-                Some(inmem) => self.run_in_memory(region, inmem, params, false),
+                Some(inmem) => self.run_in_memory(region, inmem, params, false, &mut span),
                 None => self.run_core(region, params, self.cfg.cores),
             },
             ExecMode::InfS | ExecMode::InfSNoJit => {
@@ -766,7 +734,7 @@ impl Machine {
                 match tier {
                     Tier::InMemory => {
                         let inmem = inmem.expect("the in-memory tier is only chosen from a plan");
-                        self.run_in_memory(region, inmem, params, nojit)
+                        self.run_in_memory(region, inmem, params, nojit, &mut span)
                     }
                     Tier::NearMemory => self.run_near(region, params, true),
                     Tier::Host => self.run_core(region, params, self.cfg.cores),
@@ -904,10 +872,12 @@ impl Machine {
         hw
     }
 
-    /// Resolves everything an in-memory run of `region` under `health` needs
-    /// (with the run's forced `tile`, if any), or `None` when the region
-    /// cannot run in memory there: no healthy-bank quorum, no tDFG or
-    /// schedule for this geometry, or no feasible layout.
+    /// Resolves everything an in-memory run of `region` under `health` needs,
+    /// or `None` when the region cannot run in memory there: no healthy-bank
+    /// quorum, no tDFG or schedule for this geometry, or no feasible layout.
+    /// The layout's tile is the run's forced `tile` if any; else the tile
+    /// most of the region's operands are already resident in, when the
+    /// region admits it and its grid is feasible; else the §4.1 pick.
     fn plan_in_memory<'r>(
         &self,
         region: &'r RegionInstance,
@@ -920,13 +890,26 @@ impl Machine {
         let tdfg = region.tdfg.as_ref()?;
         let schedule = region.schedule_for(self.cfg.geometry)?;
         let hw = self.hw_for(health);
-        let layout = self.plan_layout(tdfg, &region.hints, &hw, tile).ok()?;
+        let (needed, written) = Self::accessed_arrays(region);
+        let plan = |tile, resident| {
+            self.plan_layout(tdfg, &region.hints, &hw, tile, resident)
+                .ok()
+        };
+        let resident = self.residency.resident_tile(needed.iter().copied());
+        let kept = resident
+            .filter(|_| tile.is_none())
+            .and_then(|t| plan(Some(t), true));
+        let kept_resident_tile = kept.is_some();
+        let layout = kept.or_else(|| plan(tile, false))?;
         let jit = infs_runtime::distill(tdfg, schedule, &hw);
         Some(InMemoryPlan {
             tdfg,
             schedule,
             hw,
             layout,
+            kept_resident_tile,
+            needed,
+            written,
             jit,
         })
     }
@@ -934,17 +917,20 @@ impl Machine {
     /// Plans (or reuses) the transposed layout for a graph. The cache key
     /// renders every input [`TransposedLayout::plan`] actually reads, so two
     /// graphs with the same lattice footprint — gauss_elim's per-pivot
-    /// instances — share one planned layout.
+    /// instances — share one planned layout. A `resident` tile is one the
+    /// ledger proposes rather than the run forces: it must be one of the
+    /// region's §4.1 candidates, like the heuristic's own pick.
     fn plan_layout(
         &self,
         tdfg: &infs_tdfg::Tdfg,
         hints: &infs_geom::layout::LayoutHints,
         hw: &HwConfig,
         tile: Option<&TileShape>,
+        resident: bool,
     ) -> Result<Arc<TransposedLayout>, RuntimeError> {
         let lattice = TransposedLayout::lattice_shape_for(tdfg)?;
         let key = format!(
-            "{lattice:?}|{}|{hints:?}|{}|{tile:?}",
+            "{lattice:?}|{}|{hints:?}|{}|{tile:?}|{resident}",
             tdfg.dtype().size_bytes(),
             hw.n_banks,
         );
@@ -952,6 +938,13 @@ impl Machine {
             return Ok(cached.clone());
         }
         let planned = match tile {
+            Some(t) if resident && !TransposedLayout::candidate_tiles(tdfg, hw)?.contains(t) => {
+                Err(RuntimeError::NoLayout(
+                    infs_geom::GeomError::NoValidTiling {
+                        detail: format!("the region does not admit the resident tile {t}"),
+                    },
+                ))
+            }
             Some(t) => TransposedLayout::plan_with_tile(tdfg, t.clone(), hw),
             None => TransposedLayout::plan(tdfg, hints, hw),
         }?;
@@ -974,20 +967,20 @@ impl Machine {
             .classify(template.signature, slots, plan.layout.tile().dims())
     }
 
-    /// Arrays a tDFG touches (inputs and outputs).
-    fn used_arrays(tdfg: &infs_tdfg::Tdfg) -> HashSet<u32> {
-        let mut s = HashSet::new();
-        for n in tdfg.nodes() {
-            if let Node::Input { array, .. } = n {
-                s.insert(array.0);
+    /// Arrays a region's streams walk (ascending), and those they store to
+    /// or update.
+    fn accessed_arrays(region: &RegionInstance) -> (Vec<u32>, Vec<u32>) {
+        let (mut arrays, mut written) = (Vec::new(), Vec::new());
+        for s in region.sdfg.streams() {
+            let Some(a) = s.array() else { continue };
+            arrays.push(a.0);
+            if matches!(s.kind, StreamKind::Store { .. } | StreamKind::Update { .. }) {
+                written.push(a.0);
             }
         }
-        for out in tdfg.outputs() {
-            if let OutputTarget::Array { array, .. } = out.target {
-                s.insert(array.0);
-            }
-        }
-        s
+        arrays.sort_unstable();
+        arrays.dedup();
+        (arrays, written)
     }
 
     fn run_core(
@@ -1000,11 +993,11 @@ impl Machine {
         // coherence integration keeps transposed lines addressable), so core
         // fallbacks do NOT evict the transposed state; the delayed-release
         // triggers of §5.2 are exposed via `release_transposed`.
-        let resident = self.all_touched(&region.sdfg);
+        let (arrays, written) = Self::accessed_arrays(region);
+        let resident = self.residency.touch(&arrays, &written) == 0;
         let profile = CoreProfile::from_sdfg(&region.sdfg, &self.cfg, resident);
         let out = core_time(&profile, threads, &self.cfg, &self.mesh, &self.eparams);
         let scalars = self.exec_sdfg(region, params)?;
-        self.mark_touched(&region.sdfg);
         if infs_trace::enabled() {
             infs_trace::sim_span(
                 "machine",
@@ -1035,10 +1028,10 @@ impl Machine {
         params: &[f32],
         hybrid: bool,
     ) -> Result<RegionReport, SimError> {
-        let resident = self.all_touched(&region.sdfg);
+        let (arrays, written) = Self::accessed_arrays(region);
+        let resident = self.residency.touch(&arrays, &written) == 0;
         let out = nearmem_time(&region.sdfg, &self.cfg, &self.mesh, &self.eparams, resident);
         let scalars = self.exec_sdfg(region, params)?;
-        self.mark_touched(&region.sdfg);
         if infs_trace::enabled() {
             infs_trace::sim_span(
                 "machine",
@@ -1051,7 +1044,7 @@ impl Machine {
         self.stats.cycles += out.cycles;
         // Under the fused configuration, near-memory work interleaved with
         // transposed in-memory state is the "Mix" category of Fig 14.
-        if hybrid && self.transposed.is_some() {
+        if hybrid && self.residency.any_transposed() {
             self.stats.breakdown.mix += out.cycles;
         } else {
             self.stats.breakdown.near_mem += out.cycles;
@@ -1075,18 +1068,27 @@ impl Machine {
         plan: InMemoryPlan<'_>,
         params: &[f32],
         nojit: bool,
+        span: &mut infs_trace::SpanGuard,
     ) -> Result<RegionReport, SimError> {
         let InMemoryPlan {
             tdfg,
             schedule,
             hw,
             layout,
+            kept_resident_tile,
+            needed,
+            written,
             jit,
         } = plan;
 
-        // 1. Prepare transposed data (TC_core flush + TTU transpose streams).
-        let needed = Self::used_arrays(tdfg);
-        let prepare_cycles = self.prepare_transposed(&needed, layout.tile().dims());
+        // 1. Prepare transposed data (TC_core flush + TTU transpose streams),
+        // reusing what is already resident under this tile (delayed release,
+        // §5.2) and writing back what the entry displaces.
+        let moved = self.residency.admit(&needed, &written, layout.tile());
+        span.arg("relayout_bytes", moved.relayout);
+        span.arg("writeback_bytes", moved.writeback);
+        span.arg("kept_resident_tile", kept_resident_tile);
+        let prepare_cycles = self.charge(moved);
 
         // 2. JIT: resolve the distilled template (O(nodes), done with the
         // plan) through the two-level cache — exact stream (concrete hit),
@@ -1192,9 +1194,6 @@ impl Machine {
         self.stats.traffic += exec.traffic;
         self.stats.energy += exec.energy;
         self.stats.ops_in_memory += tdfg.op_profile().total_elem_ops;
-        for &a in &needed {
-            self.touched.insert(a);
-        }
         Ok(RegionReport {
             scalars: out.scalars,
             cycles: total,
@@ -1203,64 +1202,6 @@ impl Machine {
             jit_outcome: Some(outcome),
             prepare_cycles,
         })
-    }
-
-    /// Transposes the arrays a region needs, reusing what is already resident
-    /// in transposed form with the same tile shape (delayed release, §5.2).
-    fn prepare_transposed(&mut self, needed: &HashSet<u32>, tile: &[u64]) -> u64 {
-        if self.assume_transposed {
-            return 0;
-        }
-        // A different tile shape invalidates the resident transposed data.
-        if let Some(active) = &self.transposed {
-            if active.tile != tile {
-                self.release_transposed();
-            }
-        }
-        let have: HashSet<u32> = self
-            .transposed
-            .as_ref()
-            .map(|a| a.arrays.clone())
-            .unwrap_or_default();
-        let missing: Vec<u32> = needed.difference(&have).copied().collect();
-        let bytes: u64 = missing
-            .iter()
-            .map(|&a| self.mem.decls()[a as usize].size_bytes())
-            .sum();
-        let cold_bytes: u64 = missing
-            .iter()
-            .filter(|a| !self.touched.contains(a))
-            .map(|&a| self.mem.decls()[a as usize].size_bytes())
-            .sum();
-        let cycles = if bytes == 0 {
-            0
-        } else {
-            let t_dram = cold_bytes as f64 / self.cfg.dram_bytes_per_cycle;
-            let t_ttu =
-                bytes as f64 / (self.cfg.n_banks as f64 * self.cfg.bank_bytes_per_cycle as f64);
-            let byte_hops = bytes as f64 * self.mesh.avg_hops() * 0.5;
-            let t_noc = self.mesh.phase_cycles(byte_hops, 0.0);
-            self.stats.traffic.noc_data += byte_hops;
-            self.stats.energy.dram += cold_bytes as f64 * self.eparams.dram_byte;
-            self.stats.energy.l3 += bytes as f64 * self.eparams.l3_byte;
-            self.stats.energy.noc += byte_hops * self.eparams.noc_byte_hop;
-            t_dram.max(t_ttu).max(t_noc as f64).ceil() as u64
-                + if cold_bytes > 0 {
-                    self.cfg.dram_latency
-                } else {
-                    0
-                }
-        };
-        match &mut self.transposed {
-            Some(active) => active.arrays.extend(missing),
-            None => {
-                self.transposed = Some(ActiveTranspose {
-                    tile: tile.to_vec(),
-                    arrays: missing.into_iter().collect(),
-                })
-            }
-        }
-        cycles
     }
 
     fn exec_sdfg(
@@ -1273,20 +1214,5 @@ impl Machine {
         }
         let out = infs_sdfg::interp::execute(&region.sdfg, &mut self.mem, params)?;
         Ok(out.iter().map(|(n, v)| (n.to_string(), v)).collect())
-    }
-
-    fn all_touched(&self, sdfg: &infs_sdfg::Sdfg) -> bool {
-        sdfg.streams()
-            .iter()
-            .filter_map(infs_sdfg::Stream::array)
-            .all(|a| self.touched.contains(&a.0))
-    }
-
-    fn mark_touched(&mut self, sdfg: &infs_sdfg::Sdfg) {
-        for s in sdfg.streams() {
-            if let Some(a) = s.array() {
-                self.touched.insert(a.0);
-            }
-        }
     }
 }

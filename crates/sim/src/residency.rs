@@ -1,0 +1,313 @@
+//! The machine's residency ledger: where every array of the workload's table
+//! lives, and what moving it costs in bytes (`DESIGN.md` §7). The ledger
+//! decides; [`crate::Machine`]'s one `charge` function prices the bytes.
+//! Four rules live here and nowhere else: a clean array is dropped for free
+//! and only a dirty one is written back; a tile mismatch re-lays-out the
+//! arrays the entry needs and no others; transposed bytes are bounded by the
+//! compute ways, least-recently-used non-needed arrays going first; and every
+//! byte an entry moves, write-backs included, is in the charge it gets back.
+
+use infs_geom::TileShape;
+
+/// Where one array lives.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Form {
+    /// In DRAM only.
+    Cold,
+    /// Cached in L3 in its normal layout.
+    Warm,
+    /// Transposed into the compute ways; `dirty` once written in that form.
+    Transposed { tile: TileShape, dirty: bool },
+}
+
+#[derive(Debug, Clone)]
+struct Entry {
+    form: Form,
+    bytes: u64,
+    /// Ledger clock of the last operation naming this array (LRU order).
+    stamp: u64,
+}
+
+impl Entry {
+    fn is_transposed(&self) -> bool {
+        matches!(self.form, Form::Transposed { .. })
+    }
+
+    /// Drops the array to DRAM, returning the bytes to write back.
+    fn evict(&mut self) -> u64 {
+        let dirty = matches!(self.form, Form::Transposed { dirty: true, .. });
+        self.form = Form::Cold;
+        if dirty {
+            self.bytes
+        } else {
+            0
+        }
+    }
+}
+
+/// Bytes one ledger operation moves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Charge {
+    /// Bytes streamed through the transpose unit into a tile.
+    pub relayout: u64,
+    /// Bytes fetched from DRAM (part of `relayout`, or a warm fetch).
+    pub cold: u64,
+    /// Dirty transposed bytes written back to DRAM.
+    pub writeback: u64,
+    /// Arrays the capacity bound evicted.
+    pub capacity_evictions: u64,
+}
+
+/// Per-array `{form, tile, dirty}` plus an LRU stamp, bounded by the byte
+/// capacity of the compute ways. Array ids index the machine's array table.
+#[derive(Debug, Clone)]
+pub(crate) struct Residency {
+    entries: Vec<Entry>,
+    capacity: u64,
+    clock: u64,
+    /// Microbenchmark mode (Fig 2): every array counts as resident and
+    /// already transposed, so nothing is ever charged or moved.
+    assume_transposed: bool,
+}
+
+impl Residency {
+    /// A ledger over arrays of the given byte sizes, all cold.
+    pub fn new(sizes: impl IntoIterator<Item = u64>, capacity: u64) -> Self {
+        let entry = |bytes| Entry {
+            form: Form::Cold,
+            bytes,
+            stamp: 0,
+        };
+        Residency {
+            entries: sizes.into_iter().map(entry).collect(),
+            capacity,
+            clock: 0,
+            assume_transposed: false,
+        }
+    }
+
+    /// Forgets all residency (a fresh request on a pooled machine); the
+    /// assume-transposed mode describes the machine and persists.
+    pub fn clear(&mut self) {
+        let rest = match self.assume_transposed {
+            true => Form::Warm,
+            false => Form::Cold,
+        };
+        self.entries.iter_mut().for_each(|e| e.form = rest.clone());
+    }
+
+    /// Marks every cold array warm (§6: inputs already tiled to fit L3).
+    pub fn warm_all(&mut self) {
+        for e in self.entries.iter_mut().filter(|e| e.form == Form::Cold) {
+            e.form = Form::Warm;
+        }
+    }
+
+    /// Switches the assume-transposed mode; on, everything is also warm.
+    pub fn set_assume_transposed(&mut self, yes: bool) {
+        self.assume_transposed = yes;
+        if yes {
+            self.warm_all();
+        }
+    }
+
+    /// Brings `needed` into transposed form under `tile` for an in-memory
+    /// entry that writes `written` (a subset of `needed`).
+    pub fn admit(&mut self, needed: &[u32], written: &[u32], tile: &TileShape) -> Charge {
+        let mut charge = Charge::default();
+        if self.assume_transposed {
+            return charge;
+        }
+        self.clock += 1;
+        let now = self.clock;
+        for &a in needed {
+            let e = &mut self.entries[a as usize];
+            e.stamp = now;
+            let writes = written.contains(&a);
+            match &mut e.form {
+                Form::Transposed { tile: t, dirty } if *t == *tile => *dirty |= writes,
+                form => {
+                    charge.relayout += e.bytes;
+                    match form {
+                        Form::Cold => charge.cold += e.bytes,
+                        Form::Transposed { dirty: true, .. } => charge.writeback += e.bytes,
+                        _ => {}
+                    }
+                    *form = Form::Transposed {
+                        tile: tile.clone(),
+                        dirty: writes,
+                    };
+                }
+            }
+        }
+        let transposed = self.entries.iter().filter(|e| e.is_transposed());
+        let mut used: u64 = transposed.map(|e| e.bytes).sum();
+        while used > self.capacity {
+            // Least recently used first, lowest id among equals; never an
+            // array this entry needs (those carry `now`).
+            let lru = self.entries.iter_mut().filter(|e| e.is_transposed());
+            let Some(victim) = lru.filter(|e| e.stamp < now).min_by_key(|e| e.stamp) else {
+                break;
+            };
+            used -= victim.bytes;
+            charge.writeback += victim.evict();
+            charge.capacity_evictions += 1;
+        }
+        charge
+    }
+
+    /// Records a core or near-memory region streaming over `arrays` and
+    /// storing to `written`: cold arrays become warm, transposed ones stay
+    /// transposed (§5.3) and turn dirty when written. Returns the bytes that
+    /// were cold.
+    pub fn touch(&mut self, arrays: &[u32], written: &[u32]) -> u64 {
+        self.clock += 1;
+        let mut cold = 0;
+        for &a in arrays {
+            let e = &mut self.entries[a as usize];
+            e.stamp = self.clock;
+            match &mut e.form {
+                Form::Cold => {
+                    cold += e.bytes;
+                    e.form = Form::Warm;
+                }
+                Form::Warm => {}
+                Form::Transposed { dirty, .. } => *dirty |= written.contains(&a),
+            }
+        }
+        cold
+    }
+
+    /// Drops `arrays` to DRAM; the charge is the write-back of the dirty ones.
+    pub fn evict(&mut self, arrays: impl IntoIterator<Item = u32>) -> Charge {
+        let writeback = arrays.into_iter().map(|a| self.entries[a as usize].evict());
+        Charge {
+            writeback: writeback.sum(),
+            ..Charge::default()
+        }
+    }
+
+    /// Drops every array (delayed release, §5.2).
+    pub fn evict_all(&mut self) -> Charge {
+        self.evict(0..self.entries.len() as u32)
+    }
+
+    /// Whether any array is in transposed form.
+    pub fn any_transposed(&self) -> bool {
+        self.entries.iter().any(Entry::is_transposed)
+    }
+
+    /// The tile holding the most transposed bytes of `arrays` (the first such
+    /// tile in `arrays` order on a tie), if any of them is transposed.
+    pub fn resident_tile(&self, arrays: impl IntoIterator<Item = u32>) -> Option<&TileShape> {
+        let mut held: Vec<(&TileShape, u64)> = Vec::new();
+        for a in arrays {
+            let e = &self.entries[a as usize];
+            if let Form::Transposed { tile, .. } = &e.form {
+                match held.iter_mut().find(|(t, _)| *t == tile) {
+                    Some((_, bytes)) => *bytes += e.bytes,
+                    None => held.push((tile, e.bytes)),
+                }
+            }
+        }
+        // `max_by_key` keeps the last maximum; reversed, that is the first.
+        let most = held.into_iter().rev().max_by_key(|&(_, bytes)| bytes);
+        most.map(|(tile, _)| tile)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three arrays of 100, 200 and 400 bytes, all warm.
+    fn ledger(capacity: u64) -> Residency {
+        let mut r = Residency::new([100, 200, 400], capacity);
+        r.warm_all();
+        r
+    }
+
+    /// Two tile shapes to tell apart.
+    fn tiles() -> (TileShape, TileShape) {
+        let tile = |dims: [u64; 2]| TileShape::new(dims.to_vec()).unwrap();
+        (tile([16, 16]), tile([64, 4]))
+    }
+
+    #[test]
+    fn only_dirty_arrays_are_written_back() {
+        let (mut r, (t1, _)) = (ledger(u64::MAX), tiles());
+        let c = r.admit(&[0, 1], &[1], &t1);
+        assert_eq!((c.relayout, c.cold, c.writeback), (300, 0, 0));
+        // Array 0 was only read: dropping it is free. Array 1 was written.
+        assert_eq!(r.evict_all().writeback, 200);
+        assert!(!r.any_transposed());
+        assert_eq!(r.evict_all(), Charge::default(), "second release: no-op");
+        // What was released is cold when it comes back.
+        let c = r.admit(&[0], &[], &t1);
+        assert_eq!((c.relayout, c.cold), (100, 100));
+    }
+
+    #[test]
+    fn tile_mismatch_relayouts_only_what_the_entry_needs() {
+        let (mut r, (t1, t2)) = (ledger(u64::MAX), tiles());
+        r.admit(&[0, 1, 2], &[1], &t1);
+        let c = r.admit(&[0, 1], &[1], &t2);
+        // 0 (clean) and 1 (dirty) move to T2; 2 is not needed and stays.
+        assert_eq!((c.relayout, c.cold, c.writeback), (300, 0, 200));
+        assert_eq!(
+            r.admit(&[2], &[], &t1),
+            Charge::default(),
+            "reused for free"
+        );
+        assert_eq!(r.resident_tile([0, 1, 2]), Some(&t1), "400 bytes beat 300");
+        assert_eq!(r.resident_tile([0, 1]), Some(&t2));
+        assert_eq!(r.resident_tile([]), None);
+    }
+
+    #[test]
+    fn capacity_evicts_the_least_recently_used_array_the_entry_does_not_need() {
+        let (mut r, (t1, _)) = (ledger(650), tiles());
+        r.admit(&[0], &[0], &t1);
+        r.admit(&[1], &[], &t1);
+        // 100 + 200 + 400 > 650: array 0 is the oldest, and it is dirty.
+        let c = r.admit(&[2], &[], &t1);
+        assert_eq!((c.capacity_evictions, c.writeback), (1, 100));
+        assert_eq!(r.admit(&[1, 2], &[], &t1), Charge::default(), "kept");
+        assert_eq!(r.touch(&[0], &[]), 100, "evicted to DRAM");
+        // A needed array is never the victim, even when it is the oldest and
+        // the set cannot fit.
+        let mut r = ledger(250);
+        r.admit(&[0], &[], &t1);
+        let c = r.admit(&[0, 1], &[], &t1);
+        assert_eq!(c.capacity_evictions, 0);
+        assert_eq!(r.admit(&[0, 1], &[], &t1), Charge::default());
+    }
+
+    #[test]
+    fn cores_dirty_transposed_data_in_place() {
+        let (t1, _) = tiles();
+        let mut r = Residency::new([100, 200], u64::MAX);
+        assert_eq!(r.touch(&[0, 1], &[1]), 300, "both were cold");
+        assert_eq!(r.touch(&[0, 1], &[1]), 0);
+        assert_eq!(
+            r.evict_all(),
+            Charge::default(),
+            "warm data has no write-back"
+        );
+        r.admit(&[0, 1], &[], &t1);
+        r.touch(&[1], &[1]);
+        assert!(r.any_transposed(), "§5.3: a core access keeps the form");
+        assert_eq!(r.evict([0, 1]).writeback, 200);
+    }
+
+    #[test]
+    fn assume_transposed_moves_nothing_and_survives_clear() {
+        let (t1, _) = tiles();
+        let mut r = Residency::new([100], 0);
+        r.set_assume_transposed(true);
+        assert_eq!(r.admit(&[0], &[0], &t1), Charge::default());
+        assert!(!r.any_transposed());
+        r.clear();
+        assert_eq!(r.touch(&[0], &[]), 0);
+    }
+}

@@ -265,4 +265,24 @@ mod tests {
             verify(&b, mode, &SystemConfig::default()).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
         }
     }
+
+    /// A negative tap offset shrinks the accumulation round's touched
+    /// lattice, and with it the §4.1 pick. The operands are resident under
+    /// the first round's tile, which the second round admits — so it must
+    /// enter without moving a byte.
+    #[test]
+    fn conv3d_taps_keep_the_resident_tile() {
+        let b = Conv3d::new(Scale::Test);
+        let mut m = Machine::new(SystemConfig::default(), &b.arrays());
+        m.set_functional(false);
+        m.set_resident_all();
+        let mut round = |dx: i64| {
+            let acc = instantiate(&b.acc, &[0, dx, 0]);
+            m.run_region(&acc, &[], ExecMode::InL3).unwrap()
+        };
+        let (centre, left) = (round(0), round(-1));
+        assert_eq!(left.executed, infs_sim::Executed::InMemory);
+        assert!(centre.prepare_cycles > 0);
+        assert_eq!(left.prepare_cycles, 0);
+    }
 }

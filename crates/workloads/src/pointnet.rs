@@ -1199,5 +1199,8 @@ mod tests {
         assert!(reports.iter().any(|r| r.stage == "FC"));
         let total: u64 = reports.iter().map(|r| r.cycles).sum();
         assert!(total > 0);
+        // The stage reports are the whole timeline: whatever an entry
+        // displaces is written back on that entry's account.
+        assert_eq!(total, m.stats().cycles);
     }
 }
