@@ -11,7 +11,9 @@
 //!
 //! Each kernel runs through five configurations:
 //!
-//! 1. the tDFG interpreter oracle ([`infs_tdfg::interp::execute`]);
+//! 1. the per-point tDFG oracle ([`infs_tdfg::interp::reference::execute`] —
+//!    *not* `interp::execute`, which is what the machines below call: an
+//!    oracle that shares the executor could not see it drift);
 //! 2. an **unoptimized** binary on the near-memory path (`NearL3`);
 //! 3. an **e-graph-optimized** binary on the fused path (`InfS`) at 256×256;
 //! 4. the optimized binary again on the in-memory path, but served by the
@@ -398,7 +400,7 @@ pub fn run_differential(spec: &FuzzKernel) -> Result<DiffOutcome, Divergence> {
         let len = mem.array(ArrayId(a as u32)).len();
         mem.write_array(ArrayId(a as u32), &fill(spec.seed, a, len));
     }
-    let oracle_out = infs_tdfg::interp::execute(&g, &mut mem, &[], &HashMap::new())
+    let oracle_out = infs_tdfg::interp::reference::execute(&g, &mut mem, &[], &HashMap::new())
         .map_err(|e| diverge("interp", e.to_string()))?;
     let expect: Vec<Vec<f32>> = (0..spec.n_arrays())
         .map(|a| mem.array(ArrayId(a as u32)).to_vec())

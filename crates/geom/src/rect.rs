@@ -1,3 +1,4 @@
+use crate::tile::INLINE_DIMS;
 use crate::GeomError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -280,6 +281,58 @@ impl HyperRect {
         point
     }
 
+    /// Length of one contiguous dimension-0 run: `extent(0)`, or 1 for a
+    /// zero-dimensional rectangle (a single cell).
+    pub fn row_len(&self) -> usize {
+        self.intervals.first().map_or(1, |&(p, q)| (q - p) as usize)
+    }
+
+    /// Walks the rectangle as contiguous dimension-0 runs ("rows") and hands
+    /// `visit` the lattice coordinate of each row's first cell. Rows come in
+    /// ascending [`linear_index`](Self::linear_index) order, so the `k`-th
+    /// visit covers linear indices `[k * row_len, (k + 1) * row_len)`. An
+    /// empty rectangle visits nothing.
+    ///
+    /// Nothing is allocated for up to eight dimensions: this is the
+    /// walk the tDFG executor runs once per node, where [`points`](Self::points)
+    /// would build one coordinate vector per cell.
+    pub fn for_each_row(&self, mut visit: impl FnMut(&[i64])) {
+        let n = self.ndim();
+        if n <= INLINE_DIMS {
+            self.walk_rows(&mut [0; INLINE_DIMS][..n], &mut visit);
+        } else {
+            self.walk_rows(&mut vec![0; n], &mut visit);
+        }
+    }
+
+    /// The odometer behind [`for_each_row`](Self::for_each_row), over
+    /// caller-provided scratch (one slot per dimension).
+    fn walk_rows(&self, coord: &mut [i64], visit: &mut impl FnMut(&[i64])) {
+        if self.is_empty() {
+            return;
+        }
+        for (c, &(p, _)) in coord.iter_mut().zip(&self.intervals) {
+            *c = p;
+        }
+        loop {
+            visit(coord);
+            // Advance the row coordinate, dimension 1 fastest; a dimension
+            // that runs off its interval rewinds and carries into the next.
+            let mut d = 1;
+            loop {
+                let Some(&(p, q)) = self.intervals.get(d) else {
+                    return;
+                };
+                if coord[d] + 1 < q {
+                    coord[d] += 1;
+                    break;
+                }
+                coord[d] = p;
+                d += 1;
+            }
+        }
+    }
+
     /// Iterates over all lattice points, dimension 0 fastest.
     pub fn points(&self) -> Points {
         Points {
@@ -420,6 +473,25 @@ mod tests {
         for i in 0..r.num_elements() {
             let p = r.point_at(i);
             assert_eq!(r.linear_index(&p), Some(i));
+        }
+    }
+
+    #[test]
+    fn rows_tile_the_rectangle_in_linear_order() {
+        for r in [
+            rect(&[(-1, 2), (4, 6), (0, 2)]),
+            rect(&[(3, 4), (-2, 1)]),
+            rect(&[(5, 9)]),
+            rect(&[]),
+            rect(&[(0, 3), (2, 2)]),
+        ] {
+            let len = r.row_len();
+            let mut next = 0u64;
+            r.for_each_row(|start| {
+                assert_eq!(r.linear_index(start), Some(next));
+                next += len as u64;
+            });
+            assert_eq!(next, r.points().len() as u64, "{r}");
         }
     }
 

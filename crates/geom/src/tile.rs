@@ -422,10 +422,10 @@ impl TileGrid {
     }
 }
 
-/// Dimensionalities up to this walk tile overlaps entirely on the stack;
-/// higher ones (none in the paper's workloads) take one scratch allocation
-/// per walk.
-const INLINE_DIMS: usize = 8;
+/// Dimensionalities up to this walk tile overlaps and rectangle rows entirely
+/// on the stack; higher ones (none in the paper's workloads) take one scratch
+/// allocation per walk.
+pub(crate) const INLINE_DIMS: usize = 8;
 
 /// One dimension of a tile-overlap walk: the tile-coordinate range `[lo, hi)`
 /// the clipped rectangle interval `[p, q)` touches, the linear-index stride

@@ -58,18 +58,27 @@ impl AffineMap {
     ///
     /// Panics if `ivs.len()` differs from the map's loop arity.
     pub fn eval(&self, ivs: &[u64]) -> Vec<i64> {
-        self.coeffs
-            .iter()
-            .zip(&self.offset)
-            .map(|(row, &off)| {
-                assert_eq!(row.len(), ivs.len(), "loop arity mismatch");
-                off + row
-                    .iter()
-                    .zip(ivs)
-                    .map(|(&c, &iv)| c * iv as i64)
-                    .sum::<i64>()
-            })
-            .collect()
+        let mut coords = Vec::new();
+        self.eval_into(ivs, &mut coords);
+        coords
+    }
+
+    /// As [`eval`](Self::eval), into a caller-owned buffer (cleared first) so
+    /// a loop over iteration points allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ivs.len()` differs from the map's loop arity.
+    pub fn eval_into(&self, ivs: &[u64], coords: &mut Vec<i64>) {
+        coords.clear();
+        coords.extend(self.coeffs.iter().zip(&self.offset).map(|(row, &off)| {
+            assert_eq!(row.len(), ivs.len(), "loop arity mismatch");
+            off + row
+                .iter()
+                .zip(ivs)
+                .map(|(&c, &iv)| c * iv as i64)
+                .sum::<i64>()
+        }));
     }
 
     /// True if any loop variable appears in any coordinate — constant maps

@@ -1,4 +1,4 @@
-use crate::StreamId;
+use crate::{fmax, fmin, StreamId};
 use serde::{Deserialize, Serialize};
 
 /// Index of an expression within a graph's expression pool.
@@ -35,8 +35,8 @@ impl BinOp {
             BinOp::Sub => a - b,
             BinOp::Mul => a * b,
             BinOp::Div => a / b,
-            BinOp::Min => a.min(b),
-            BinOp::Max => a.max(b),
+            BinOp::Min => fmin(a, b),
+            BinOp::Max => fmax(a, b),
             BinOp::Lt => {
                 if a < b {
                     1.0
@@ -68,7 +68,7 @@ impl UnOp {
             UnOp::Neg => -x,
             UnOp::Abs => x.abs(),
             UnOp::Sqrt => x.sqrt(),
-            UnOp::Relu => x.max(0.0),
+            UnOp::Relu => fmax(x, 0.0),
         }
     }
 }

@@ -28,12 +28,15 @@ impl SdfgOutputs {
     }
 }
 
-/// Per-iteration evaluation state.
+/// Per-iteration evaluation state, allocated once per execution and cleared
+/// at the top of every iteration.
 struct IterState {
     /// Loaded value per stream (None for non-loads or not-yet-loaded).
     stream_vals: Vec<Option<f32>>,
     /// Memoized expression values.
     expr_vals: Vec<Option<f32>>,
+    /// Scratch for the coordinates of the access being resolved.
+    coords: Vec<i64>,
 }
 
 /// Executes the graph sequentially and returns its scalar outputs.
@@ -47,7 +50,6 @@ struct IterState {
 /// prefix of the execution.
 pub fn execute(g: &Sdfg, mem: &mut Memory, params: &[f32]) -> Result<SdfgOutputs, SdfgError> {
     g.validate()?;
-    let nstreams = g.streams().len();
     let mut accumulators: Vec<f32> = g
         .streams()
         .iter()
@@ -57,21 +59,24 @@ pub fn execute(g: &Sdfg, mem: &mut Memory, params: &[f32]) -> Result<SdfgOutputs
         })
         .collect();
 
-    let trip = g.loop_trip().to_vec();
+    let trip = g.loop_trip();
     let total: u64 = trip.iter().product();
     let mut ivs = vec![0u64; trip.len()];
+    let mut st = IterState {
+        stream_vals: vec![None; g.streams().len()],
+        expr_vals: vec![None; g.exprs().len()],
+        coords: Vec::new(),
+    };
     for _ in 0..total {
-        let mut st = IterState {
-            stream_vals: vec![None; nstreams],
-            expr_vals: vec![None; g.exprs().len()],
-        };
+        st.stream_vals.fill(None);
+        st.expr_vals.fill(None);
         // Loads first, in declaration order (indirect index streams are
         // validated to precede their consumers).
         for (i, s) in g.streams().iter().enumerate() {
             if matches!(s.kind, StreamKind::Load) {
                 let access = s.access.as_ref().expect("loads have access patterns");
-                let coords = resolve_coords(access, &ivs, &st)?;
-                st.stream_vals[i] = Some(mem.read(access.array(), &coords)?);
+                resolve_coords(access, &ivs, &mut st)?;
+                st.stream_vals[i] = Some(mem.read(access.array(), &st.coords)?);
             }
         }
         // Then effects, in declaration order.
@@ -81,15 +86,15 @@ pub fn execute(g: &Sdfg, mem: &mut Memory, params: &[f32]) -> Result<SdfgOutputs
                 StreamKind::Store { value } => {
                     let v = eval_expr(g, *value, &ivs, &mut st, params)?;
                     let access = s.access.as_ref().expect("stores have access patterns");
-                    let coords = resolve_coords(access, &ivs, &st)?;
-                    mem.write(access.array(), &coords, v)?;
+                    resolve_coords(access, &ivs, &mut st)?;
+                    mem.write(access.array(), &st.coords, v)?;
                 }
                 StreamKind::Update { op, value } => {
                     let v = eval_expr(g, *value, &ivs, &mut st, params)?;
                     let access = s.access.as_ref().expect("updates have access patterns");
-                    let coords = resolve_coords(access, &ivs, &st)?;
-                    let old = mem.read(access.array(), &coords)?;
-                    mem.write(access.array(), &coords, apply_update(*op, old, v))?;
+                    resolve_coords(access, &ivs, &mut st)?;
+                    let old = mem.read(access.array(), &st.coords)?;
+                    mem.write(access.array(), &st.coords, apply_update(*op, old, v))?;
                 }
                 StreamKind::Reduce { op, value } => {
                     let v = eval_expr(g, *value, &ivs, &mut st, params)?;
@@ -121,21 +126,22 @@ fn apply_update(op: ReduceOp, old: f32, v: f32) -> f32 {
     op.apply(old, v)
 }
 
-fn resolve_coords(access: &AccessFn, ivs: &[u64], st: &IterState) -> Result<Vec<i64>, SdfgError> {
+/// Leaves the coordinates `access` addresses at `ivs` in `st.coords`.
+fn resolve_coords(access: &AccessFn, ivs: &[u64], st: &mut IterState) -> Result<(), SdfgError> {
     match access {
-        AccessFn::Affine(m) => Ok(m.eval(ivs)),
+        AccessFn::Affine(m) => m.eval_into(ivs, &mut st.coords),
         AccessFn::Indirect {
             index_stream,
             dim,
             rest,
             ..
         } => {
-            let mut coords = rest.eval(ivs);
+            rest.eval_into(ivs, &mut st.coords);
             let idx = stream_value(st, *index_stream)?;
-            coords[*dim] = idx as i64;
-            Ok(coords)
+            st.coords[*dim] = idx as i64;
         }
     }
+    Ok(())
 }
 
 fn stream_value(st: &IterState, s: StreamId) -> Result<f32, SdfgError> {
@@ -156,23 +162,22 @@ fn eval_expr(
     if let Some(v) = st.expr_vals[id.0 as usize] {
         return Ok(v);
     }
-    let e = g.exprs()[id.0 as usize].clone();
-    let v = match e {
-        StreamExpr::StreamVal(s) => stream_value(st, s)?,
-        StreamExpr::Const(c) => c,
-        StreamExpr::Param(i) => *params.get(i as usize).ok_or(SdfgError::MissingParam(i))?,
-        StreamExpr::LoopVar(k) => *ivs.get(k as usize).ok_or(SdfgError::MissingParam(k))? as f32,
+    let v = match &g.exprs()[id.0 as usize] {
+        StreamExpr::StreamVal(s) => stream_value(st, *s)?,
+        StreamExpr::Const(c) => *c,
+        StreamExpr::Param(i) => *params.get(*i as usize).ok_or(SdfgError::MissingParam(*i))?,
+        StreamExpr::LoopVar(k) => *ivs.get(*k as usize).ok_or(SdfgError::MissingParam(*k))? as f32,
         StreamExpr::Bin(op, a, b) => {
-            let av = eval_expr(g, a, ivs, st, params)?;
-            let bv = eval_expr(g, b, ivs, st, params)?;
+            let av = eval_expr(g, *a, ivs, st, params)?;
+            let bv = eval_expr(g, *b, ivs, st, params)?;
             op.apply(av, bv)
         }
-        StreamExpr::Un(op, a) => op.apply(eval_expr(g, a, ivs, st, params)?),
+        StreamExpr::Un(op, a) => op.apply(eval_expr(g, *a, ivs, st, params)?),
         StreamExpr::Select(c, t, f) => {
-            if eval_expr(g, c, ivs, st, params)? != 0.0 {
-                eval_expr(g, t, ivs, st, params)?
+            if eval_expr(g, *c, ivs, st, params)? != 0.0 {
+                eval_expr(g, *t, ivs, st, params)?
             } else {
-                eval_expr(g, f, ivs, st, params)?
+                eval_expr(g, *f, ivs, st, params)?
             }
         }
     };
@@ -331,6 +336,45 @@ mod tests {
             execute(&g, &mut mem, &[]),
             Err(SdfgError::OutOfBounds { .. })
         ));
+    }
+
+    /// An indirect access that leaves its array at iteration 2 of a 2-D
+    /// table gather: the error names the array and the offending
+    /// coordinates, iterations 0 and 1 have stored their rows, and nothing
+    /// past them was touched.
+    #[test]
+    fn out_of_bounds_indirect_access_reports_where_and_keeps_the_prefix() {
+        // out[i][j] = table[i][idx[j]] over i in [0,2), j in [0,4), i fastest.
+        let mut g = Sdfg::new(vec![2, 4]);
+        let table = g.declare_array(ArrayDecl::new("table", vec![2, 3], DataType::F32));
+        let idx = g.declare_array(ArrayDecl::new("idx", vec![4], DataType::I32));
+        let out = g.declare_array(ArrayDecl::new("out", vec![2, 4], DataType::F32));
+        let lidx = g.load(AccessFn::Affine(AffineMap {
+            array: idx,
+            offset: vec![0],
+            coeffs: vec![vec![0, 1]],
+        }));
+        let ltable = g.load(AccessFn::Indirect {
+            array: table,
+            index_stream: lidx,
+            dim: 1,
+            rest: AffineMap::identity(table, 2),
+        });
+        let v = g.stream_val(ltable);
+        g.store(AccessFn::identity(out, 2), v);
+
+        let mut mem = Memory::for_arrays(g.arrays());
+        mem.write_array(table, &[10., 11., 20., 21., 30., 31.]);
+        mem.write_array(idx, &[2.0, 0.0, 7.0, 1.0]);
+        let before_out = [30., 31., 10., 11., 0., 0., 0., 0.];
+        assert_eq!(
+            execute(&g, &mut mem, &[]).unwrap_err(),
+            SdfgError::OutOfBounds {
+                array: table,
+                coords: vec![0, 7],
+            }
+        );
+        assert_eq!(mem.array(out), &before_out);
     }
 
     #[test]

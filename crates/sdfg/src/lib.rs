@@ -61,4 +61,4 @@ pub use expr::{BinOp, ExprId, StreamExpr, UnOp};
 pub use graph::{Sdfg, Stream, StreamId, StreamKind};
 pub use interp::SdfgOutputs;
 pub use memory::Memory;
-pub use types::{ArrayDecl, ArrayId, DataType, ReduceOp};
+pub use types::{fmax, fmin, ArrayDecl, ArrayId, DataType, ReduceOp};

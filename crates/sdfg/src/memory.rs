@@ -27,6 +27,14 @@ impl Memory {
         }
     }
 
+    /// Zeroes every array in place (the state [`for_arrays`](Self::for_arrays)
+    /// returns, without reallocating).
+    pub fn zero(&mut self) {
+        for a in &mut self.data {
+            a.fill(0.0);
+        }
+    }
+
     /// The declarations this memory was built for.
     pub fn decls(&self) -> &[ArrayDecl] {
         &self.decls
@@ -176,6 +184,15 @@ mod tests {
             m.read(ArrayId(9), &[0]),
             Err(SdfgError::UnknownArray(_))
         ));
+    }
+
+    #[test]
+    fn zero_restores_the_initial_state() {
+        let mut m = mem();
+        m.write(ArrayId(0), &[3, 1], 7.5).unwrap();
+        m.write_array(ArrayId(1), &[1.0, 2.0, 3.0]);
+        m.zero();
+        assert_eq!(m, mem());
     }
 
     #[test]

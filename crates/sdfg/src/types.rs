@@ -94,6 +94,37 @@ impl ArrayDecl {
     }
 }
 
+/// `min(a, b)` as every operator in the stack computes it: `f32::min`, with
+/// the one case that leaves to the compiler pinned down — of `+0` and `−0`
+/// the minimum is `−0` (IEEE 754-2019 `minimumNumber`).
+///
+/// `f32::min` may return either zero, and an optimized build does pick
+/// differently in two loops over the same data, so without this the bitwise
+/// contract between the executors, their reference and the e-graph's
+/// commuted operands (DESIGN.md §11) would rest on instruction selection.
+/// With it the result is a function of the operand bits, commutative and
+/// associative on ties.
+#[inline]
+pub fn fmin(a: f32, b: f32) -> f32 {
+    if a == b {
+        // Equal operands differ at most in the sign of zero: keep a set sign.
+        f32::from_bits(a.to_bits() | b.to_bits())
+    } else {
+        a.min(b)
+    }
+}
+
+/// `max(a, b)` with the signed-zero tie pinned the other way: of `+0` and
+/// `−0` the maximum is `+0`. See [`fmin`].
+#[inline]
+pub fn fmax(a: f32, b: f32) -> f32 {
+    if a == b {
+        f32::from_bits(a.to_bits() & b.to_bits())
+    } else {
+        a.max(b)
+    }
+}
+
 /// Associative reduction operator for reduce streams and in-memory reductions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ReduceOp {
@@ -116,11 +147,12 @@ impl ReduceOp {
     }
 
     /// Applies one reduction step.
+    #[inline]
     pub fn apply(self, acc: f32, x: f32) -> f32 {
         match self {
             ReduceOp::Sum => acc + x,
-            ReduceOp::Min => acc.min(x),
-            ReduceOp::Max => acc.max(x),
+            ReduceOp::Min => fmin(acc, x),
+            ReduceOp::Max => fmax(acc, x),
         }
     }
 }
@@ -160,6 +192,40 @@ mod tests {
         assert_eq!(ReduceOp::Sum.apply(ReduceOp::Sum.identity(), 3.0), 3.0);
         assert_eq!(ReduceOp::Min.apply(ReduceOp::Min.identity(), 3.0), 3.0);
         assert_eq!(ReduceOp::Max.apply(ReduceOp::Max.identity(), 3.0), 3.0);
+    }
+
+    #[test]
+    fn min_and_max_pin_the_signed_zero_tie() {
+        for (a, b) in [(0.0f32, -0.0f32), (-0.0, 0.0)] {
+            assert_eq!(fmin(a, b).to_bits(), (-0.0f32).to_bits());
+            assert_eq!(fmax(a, b).to_bits(), 0.0f32.to_bits());
+        }
+        assert_eq!(fmin(-0.0, -0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(fmax(-0.0, -0.0).to_bits(), (-0.0f32).to_bits());
+        // Everything else is `f32::min` / `f32::max`, NaN handling included.
+        for (a, b) in [
+            (1.5f32, -2.0f32),
+            (3.0, 3.0),
+            (f32::NAN, 1.0),
+            (-1.0, f32::NAN),
+        ] {
+            assert_eq!(fmin(a, b).to_bits(), a.min(b).to_bits());
+            assert_eq!(fmax(a, b).to_bits(), a.max(b).to_bits());
+        }
+        // A fold's result no longer depends on which zero it meets first.
+        let zeros = [0.0f32, -0.0, 0.0, -0.0];
+        let fold = |f: fn(f32, f32) -> f32, it: &mut dyn Iterator<Item = &f32>| {
+            it.fold(f32::NAN, |acc, &v| if acc.is_nan() { v } else { f(acc, v) })
+                .to_bits()
+        };
+        assert_eq!(
+            fold(fmin, &mut zeros.iter()),
+            fold(fmin, &mut zeros.iter().rev())
+        );
+        assert_eq!(
+            fold(fmax, &mut zeros.iter()),
+            fold(fmax, &mut zeros.iter().rev())
+        );
     }
 
     #[test]

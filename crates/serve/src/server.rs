@@ -423,7 +423,7 @@ impl Server {
                     enqueued: now,
                     reply,
                 };
-                match self.shared.batches.join_or_reserve(key, &guard, waiter) {
+                match self.shared.batches.join_or_reserve(key, guard, waiter) {
                     JoinOutcome::Joined => {
                         infs_trace::counter!("serve.batch_joined", 1u64);
                         return Ok(());
@@ -672,20 +672,76 @@ impl SessionPool {
     }
 }
 
-/// The coalescing identity of a batchable request body: the FNV-1a hash of
-/// its canonical JSON, plus that JSON as the exact guard (so a 64-bit hash
-/// collision degrades to an unbatched execution, never a wrong answer).
+/// The coalescing identity of a batchable request body: an exact canonical
+/// byte encoding of it as the guard, and the FNV-1a hash of those bytes as
+/// the key (so a 64-bit hash collision degrades to an unbatched execution,
+/// never a wrong answer). Every variable-length field is length-prefixed and
+/// floats go in as their bit patterns, so two bodies share a guard only if
+/// they are field-for-field, bit-for-bit the same request — stricter than
+/// their JSON text, and without printing a float on the reactor thread.
 /// Tenant, id, and deadline live on the envelope, not the body — identical
 /// work batches across tenants because the result is identical.
-fn batch_identity(body: &RequestBody) -> Option<(u64, String)> {
+fn batch_identity(body: &RequestBody) -> Option<(u64, Vec<u8>)> {
+    fn put_len(g: &mut Vec<u8>, n: usize) {
+        g.extend_from_slice(&(n as u64).to_le_bytes());
+    }
+    fn put_bytes(g: &mut Vec<u8>, b: &[u8]) {
+        put_len(g, b.len());
+        g.extend_from_slice(b);
+    }
+    fn put_opt(g: &mut Vec<u8>, s: Option<&String>) {
+        g.push(u8::from(s.is_some()));
+        if let Some(s) = s {
+            put_bytes(g, s.as_bytes());
+        }
+    }
+    fn put_all<T: Copy, const N: usize>(g: &mut Vec<u8>, xs: &[T], le: impl Fn(T) -> [u8; N]) {
+        put_len(g, xs.len());
+        g.reserve(xs.len() * N);
+        for &x in xs {
+            g.extend_from_slice(&le(x));
+        }
+    }
+    fn put_payloads(g: &mut Vec<u8>, inputs: &[ArrayPayload]) {
+        put_len(g, inputs.len());
+        for p in inputs {
+            g.extend_from_slice(&p.array.to_le_bytes());
+            put_all(g, &p.data, |v| v.to_bits().to_le_bytes());
+        }
+    }
+    let mut g = Vec::new();
     match body {
-        RequestBody::Compile(_) | RequestBody::Execute(_) | RequestBody::Pipeline(_) => {
-            let guard = serde_json::to_string(body).ok()?;
-            Some((fnv1a(guard.as_bytes()), guard))
+        RequestBody::Compile(c) => {
+            g.push(0);
+            // A kernel is a small tree with no bulk data: its canonical JSON
+            // is its encoding.
+            put_bytes(&mut g, serde_json::to_string(&c.kernel).ok()?.as_bytes());
+            put_all(&mut g, &c.representative_syms, i64::to_le_bytes);
+            g.push(u8::from(c.optimize));
+        }
+        RequestBody::Execute(e) => {
+            g.push(1);
+            put_opt(&mut g, e.artifact.as_ref());
+            put_opt(&mut g, e.binary.as_ref());
+            put_bytes(&mut g, e.region.as_bytes());
+            put_all(&mut g, &e.syms, i64::to_le_bytes);
+            put_all(&mut g, &e.params, |v| v.to_bits().to_le_bytes());
+            g.push(e.mode.index());
+            put_payloads(&mut g, &e.inputs);
+            put_all(&mut g, &e.outputs, u32::to_le_bytes);
+        }
+        RequestBody::Pipeline(p) => {
+            g.push(2);
+            put_bytes(&mut g, p.graph.as_bytes());
+            g.push(p.mode.index());
+            g.push(u8::from(p.fused));
+            put_payloads(&mut g, &p.inputs);
+            put_all(&mut g, &p.outputs, u32::to_le_bytes);
         }
         // Control verbs are cheap and side-effecting; never coalesced.
-        _ => None,
+        _ => return None,
     }
+    Some((fnv1a(&g), g))
 }
 
 fn worker_loop(shared: &Arc<Shared>, index: usize) {

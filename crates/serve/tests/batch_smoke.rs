@@ -9,7 +9,10 @@
 //!    retry-after hint can, on retry, join a batch that opened in the
 //!    meantime — consuming no admission-queue slot.
 //!
-//! Both tests drive the worker pause gate (`pause`/`release`/`gate_waiting`)
+//! 3. **The guard is exact**: bodies that differ in a single input bit never
+//!    share an execution; identical ones still do.
+//!
+//! All of them drive the worker pause gate (`pause`/`release`/`gate_waiting`)
 //! for deterministic stepping: no sleeps stand in for synchronization.
 
 use infs_faults::FaultConfig;
@@ -251,5 +254,64 @@ fn rejected_request_retries_into_an_open_batch() {
     assert_eq!(r_retry.outputs[0].data, r_leader.outputs[0].data);
     let stats = server.batch_stats();
     assert!(stats.max_occupancy >= 2);
+    server.shutdown();
+}
+
+/// Two Execute bodies that differ in the lowest mantissa bit of one input
+/// element are different work: the second never joins the first's batch and
+/// gets its own (different) answer, while a bit-identical third request
+/// still coalesces.
+#[test]
+fn one_input_bit_apart_never_joins_but_identical_bodies_do() {
+    let _session = infs_trace::exclusive();
+    let server = Server::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let artifact = compile_artifact(&server, 64);
+    // Doubling is exact, so inputs one ulp apart give outputs one ulp apart.
+    let body = execute_body(&artifact, 2.0, 64);
+    let mut nudged = body.clone();
+    let RequestBody::Execute(e) = &mut nudged else {
+        unreachable!("execute_body builds an Execute");
+    };
+    e.inputs[0].data[5] = f32::from_bits(e.inputs[0].data[5].to_bits() ^ 1);
+
+    server.pause();
+    let joined_before = server.batch_stats().joined;
+    let tickets: Vec<Ticket> = [body.clone(), nudged, body]
+        .into_iter()
+        .zip(30u64..)
+        .map(|(body, id)| {
+            match server.submit(Request {
+                id,
+                tenant: "t".into(),
+                deadline_ms: Some(30_000),
+                body,
+            }) {
+                Submitted::Admitted(t) => t,
+                Submitted::Rejected(r) => panic!("request {id} rejected: {:?}", r.error),
+            }
+        })
+        .collect();
+    let stats = server.batch_stats();
+    assert_eq!(
+        stats.joined - joined_before,
+        1,
+        "only the identical body joins"
+    );
+    assert_eq!(
+        stats.collisions, 0,
+        "different bytes hash to different keys"
+    );
+    server.resume();
+
+    let responses: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+    assert!(responses.iter().all(|r| r.ok), "{responses:?}");
+    let out = |i: usize| &responses[i].outputs[0].data;
+    assert_eq!(out(0), out(2));
+    assert_eq!(responses[0].stats.batch_size, 2);
+    assert_eq!(responses[1].stats.batch_size, 1);
+    assert_ne!(out(0)[5].to_bits(), out(1)[5].to_bits());
     server.shutdown();
 }

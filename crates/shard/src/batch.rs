@@ -10,7 +10,7 @@
 //!
 //! Hash keys alone would make a 64-bit FNV collision silently serve request
 //! A with request B's result, so every entry carries an exact `guard`
-//! string (the canonical request body). A key match with a guard mismatch
+//! (canonical bytes of the request body). A key match with a guard mismatch
 //! is reported as [`JoinOutcome::Collision`] and the caller falls back to
 //! an unbatched execution — correctness never rests on hash uniqueness.
 
@@ -35,7 +35,7 @@ pub enum JoinOutcome<W> {
 }
 
 struct Batch<W> {
-    guard: String,
+    guard: Vec<u8>,
     waiters: Vec<W>,
 }
 
@@ -76,15 +76,16 @@ impl<W> BatchMap<W> {
 
     /// Offer a request for coalescing under `key`. `guard` must be a
     /// canonical exact representation of the request (two requests batch
-    /// only if their guards are byte-identical).
-    pub fn join_or_reserve(&self, key: u64, guard: &str, waiter: W) -> JoinOutcome<W> {
+    /// only if their guards are byte-identical); the leader's is kept, by
+    /// move, for as long as its batch is open.
+    pub fn join_or_reserve(&self, key: u64, guard: Vec<u8>, waiter: W) -> JoinOutcome<W> {
         let mut open = self.open.lock().expect("batch map poisoned");
         match open.get_mut(&key) {
             None => {
                 open.insert(
                     key,
                     Batch {
-                        guard: guard.to_owned(),
+                        guard,
                         waiters: Vec::new(),
                     },
                 );
@@ -150,15 +151,15 @@ mod tests {
     fn leader_then_joiners_then_fanout() {
         let m: BatchMap<u32> = BatchMap::new();
         assert!(matches!(
-            m.join_or_reserve(7, "body", 0),
+            m.join_or_reserve(7, "body".into(), 0),
             JoinOutcome::Reserved(_)
         ));
         assert!(matches!(
-            m.join_or_reserve(7, "body", 1),
+            m.join_or_reserve(7, "body".into(), 1),
             JoinOutcome::Joined
         ));
         assert!(matches!(
-            m.join_or_reserve(7, "body", 2),
+            m.join_or_reserve(7, "body".into(), 2),
             JoinOutcome::Joined
         ));
         assert_eq!(m.occupancy(7), 3);
@@ -169,7 +170,7 @@ mod tests {
         assert_eq!((s.executions, s.joined, s.max_occupancy), (1, 2, 3));
         // The key is free again: next arrival is a fresh leader.
         assert!(matches!(
-            m.join_or_reserve(7, "body", 3),
+            m.join_or_reserve(7, "body".into(), 3),
             JoinOutcome::Reserved(_)
         ));
     }
@@ -178,10 +179,10 @@ mod tests {
     fn guard_mismatch_is_a_collision_not_a_join() {
         let m: BatchMap<u32> = BatchMap::new();
         assert!(matches!(
-            m.join_or_reserve(7, "body-a", 0),
+            m.join_or_reserve(7, "body-a".into(), 0),
             JoinOutcome::Reserved(_)
         ));
-        match m.join_or_reserve(7, "body-b", 9) {
+        match m.join_or_reserve(7, "body-b".into(), 9) {
             JoinOutcome::Collision(w) => assert_eq!(w, 9),
             other => panic!("expected collision, got {other:?}"),
         }
@@ -194,14 +195,17 @@ mod tests {
     fn cancel_returns_waiters_without_counting_execution() {
         let m: BatchMap<u32> = BatchMap::new();
         assert!(matches!(
-            m.join_or_reserve(1, "x", 0),
+            m.join_or_reserve(1, "x".into(), 0),
             JoinOutcome::Reserved(_)
         ));
-        assert!(matches!(m.join_or_reserve(1, "x", 5), JoinOutcome::Joined));
+        assert!(matches!(
+            m.join_or_reserve(1, "x".into(), 5),
+            JoinOutcome::Joined
+        ));
         assert_eq!(m.cancel(1), vec![5]);
         assert_eq!(m.stats().executions, 0);
         assert!(matches!(
-            m.join_or_reserve(1, "x", 6),
+            m.join_or_reserve(1, "x".into(), 6),
             JoinOutcome::Reserved(_)
         ));
     }
@@ -210,14 +214,17 @@ mod tests {
     fn distinct_keys_batch_independently() {
         let m: BatchMap<u32> = BatchMap::new();
         assert!(matches!(
-            m.join_or_reserve(1, "a", 0),
+            m.join_or_reserve(1, "a".into(), 0),
             JoinOutcome::Reserved(_)
         ));
         assert!(matches!(
-            m.join_or_reserve(2, "b", 0),
+            m.join_or_reserve(2, "b".into(), 0),
             JoinOutcome::Reserved(_)
         ));
-        assert!(matches!(m.join_or_reserve(2, "b", 1), JoinOutcome::Joined));
+        assert!(matches!(
+            m.join_or_reserve(2, "b".into(), 1),
+            JoinOutcome::Joined
+        ));
         assert_eq!(m.close(1).len(), 0);
         assert_eq!(m.close(2).len(), 1);
         assert_eq!(m.stats().max_occupancy, 2);

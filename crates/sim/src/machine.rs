@@ -460,8 +460,7 @@ impl Machine {
     /// mask, fault plan and fault counters: quarantined silicon does not
     /// heal because a new tenant shows up.
     pub fn reset(&mut self) {
-        let decls = self.mem.decls().to_vec();
-        self.mem = Memory::for_arrays(&decls);
+        self.mem.zero();
         self.jit_hits = 0;
         self.jit_misses = 0;
         self.jit_template_hits = 0;
@@ -1140,8 +1139,18 @@ impl Machine {
         let exec_base = self.stats.cycles + self.cfg.offload_latency + prepare_cycles + jit_cycles;
         let exec = inmem::execute_at(&cs, &self.cfg, &self.mesh, &self.eparams, exec_base);
 
-        // 4. Functional execution via the reference interpreter.
+        // 4. Functional execution: the command stream above drives timing
+        // only, the values come from the tDFG executor.
         let out = if self.functional {
+            let _span = infs_trace::span!(
+                "sim.functional",
+                executor = "tdfg",
+                nodes = tdfg.nodes().len() as u64,
+                elems = (0..tdfg.nodes().len() as u32)
+                    .filter_map(|i| tdfg.domain(infs_tdfg::NodeId(i)))
+                    .map(|d| d.num_elements())
+                    .sum::<u64>(),
+            );
             infs_tdfg::interp::execute(tdfg, &mut self.mem, params, &HashMap::new())?
         } else {
             infs_tdfg::interp::TdfgOutputs::default()
@@ -1212,6 +1221,12 @@ impl Machine {
         if !self.functional {
             return Ok(Vec::new());
         }
+        let _span = infs_trace::span!(
+            "sim.functional",
+            executor = "sdfg",
+            nodes = region.sdfg.streams().len() as u64,
+            elems = region.sdfg.loop_trip().iter().product::<u64>(),
+        );
         let out = infs_sdfg::interp::execute(&region.sdfg, &mut self.mem, params)?;
         Ok(out.iter().map(|(n, v)| (n.to_string(), v)).collect())
     }

@@ -1,12 +1,23 @@
-//! Reference interpreter for tensor dataflow graphs.
+//! Functional executor for tensor dataflow graphs.
 //!
 //! Evaluates every node over real `f32` data in SSA order — the golden
 //! functional semantics that the e-graph optimizer must preserve and that the
 //! simulator's in-memory command execution is checked against.
+//!
+//! A node runs as whole tensors, not points: its domain is walked as
+//! contiguous dimension-0 rows ([`HyperRect::for_each_row`]), every operand's
+//! offset is resolved once per row, and the row is one slice kernel — a copy
+//! for the data-movement nodes, an element-wise loop with the operator chosen
+//! outside it for `Compute`, an in-order accumulation for `Reduce`. Every
+//! element still sees exactly the operator applications of the per-point
+//! definition in [`mod@reference`], in the same order — nothing is reassociated,
+//! tree-reduced or fused — so results are bitwise identical to it.
 
-use crate::{Node, NodeId, Output, OutputTarget, Tdfg, TdfgError};
+pub mod reference;
+
+use crate::{ComputeOp, Node, NodeId, Output, OutputTarget, Tdfg, TdfgError};
 use infs_geom::HyperRect;
-use infs_sdfg::{Memory, ReduceOp, StreamId};
+use infs_sdfg::{ArrayDecl, Memory, ReduceOp, StreamId};
 use std::collections::HashMap;
 
 /// A materialized tensor: a domain rectangle and its values in
@@ -63,6 +74,17 @@ impl TensorData {
     pub fn values(&self) -> &[f32] {
         &self.values
     }
+
+    /// The tensor as an operand read over `needed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `why` unless the domain covers `needed` — the per-node
+    /// form of the per-point `expect`s in [`mod@reference`].
+    fn rows(&self, needed: &HyperRect, why: &str) -> (&[f32], Strided) {
+        assert!(self.rect.contains_rect(needed), "{why}");
+        (&self.values, Strided::of_rect(&self.rect))
+    }
 }
 
 /// Either a materialized tensor or an infinite uniform value.
@@ -72,13 +94,209 @@ enum Val {
     Uniform(f32),
 }
 
-impl Val {
-    fn get(&self, point: &[i64]) -> Option<f32> {
-        match self {
-            Val::Tensor(t) => t.get(point),
-            Val::Uniform(v) => Some(*v),
-        }
+/// Where lattice point `x` lives in a dimension-0-fastest buffer:
+/// `base + Σ x[d] · strides[d]`. Shifts and broadcasts of an operand are
+/// edits of `base` and `strides`, so one row walk serves every node kind.
+struct Strided {
+    base: i64,
+    strides: Vec<i64>,
+}
+
+impl Strided {
+    /// The addressing of a tensor laid out over `rect`.
+    fn of_rect(rect: &HyperRect) -> Self {
+        let mut stride = 1i64;
+        let mut base = 0i64;
+        let strides = rect
+            .intervals()
+            .iter()
+            .map(|&(p, q)| {
+                let s = stride;
+                base -= p * s;
+                stride *= q - p;
+                s
+            })
+            .collect();
+        Strided { base, strides }
     }
+
+    /// The addressing of `rect` placed into an array at `offset` (array
+    /// coordinate = lattice coordinate + offset, truncated to the array's
+    /// rank).
+    ///
+    /// # Panics
+    ///
+    /// Panics with `why` if the region leaves the array.
+    fn of_array(decl: &ArrayDecl, rect: &HyperRect, offset: &[i64], why: &str) -> Self {
+        let mut stride = 1i64;
+        let mut base = 0i64;
+        let strides = rect
+            .intervals()
+            .iter()
+            .enumerate()
+            .map(|(d, &(p, q))| {
+                let Some(&extent) = decl.shape.get(d) else {
+                    return 0;
+                };
+                let off = offset.get(d).copied().unwrap_or(0);
+                assert!(p + off >= 0 && q + off <= extent as i64, "{why}");
+                let s = stride;
+                base += off * s;
+                stride *= extent as i64;
+                s
+            })
+            .collect();
+        Strided { base, strides }
+    }
+
+    /// Reads `x − dist·e_dim` wherever `self` read `x` (the source of a `mv`).
+    fn shifted(mut self, dim: usize, dist: i64) -> Self {
+        self.base -= dist * self.strides[dim];
+        self
+    }
+
+    /// Reads coordinate `at` of `dim` whatever `x[dim]` is (the source of a
+    /// `bc`).
+    fn pinned(mut self, dim: usize, at: i64) -> Self {
+        self.base += at * self.strides[dim];
+        self.strides[dim] = 0;
+        self
+    }
+
+    /// Buffer offset of lattice point `x`.
+    fn at(&self, x: &[i64]) -> usize {
+        let o = x
+            .iter()
+            .zip(&self.strides)
+            .fold(self.base, |o, (&c, &s)| o + c * s);
+        usize::try_from(o).expect("row starts inside the operand")
+    }
+}
+
+/// Materializes `src` read through `at` over `rect`: one `copy_from_slice`
+/// per row, or one splat where dimension 0 is broadcast.
+fn gather(rect: &HyperRect, src: &[f32], at: &Strided) -> TensorData {
+    let len = rect.row_len();
+    let splat = at.strides.first() == Some(&0);
+    let mut values = Vec::with_capacity(rect.num_elements() as usize);
+    rect.for_each_row(|x| {
+        let o = at.at(x);
+        if splat {
+            values.resize(values.len() + len, src[o]);
+        } else {
+            values.extend_from_slice(&src[o..o + len]);
+        }
+    });
+    TensorData::new(rect.clone(), values)
+}
+
+/// One operand of a compute node: rows of a tensor, or a uniform value
+/// spread over one constant row so that every kernel sees slices.
+enum Operand<'a> {
+    Rows(&'a [f32], Strided),
+    Splat(Vec<f32>),
+}
+
+/// `dst[i] = f(args[0][i], …)` with the operands cut to `dst`'s length up
+/// front, which leaves a loop LLVM can vectorise.
+#[inline(always)]
+fn lanes<const N: usize>(dst: &mut [f32], args: [&[f32]; N], f: impl Fn(&[f32; N]) -> f32) {
+    let n = dst.len();
+    let args = args.map(|a| &a[..n]);
+    for (i, out) in dst.iter_mut().enumerate() {
+        *out = f(&std::array::from_fn(|k| args[k][i]));
+    }
+}
+
+/// Runs one row of a compute node. The operator is matched here, outside the
+/// element loop, and each arm calls [`ComputeOp::eval`] on a constant — the
+/// same call per element as the per-point definition, specialised.
+fn compute_row<const N: usize>(op: ComputeOp, dst: &mut [f32], args: [&[f32]; N]) {
+    macro_rules! arms {
+        ($($name:ident),+) => {
+            match op {
+                $(ComputeOp::$name => lanes(dst, args, |v| ComputeOp::$name.eval(v)),)+
+            }
+        };
+    }
+    arms!(Add, Sub, Mul, Div, Min, Max, Neg, Abs, Sqrt, Relu, CmpLt, CmpLe, CmpEq, Select, Copy)
+}
+
+fn compute<const N: usize>(op: ComputeOp, rect: &HyperRect, operands: &[Operand]) -> TensorData {
+    let operands: &[Operand; N] = operands.try_into().expect("arity matches the kernel");
+    let len = rect.row_len();
+    let mut values = vec![0.0f32; rect.num_elements() as usize];
+    let mut done = 0;
+    rect.for_each_row(|x| {
+        let args: [&[f32]; N] = std::array::from_fn(|k| match &operands[k] {
+            Operand::Rows(data, at) => {
+                let o = at.at(x);
+                &data[o..o + len]
+            }
+            Operand::Splat(row) => &row[..],
+        });
+        compute_row(op, &mut values[done..done + len], args);
+        done += len;
+    });
+    TensorData::new(rect.clone(), values)
+}
+
+/// Reduces `src` (read through `at`, `steps` coordinates along `dim`) into
+/// `rect`. Every output element starts from the identity and takes its
+/// inputs in ascending coordinate order, exactly as the per-point fold does:
+/// along dimension 0 that is a sequential fold of each source run, along any
+/// other dimension an accumulation of whole rows.
+fn reduce(
+    op: ReduceOp,
+    rect: &HyperRect,
+    src: &[f32],
+    at: &Strided,
+    dim: usize,
+    steps: usize,
+) -> TensorData {
+    fn go(
+        rect: &HyperRect,
+        src: &[f32],
+        at: &Strided,
+        dim: usize,
+        steps: usize,
+        identity: f32,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Vec<f32> {
+        let len = rect.row_len();
+        let mut values = vec![identity; rect.num_elements() as usize];
+        let mut done = 0;
+        rect.for_each_row(|x| {
+            let dst = &mut values[done..done + len];
+            done += len;
+            let mut o = at.at(x);
+            if dim == 0 {
+                dst[0] = src[o..o + steps].iter().fold(identity, |acc, &v| f(acc, v));
+            } else {
+                for _ in 0..steps {
+                    for (acc, &v) in dst.iter_mut().zip(&src[o..o + len]) {
+                        *acc = f(*acc, v);
+                    }
+                    o += at.strides[dim] as usize;
+                }
+            }
+        });
+        values
+    }
+    let id = op.identity();
+    // Matched here, outside every loop, for the same reason as `compute_row`.
+    let values = match op {
+        ReduceOp::Sum => go(rect, src, at, dim, steps, id, |a, v| {
+            ReduceOp::Sum.apply(a, v)
+        }),
+        ReduceOp::Min => go(rect, src, at, dim, steps, id, |a, v| {
+            ReduceOp::Min.apply(a, v)
+        }),
+        ReduceOp::Max => go(rect, src, at, dim, steps, id, |a, v| {
+            ReduceOp::Max.apply(a, v)
+        }),
+    };
+    TensorData::new(rect.clone(), values)
 }
 
 /// Results of executing a tDFG: named scalars plus tensors handed to
@@ -107,7 +325,8 @@ impl TdfgOutputs {
 /// * `stream_inputs` supplies the tensors of [`Node::StreamIn`] nodes (produced
 ///   by near-memory streams in hybrid regions).
 ///
-/// Array outputs are written into `mem`.
+/// Array outputs are written into `mem`. A node's value is dropped after the
+/// last node or output that reads it.
 ///
 /// # Errors
 ///
@@ -120,27 +339,43 @@ pub fn execute(
     params: &[f32],
     stream_inputs: &HashMap<NodeId, TensorData>,
 ) -> Result<TdfgOutputs, TdfgError> {
-    let mut vals: Vec<Val> = Vec::with_capacity(g.nodes().len());
-    for (i, n) in g.nodes().iter().enumerate() {
+    let nodes = g.nodes();
+    // The last reader of every node: a later node, the output pass
+    // (`nodes.len()`), or — for a value nothing reads — the node itself.
+    let mut last_use: Vec<usize> = (0..nodes.len()).collect();
+    for (i, n) in nodes.iter().enumerate() {
+        for x in n.inputs() {
+            last_use[x.0 as usize] = i;
+        }
+    }
+    for out in g.outputs() {
+        last_use[out.node.0 as usize] = nodes.len();
+    }
+
+    let mut vals: Vec<Option<Val>> = Vec::with_capacity(nodes.len());
+    for (i, n) in nodes.iter().enumerate() {
         let id = NodeId(i as u32);
+        let val = |x: &NodeId| -> &Val {
+            vals[x.0 as usize]
+                .as_ref()
+                .expect("operands live until their last reader")
+        };
+        let rows = |x: &NodeId, needed: &HyperRect, why: &str| -> (&[f32], Strided) {
+            match val(x) {
+                Val::Tensor(t) => t.rows(needed, why),
+                Val::Uniform(_) => panic!("{why}"),
+            }
+        };
         let v = match n {
             Node::Input {
                 array,
                 rect,
                 array_offset,
             } => {
-                let decl = &g.arrays()[array.0 as usize];
-                let nd = decl.ndim();
-                Val::Tensor(TensorData::from_fn(rect.clone(), |p| {
-                    let coords: Vec<i64> = p
-                        .iter()
-                        .zip(array_offset)
-                        .take(nd)
-                        .map(|(&x, &o)| x + o)
-                        .collect();
-                    mem.read(*array, &coords)
-                        .expect("validated input stays in bounds")
-                }))
+                let decl = mem.decl(*array).expect("validated input names an array");
+                let at =
+                    Strided::of_array(decl, rect, array_offset, "validated input stays in bounds");
+                Val::Tensor(gather(rect, mem.array(*array), &at))
             }
             Node::ConstVal { value } => Val::Uniform(*value),
             Node::Param { index } => Val::Uniform(
@@ -148,78 +383,71 @@ pub fn execute(
                     .get(*index as usize)
                     .ok_or(TdfgError::MissingParam(*index))?,
             ),
-            Node::Compute { op, inputs } => {
-                match g.domain(id) {
-                    Some(rect) => {
-                        let rect = rect.clone();
-                        let mut args = vec![0.0f32; inputs.len()];
-                        Val::Tensor(TensorData::from_fn(rect, |p| {
-                            for (k, x) in inputs.iter().enumerate() {
-                                args[k] = vals[x.0 as usize]
-                                    .get(p)
-                                    .expect("compute domain is contained in input domains");
+            Node::Compute { op, inputs } => match g.domain(id) {
+                Some(rect) => {
+                    let operands: Vec<Operand> = inputs
+                        .iter()
+                        .map(|x| match val(x) {
+                            Val::Tensor(t) => {
+                                let (data, at) =
+                                    t.rows(rect, "compute domain is contained in input domains");
+                                Operand::Rows(data, at)
                             }
-                            op.eval(&args)
-                        }))
-                    }
-                    None => {
-                        // All-constant compute: fold to a uniform.
-                        let args: Vec<f32> = inputs
-                            .iter()
-                            .map(|x| {
-                                vals[x.0 as usize]
-                                    .get(&[])
-                                    .expect("constant operands are uniform")
-                            })
-                            .collect();
-                        Val::Uniform(op.eval(&args))
-                    }
+                            Val::Uniform(u) => Operand::Splat(vec![*u; rect.row_len()]),
+                        })
+                        .collect();
+                    Val::Tensor(match inputs.len() {
+                        1 => compute::<1>(*op, rect, &operands),
+                        2 => compute::<2>(*op, rect, &operands),
+                        3 => compute::<3>(*op, rect, &operands),
+                        n => panic!("wrong arity for {op}: {n} operands"),
+                    })
                 }
-            }
+                None => {
+                    // All-constant compute: fold to a uniform.
+                    let args: Vec<f32> = inputs
+                        .iter()
+                        .map(|x| match val(x) {
+                            Val::Uniform(u) => *u,
+                            Val::Tensor(_) => panic!("constant operands are uniform"),
+                        })
+                        .collect();
+                    Val::Uniform(op.eval(&args))
+                }
+            },
             Node::Mv { input, dim, dist } => {
-                let rect = g.domain(id).expect("mv domains are finite").clone();
-                let src = &vals[input.0 as usize];
-                let (dim, dist) = (*dim, *dist);
-                Val::Tensor(TensorData::from_fn(rect, |p| {
-                    let mut q = p.to_vec();
-                    q[dim] -= dist;
-                    src.get(&q).expect("mv source point is in the input domain")
-                }))
+                let rect = g.domain(id).expect("mv domains are finite");
+                let needed = rect
+                    .translated(*dim, -*dist)
+                    .expect("mv dimension is in range");
+                let (data, at) = rows(input, &needed, "mv source point is in the input domain");
+                Val::Tensor(gather(rect, data, &at.shifted(*dim, *dist)))
             }
             Node::Bc { input, dim, .. } => {
-                let rect = g.domain(id).expect("bc domains are finite").clone();
-                let src_rect = g.domain(*input).expect("bc inputs are finite");
-                let src_coord = src_rect.start(*dim);
-                let src = &vals[input.0 as usize];
-                let dim = *dim;
-                Val::Tensor(TensorData::from_fn(rect, |p| {
-                    let mut q = p.to_vec();
-                    q[dim] = src_coord;
-                    src.get(&q).expect("bc source hyperplane covers the domain")
-                }))
+                let rect = g.domain(id).expect("bc domains are finite");
+                let src_coord = g.domain(*input).expect("bc inputs are finite").start(*dim);
+                let needed = rect
+                    .with_interval(*dim, src_coord, src_coord + 1)
+                    .expect("bc dimension is in range");
+                let (data, at) = rows(input, &needed, "bc source hyperplane covers the domain");
+                Val::Tensor(gather(rect, data, &at.pinned(*dim, src_coord)))
             }
             Node::Shrink { input, .. } => {
-                let rect = g.domain(id).expect("shrink domains are finite").clone();
-                let src = &vals[input.0 as usize];
-                Val::Tensor(TensorData::from_fn(rect, |p| {
-                    src.get(p).expect("shrink restricts the input domain")
-                }))
+                let rect = g.domain(id).expect("shrink domains are finite");
+                let (data, at) = rows(input, rect, "shrink restricts the input domain");
+                Val::Tensor(gather(rect, data, &at))
             }
             Node::Reduce { input, dim, op } => {
-                let rect = g.domain(id).expect("reduce domains are finite").clone();
+                let rect = g.domain(id).expect("reduce domains are finite");
                 let src_rect = g.domain(*input).expect("reduce inputs are finite");
                 let (lo, hi) = src_rect.interval(*dim);
-                let src = &vals[input.0 as usize];
-                let (dim, op) = (*dim, *op);
-                Val::Tensor(TensorData::from_fn(rect, |p| {
-                    let mut acc = op.identity();
-                    let mut q = p.to_vec();
-                    for c in lo..hi {
-                        q[dim] = c;
-                        acc = apply_reduce(op, acc, src.get(&q).expect("reduce range in domain"));
-                    }
-                    acc
-                }))
+                let needed = rect
+                    .with_interval(*dim, lo, hi)
+                    .expect("reduce dimension is in range");
+                let (data, at) = rows(input, &needed, "reduce range in domain");
+                // The output sits at coordinate `lo` of `dim`, so its rows
+                // start where the first step reads.
+                Val::Tensor(reduce(*op, rect, data, &at, *dim, (hi - lo) as usize))
             }
             Node::StreamIn { .. } => Val::Tensor(
                 stream_inputs
@@ -228,37 +456,53 @@ pub fn execute(
                     .ok_or(TdfgError::MissingStreamInput(id))?,
             ),
         };
-        vals.push(v);
+        vals.push(Some(v));
+        for x in n.inputs().into_iter().chain([id]) {
+            if last_use[x.0 as usize] == i {
+                vals[x.0 as usize] = None;
+            }
+        }
     }
 
     // Apply outputs.
     let mut out = TdfgOutputs::default();
     for Output { node, target } in g.outputs() {
-        let v = &vals[node.0 as usize];
+        let v = vals[node.0 as usize]
+            .as_ref()
+            .expect("output values live to the end");
         match target {
             OutputTarget::Array {
                 array,
                 rect,
                 array_offset,
             } => {
-                let nd = g.arrays()[array.0 as usize].ndim();
-                for p in rect.points() {
-                    let coords: Vec<i64> = p
-                        .iter()
-                        .zip(array_offset)
-                        .take(nd)
-                        .map(|(&x, &o)| x + o)
-                        .collect();
-                    let val = v.get(&p).expect("output region is covered");
-                    mem.write(*array, &coords, val)
-                        .expect("validated output stays in bounds");
+                let decl = mem.decl(*array).expect("validated output names an array");
+                let to =
+                    Strided::of_array(decl, rect, array_offset, "validated output stays in bounds");
+                let len = rect.row_len();
+                let dst = mem.array_mut(*array);
+                match v {
+                    Val::Tensor(t) => {
+                        let (data, from) = t.rows(rect, "output region is covered");
+                        rect.for_each_row(|x| {
+                            let (d, s) = (to.at(x), from.at(x));
+                            dst[d..d + len].copy_from_slice(&data[s..s + len]);
+                        });
+                    }
+                    Val::Uniform(u) => rect.for_each_row(|x| {
+                        let d = to.at(x);
+                        dst[d..d + len].fill(*u);
+                    }),
                 }
             }
             OutputTarget::Scalar { name } => {
                 let rect = g.domain(*node).expect("scalar outputs are finite");
-                let p = rect.point_at(0);
-                out.scalars
-                    .push((name.clone(), v.get(&p).expect("single-element domain")));
+                let only: Vec<i64> = rect.intervals().iter().map(|&(p, _)| p).collect();
+                let value = match v {
+                    Val::Tensor(t) => t.get(&only).expect("single-element domain"),
+                    Val::Uniform(u) => *u,
+                };
+                out.scalars.push((name.clone(), value));
             }
             OutputTarget::Stream { stream } => {
                 let t = match v {
@@ -273,10 +517,6 @@ pub fn execute(
         }
     }
     Ok(out)
-}
-
-fn apply_reduce(op: ReduceOp, acc: f32, x: f32) -> f32 {
-    op.apply(acc, x)
 }
 
 #[cfg(test)]

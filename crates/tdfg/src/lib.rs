@@ -21,7 +21,9 @@
 //! parallelism in-memory bit-serial execution exploits — and compute inputs must
 //! be *aligned* in the same lattice cells, which is why `mv`/`bc` are explicit.
 //!
-//! The [`interp`] module gives the reference functional semantics of every node;
+//! The [`interp`] module gives the functional semantics of every node (the
+//! per-point definition its row-strided executor is tested against is kept as
+//! [`interp::reference`]);
 //! the e-graph optimizer (`infs-egraph`), the backend scheduler (`infs-isa`), the
 //! JIT runtime (`infs-runtime`) and the simulator (`infs-sim`) all treat it as
 //! ground truth.

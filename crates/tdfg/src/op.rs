@@ -1,4 +1,4 @@
-use infs_sdfg::DataType;
+use infs_sdfg::{fmax, fmin, DataType};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -77,6 +77,7 @@ impl ComputeOp {
     /// # Panics
     ///
     /// Panics if `args.len() != self.arity()`.
+    #[inline]
     pub fn eval(self, args: &[f32]) -> f32 {
         assert_eq!(args.len(), self.arity(), "wrong arity for {self}");
         match self {
@@ -84,12 +85,12 @@ impl ComputeOp {
             ComputeOp::Sub => args[0] - args[1],
             ComputeOp::Mul => args[0] * args[1],
             ComputeOp::Div => args[0] / args[1],
-            ComputeOp::Min => args[0].min(args[1]),
-            ComputeOp::Max => args[0].max(args[1]),
+            ComputeOp::Min => fmin(args[0], args[1]),
+            ComputeOp::Max => fmax(args[0], args[1]),
             ComputeOp::Neg => -args[0],
             ComputeOp::Abs => args[0].abs(),
             ComputeOp::Sqrt => args[0].sqrt(),
-            ComputeOp::Relu => args[0].max(0.0),
+            ComputeOp::Relu => fmax(args[0], 0.0),
             ComputeOp::CmpLt => f32::from(args[0] < args[1]),
             ComputeOp::CmpLe => f32::from(args[0] <= args[1]),
             ComputeOp::CmpEq => f32::from(args[0] == args[1]),
