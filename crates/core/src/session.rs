@@ -1,10 +1,8 @@
 use infs_isa::{FatBinary, IsaError};
-use infs_runtime::JitCache;
 use infs_sdfg::Memory;
 use infs_sim::{ExecMode, Machine, RegionReport, RunStats, SimError, SystemConfig};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from the high-level session API.
 #[derive(Debug)]
@@ -98,29 +96,6 @@ impl Session {
         })
     }
 
-    /// Opens a session whose JIT-lowered command streams memoize into a
-    /// **shared** cache — the multi-tenant serving hook: a resident server
-    /// hands every session one `Arc<JitCache>`, so tenants re-running the
-    /// same region reuse each other's lowered commands while functional
-    /// memory stays private per session.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::new`].
-    pub fn with_jit(
-        cfg: SystemConfig,
-        binary: FatBinary,
-        mode: ExecMode,
-        jit: Arc<JitCache>,
-    ) -> Result<Self, SessionError> {
-        let arrays = Self::validate(&binary)?;
-        Ok(Session {
-            machine: Machine::with_jit(cfg, &arrays, jit),
-            binary,
-            mode,
-        })
-    }
-
     /// Checks the binary is non-empty and its regions agree on one array
     /// table; returns that table.
     fn validate(binary: &FatBinary) -> Result<Vec<infs_sdfg::ArrayDecl>, SessionError> {
@@ -132,25 +107,6 @@ impl Session {
             }
         }
         Ok(arrays)
-    }
-
-    /// Resets the session for reuse by an unrelated request: fresh zeroed
-    /// functional memory, no resident/transposed state, zeroed statistics.
-    /// The machine (and its possibly shared JIT cache) is kept — this is the
-    /// pooling hook that lets a server worker serve tenant after tenant from
-    /// one session without leaking data between them.
-    pub fn reset(&mut self) {
-        self.machine.reset();
-    }
-
-    /// The loaded fat binary.
-    pub fn binary(&self) -> &FatBinary {
-        &self.binary
-    }
-
-    /// The execution mode regions run under.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Mutable functional memory (write inputs here).
@@ -287,46 +243,5 @@ mod tests {
         assert!(SessionError::InconsistentArrays("g".into())
             .to_string()
             .contains("'g'"));
-    }
-
-    /// A shared JitCache observes lowering traffic from multiple sessions;
-    /// re-running a region in a *new* session hits the commands the first
-    /// session lowered. InL3 forces the in-memory path (InfS's Eq 2 decision
-    /// would keep a region this small off the bitlines entirely).
-    #[test]
-    fn sessions_share_a_jit_cache() {
-        let jit = std::sync::Arc::new(infs_runtime::JitCache::new());
-        for round in 0..2 {
-            let (fb, a) = binary();
-            let mut s = Session::with_jit(SystemConfig::default(), fb, ExecMode::InL3, jit.clone())
-                .unwrap();
-            s.memory().write_array(a, &vec![1.0; 256]);
-            let r = s.run("scale", &[], &[2.0]).unwrap();
-            assert_eq!(r.executed, infs_sim::Executed::InMemory);
-            assert_eq!(
-                r.jit_hit,
-                Some(round == 1),
-                "round 0 lowers, round 1 hits the shared cache"
-            );
-        }
-        let (hits, misses) = jit.stats();
-        assert_eq!((hits, misses), (1, 1));
-    }
-
-    /// reset() clears functional memory and per-run state so a pooled session
-    /// serves unrelated requests without leaking data.
-    #[test]
-    fn reset_clears_memory_between_requests() {
-        let (fb, a) = binary();
-        let mut s = Session::new(SystemConfig::default(), fb, ExecMode::InfS).unwrap();
-        s.memory().write_array(a, &vec![2.0; 256]);
-        s.run("scale", &[], &[3.0]).unwrap();
-        assert!(s.memory_ref().array(a).iter().all(|&x| x == 6.0));
-        s.reset();
-        assert!(s.memory_ref().array(a).iter().all(|&x| x == 0.0));
-        // The session still runs after a reset.
-        s.memory().write_array(a, &vec![1.0; 256]);
-        s.run("scale", &[], &[5.0]).unwrap();
-        assert!(s.memory_ref().array(a).iter().all(|&x| x == 5.0));
     }
 }

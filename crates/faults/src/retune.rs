@@ -10,8 +10,9 @@
 
 /// Edge detector over a monotone degradation-event counter.
 ///
-/// One trigger rides along with each pooled serve session; after every
-/// region execution the worker feeds it the machine's current
+/// One trigger sits beside each serve worker's resident machine (a machine
+/// rebuilt after a caught panic gets a fresh one); after every served run
+/// the worker feeds it the machine's current
 /// `degradation_events()` total and demotes the artifact's incumbent tune
 /// variant iff new events fired during that execution.
 #[derive(Debug, Clone, Default)]

@@ -94,12 +94,6 @@ impl ArtifactCache {
         }
     }
 
-    /// True if the artifact is cached, **without** counting a hit or miss
-    /// (used to register inline binaries idempotently).
-    pub fn contains(&self, id: u64) -> bool {
-        self.entries.lock().contains_key(&id)
-    }
-
     /// Inserts an artifact, evicting the least-recently-hit entry when full.
     /// Returns the binary (already cached one if a concurrent insert won).
     pub fn insert(&self, id: u64, binary: Arc<FatBinary>) -> Arc<FatBinary> {
@@ -268,11 +262,11 @@ mod tests {
         assert!(cache.get(1).is_some()); // 1 is now the most recently hit
         cache.insert(3, bin()); // evicts 2
         assert_eq!(cache.len(), 2);
-        assert!(cache.contains(1));
-        assert!(!cache.contains(2));
-        assert!(cache.contains(3));
         let (hits, misses, evictions) = cache.stats();
         assert_eq!((hits, misses, evictions), (1, 0, 1));
+        assert!(cache.get(1).is_some());
+        assert!(cache.get(2).is_none());
+        assert!(cache.get(3).is_some());
     }
 
     #[test]
@@ -298,7 +292,7 @@ mod tests {
         // The corrupted entry verifies dirty: miss + eviction, not a hit.
         assert!(cache.get(1).is_none());
         assert_eq!(cache.corruptions(), 1);
-        assert!(!cache.contains(1), "corrupted entry must be evicted");
+        assert_eq!(cache.len(), 1, "corrupted entry must be evicted");
         let (hits, misses, evictions) = cache.stats();
         assert_eq!((hits, misses, evictions), (1, 1, 1));
 

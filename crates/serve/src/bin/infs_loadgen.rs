@@ -4,28 +4,27 @@
 //! ```text
 //! infs-loadgen [--addr HOST:PORT] [--rate RPS] [--duration MS]
 //!              [--connections N] [--tenants N] [--variants N]
-//!              [--seed N] [--len N] [--json PATH]
+//!              [--seed N] [--len N]
 //! ```
 //!
 //! Requests are scheduled on a fixed open-loop clock (`i / rate`) — the
 //! generator does not slow down when the server queues, so tail latency is
 //! measured honestly. The whole request stream derives from `--seed`: two
-//! runs with the same flags are byte-identical. Prints a human summary;
-//! `--json PATH` additionally writes the raw report for harnesses.
+//! runs with the same flags are byte-identical. Prints a one-line summary
+//! (plus one line per error kind) and exits nonzero if any response was
+//! lost — the exit code is the harness interface.
 
 use infs_serve::loadgen::{self, LoadgenConfig};
 use std::process::ExitCode;
 
 struct Args {
     addr: String,
-    json: Option<String>,
     cfg: LoadgenConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7199".to_string(),
-        json: None,
         cfg: LoadgenConfig::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -40,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         }
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
-            "--json" => args.json = Some(value("--json")?),
             "--rate" => args.cfg.rate_rps = num!("--rate"),
             "--duration" => args.cfg.duration_ms = num!("--duration"),
             "--connections" => args.cfg.connections = num!("--connections"),
@@ -49,39 +47,13 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.cfg.seed = num!("--seed"),
             "--len" => args.cfg.array_len = num!("--len"),
             "--help" | "-h" => return Err(
-                "usage: infs-loadgen [--addr HOST:PORT] [--rate RPS] [--duration MS] [--connections N] [--tenants N] [--variants N] [--seed N] [--len N] [--json PATH]"
+                "usage: infs-loadgen [--addr HOST:PORT] [--rate RPS] [--duration MS] [--connections N] [--tenants N] [--variants N] [--seed N] [--len N]"
                     .to_string(),
             ),
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
     }
     Ok(args)
-}
-
-fn json_report(r: &loadgen::LoadReport) -> String {
-    let errors: Vec<String> = r
-        .errors
-        .iter()
-        .map(|(k, n)| format!("\"{k}\":{n}"))
-        .collect();
-    format!(
-        concat!(
-            "{{\"sent\":{},\"ok\":{},\"lost\":{},\"elapsed_ms\":{},",
-            "\"achieved_rps\":{:.2},\"p50_us\":{},\"p99_us\":{},\"max_us\":{},",
-            "\"batched_responses\":{},\"artifact_hits\":{},\"errors\":{{{}}}}}"
-        ),
-        r.sent,
-        r.ok,
-        r.lost,
-        r.elapsed_ms,
-        r.achieved_rps,
-        r.latency.percentile(0.50),
-        r.latency.percentile(0.99),
-        r.latency.max(),
-        r.batched_responses,
-        r.artifact_hits,
-        errors.join(",")
-    )
 }
 
 fn main() -> ExitCode {
@@ -122,13 +94,6 @@ fn main() -> ExitCode {
     );
     for (kind, n) in &report.errors {
         println!("infs-loadgen:   error {kind}: {n}");
-    }
-    if let Some(path) = args.json {
-        if let Err(e) = std::fs::write(&path, json_report(&report) + "\n") {
-            eprintln!("infs-loadgen: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("infs-loadgen: report written to {path}");
     }
     // Lost responses mean the server stalled past the read timeout — a
     // harness should treat that as failure.

@@ -22,11 +22,8 @@ pub struct ServeConfig {
     /// Entry cap of the shared JIT memoization cache (`0` = unbounded —
     /// only sensible for short-lived test servers).
     pub jit_capacity: usize,
-    /// Sessions (machine + loaded binary) each worker keeps warm, keyed by
-    /// artifact × mode. Bounds per-worker memory; evicted sessions are
-    /// simply rebuilt on the next request.
-    pub sessions_per_worker: usize,
-    /// The simulated machine configuration sessions run on.
+    /// The simulated machine configuration each worker's machine is built
+    /// with.
     pub system: SystemConfig,
     /// Optional deterministic fault plan (chaos mode). When set, worker
     /// panics, artifact corruption, and machine-level faults are injected
@@ -44,8 +41,8 @@ pub struct ServeConfig {
     /// residency policy — and promotes variants that beat the static
     /// heuristics on observed cycles. `None` disables tuning entirely.
     pub tune: Option<TuneConfig>,
-    /// Optional pre-execution region auditor installed on every session and
-    /// pipeline machine (see [`infs_sim::RegionAuditor`]); the tuning soak
+    /// Optional pre-execution region auditor installed on every worker's
+    /// machine (see [`infs_sim::RegionAuditor`]); the tuning soak
     /// installs `infs-check`'s validators here so every explored variant is
     /// audited. `None` skips auditing (the production default).
     pub auditor: Option<RegionAuditor>,
@@ -63,7 +60,6 @@ impl Default for ServeConfig {
             retry_after_ms: 25,
             artifact_capacity: 128,
             jit_capacity: 4096,
-            sessions_per_worker: 4,
             system: SystemConfig::default(),
             faults: None,
             batching: true,

@@ -11,7 +11,7 @@ use std::fmt;
 #[non_exhaustive]
 pub enum ServeError {
     /// The worker thread handling a request panicked. The panic was caught
-    /// with `catch_unwind`, the worker's session pool was rebuilt, and the
+    /// with `catch_unwind`, the worker's machine was rebuilt, and the worker
     /// pool survived — only this request failed (`DESIGN.md` §10).
     WorkerFault {
         /// Id of the request whose handling panicked.

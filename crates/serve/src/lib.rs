@@ -3,8 +3,9 @@
 //! A resident, multi-tenant compile-and-execute service over the Infinity
 //! Stream stack — the deployment face the paper implies but never builds: a
 //! long-lived process that accepts kernels, compiles them into fat binaries,
-//! caches the artifacts content-addressed, and executes regions on pooled
-//! simulated machines that share one JIT memoization cache.
+//! caches the artifacts content-addressed, and executes regions and pipeline
+//! graphs on resident simulated machines — one per worker — that share one
+//! JIT memoization cache.
 //!
 //! Two faces, one [`Server`]:
 //!
@@ -20,13 +21,15 @@
 //! - a **bounded admission queue** ([`queue::AdmissionQueue`]): when full,
 //!   requests are rejected immediately with a `backpressure` error carrying a
 //!   retry-after hint instead of queueing without limit;
-//! - a **worker pool**: each worker drains the queue and keeps a small pool
-//!   of warm [`infinity_stream::Session`]s keyed by artifact × mode;
+//! - a **worker pool**: each worker drains the queue and owns one
+//!   [`infs_sim::Machine`] for its lifetime, re-targeted per request at the
+//!   array table the request runs (zeroed memory every time; the JIT handle,
+//!   bank health and fault history persist);
 //! - a **content-addressed artifact cache** ([`artifact::ArtifactCache`]):
 //!   compiled fat binaries keyed by kernel × symbols × geometries ×
 //!   optimizer flag, shared across tenants;
 //! - a **shared bounded JIT cache** ([`infs_runtime::JitCache`]): lowered
-//!   command streams memoize across sessions and tenants (§4.2 of the
+//!   command streams memoize across workers and tenants (§4.2 of the
 //!   paper, promoted to a service-wide resource);
 //! - **per-request deadlines**: expired requests are cancelled between
 //!   compiler stages ([`infs_isa::Compiler::compile_with`]) or before
@@ -34,7 +37,8 @@
 //! - **graceful shutdown**: admission closes, every admitted request still
 //!   completes, workers drain and join ([`Server::shutdown`]);
 //! - **fault tolerance** (`DESIGN.md` §10): a worker panic is caught, the
-//!   worker's session pool rebuilt, and the request answered with a typed,
+//!   worker's machine rebuilt (keeping its quarantined banks quarantined),
+//!   and the request answered with a typed,
 //!   retryable `worker-fault` error ([`ServeError::WorkerFault`]); both
 //!   caches verify checksums on load, so corruption degrades to a miss; a
 //!   `Health` verb reports `ok`/`degraded`/`draining` plus bank and fault

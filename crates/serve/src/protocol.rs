@@ -64,7 +64,7 @@ pub struct CompileRequest {
     pub optimize: bool,
 }
 
-/// Execute one region of a compiled artifact on a session machine.
+/// Execute one region of a compiled artifact on a worker's machine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecuteRequest {
     /// Artifact id (as returned by a compile response). Exactly one of
@@ -148,7 +148,7 @@ impl WireMode {
         }
     }
 
-    /// Stable index for session-pool keying.
+    /// Stable index for batch and tune keys.
     pub(crate) fn index(self) -> u8 {
         match self {
             WireMode::Base1 => 0,
@@ -262,7 +262,7 @@ pub struct MetricsReport {
     pub artifact_misses: u64,
     /// Artifact-cache evictions since start.
     pub artifact_evictions: u64,
-    /// JIT memoization cache hits since start (all sessions share one cache).
+    /// JIT memoization cache hits since start (all workers' machines share one cache).
     /// Includes template (copy-and-patch) hits.
     pub jit_hits: u64,
     /// JIT memoization cache misses since start.
@@ -570,7 +570,7 @@ mod tests {
         assert_eq!(WireMode::Base1.exec_mode(), ExecMode::Base { threads: 1 });
         assert_eq!(WireMode::Base.exec_mode(), ExecMode::Base { threads: 64 });
         assert_eq!(WireMode::InfS.exec_mode(), ExecMode::InfS);
-        // Indices are distinct (session-pool keying).
+        // Indices are distinct (batch and tune keying).
         let idx: std::collections::BTreeSet<u8> = [
             WireMode::Base1,
             WireMode::Base,

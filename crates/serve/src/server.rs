@@ -2,10 +2,10 @@
 //!
 //! A [`Server`] owns everything long-lived — the bounded admission queue, the
 //! content-addressed [`ArtifactCache`], the shared bounded
-//! [`JitCache`], and a pool of worker threads each keeping a small pool of
-//! warm [`Session`]s. Requests enter through [`Server::submit`] (in-process)
-//! or the TCP front end in [`crate::net`]; both produce the same
-//! [`Response`]s.
+//! [`JitCache`], and a pool of worker threads each owning one resident
+//! [`Machine`] for its lifetime. Requests enter through [`Server::submit`]
+//! (in-process) or the TCP front end in [`crate::net`]; both produce the
+//! same [`Response`]s.
 
 use crate::artifact::{format_id, parse_id, ArtifactCache, PipelineCache};
 use crate::config::ServeConfig;
@@ -16,7 +16,6 @@ use crate::protocol::{
     WireError, WireMode,
 };
 use crate::queue::{AdmissionQueue, PushError};
-use infinity_stream::Session;
 use infs_faults::{FaultPlan, RetuneTrigger};
 use infs_geom::TileShape;
 use infs_isa::{fnv1a, Compiler, FatBinary, IsaError, RegionInstance};
@@ -25,9 +24,8 @@ use infs_sdfg::{ArrayDecl, ArrayId};
 use infs_shard::{BatchMap, BatchStats, JoinOutcome};
 use infs_sim::{ExecMode, Machine, PipelinePolicy, RunPlan, StageReport, StageRequest};
 use infs_tune::{Tuner, Variant};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -219,11 +217,11 @@ struct Shared {
     /// The online autotuner (`cfg.tune`, `DESIGN.md` §15); `None` when
     /// tuning is disabled.
     tuner: Option<Arc<Tuner>>,
-    /// Live bank-quarantine watermark: the highest `banks_quarantined` count
-    /// observed on any session's machine, so the `Health` verb reports
-    /// quarantines that landed *after* boot (SRAM-flip scrubs), not just the
-    /// plan's initial dead banks.
-    banks_lost: AtomicU64,
+    /// Live dead-bank watermark: the most dead banks observed on any
+    /// worker's machine. Starts at the plan's initial outage, so the `Health`
+    /// verb also reports quarantines that landed *after* boot (SRAM-flip
+    /// scrubs).
+    banks_dead: AtomicU32,
 }
 
 impl Shared {
@@ -262,23 +260,14 @@ impl Shared {
     }
 
     /// The `Health` verb: degradation status plus the fault counters that
-    /// explain it (`DESIGN.md` §10). Bank figures reflect the configured
-    /// fault plan's initial outage; per-session quarantines accrue inside
-    /// each worker's machines.
+    /// explain it (`DESIGN.md` §10).
     fn health(&self) -> HealthReport {
         let total_banks = self.cfg.system.n_banks;
-        // Initial plan health minus quarantines observed at runtime (the
-        // worst session's watermark — exact for single-session servers,
-        // a conservative fleet signal otherwise).
-        let initial_healthy = match &self.faults {
-            Some(plan) => plan.initial_health(total_banks).healthy_count(),
-            None => total_banks,
-        };
-        let lost = self
-            .banks_lost
-            .load(Ordering::Relaxed)
-            .min(u64::from(initial_healthy)) as u32;
-        let healthy_banks = initial_healthy - lost;
+        // Every worker's machine starts from the plan's initial outage and
+        // only ever loses banks (a panic-rebuilt machine inherits its
+        // predecessor's mask), so this is the max over workers: exact with
+        // one worker, the worst machine of the pool otherwise.
+        let healthy_banks = total_banks - self.banks_dead.load(Ordering::Relaxed);
         let worker_faults = self.worker_faults.load(Ordering::Relaxed);
         let artifact_corruptions = self.artifacts.corruptions();
         let jit_corruptions = self.jit.corruptions();
@@ -356,6 +345,10 @@ impl Server {
         };
         let faults = cfg.faults.clone().map(|fc| Arc::new(FaultPlan::new(fc)));
         let tuner = cfg.tune.clone().map(|tc| Arc::new(Tuner::new(tc)));
+        let n_banks = cfg.system.n_banks;
+        let banks_dead = faults.as_ref().map_or(0, |plan| {
+            n_banks - plan.initial_health(n_banks).healthy_count()
+        });
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(cfg.queue_capacity),
             artifacts: ArtifactCache::new(cfg.artifact_capacity),
@@ -372,7 +365,7 @@ impl Server {
             artifact_seq: AtomicU64::new(0),
             batches: BatchMap::new(),
             tuner,
-            banks_lost: AtomicU64::new(0),
+            banks_dead: AtomicU32::new(banks_dead),
             cfg,
         });
         let workers = (0..shared.cfg.workers.max(1))
@@ -593,7 +586,7 @@ impl Server {
         self.shared.artifacts.stats()
     }
 
-    /// The JIT memoization cache every session shares.
+    /// The JIT memoization cache every worker's machine shares.
     pub fn jit(&self) -> Arc<JitCache> {
         self.shared.jit.clone()
     }
@@ -625,50 +618,34 @@ impl Drop for Server {
     }
 }
 
-/// A warm session plus the per-session state that must travel with it: the
-/// retune trigger watermarking the machine's monotone degradation counters
-/// (fault counters survive `Session::reset`, so the watermark must too).
-struct PooledSession {
-    session: Session,
+/// What a worker owns for its whole life: one resident simulated machine —
+/// built over the server's shared [`JitCache`], armed with the fault plan and
+/// auditor — that every executing request re-targets at the array table it
+/// runs ([`Machine::reset`]), and the retune trigger watermarking that
+/// machine's monotone degradation counters (which survive `reset`, so the
+/// watermark must too).
+struct Worker {
+    machine: Machine,
     retune: RetuneTrigger,
 }
 
-/// A worker's pool of warm sessions, keyed by artifact id × execution mode.
-/// Bounded; eviction drops the least-recently-used session (it is just
-/// rebuilt on the next request for that pair).
-struct SessionPool {
-    cap: usize,
-    clock: u64,
-    sessions: HashMap<(u64, u8), (PooledSession, u64)>,
-}
-
-impl SessionPool {
-    fn new(cap: usize) -> Self {
-        SessionPool {
-            cap: cap.max(1),
-            clock: 0,
-            sessions: HashMap::new(),
+impl Worker {
+    /// A machine with no table loaded. Chaos mode arms the server's fault
+    /// plan, so SRAM flips, dead banks and NoC faults reach simulated runs;
+    /// the audit hook (the tuning soak installs `infs-check` here) validates
+    /// every run — incumbent or explorer — before commit.
+    fn new(shared: &Shared) -> Self {
+        let mut machine = Machine::with_jit(shared.cfg.system.clone(), &[], shared.jit.clone());
+        if let Some(plan) = &shared.faults {
+            machine.set_fault_plan(plan.clone());
         }
-    }
-
-    /// Removes a pooled session for exclusive use (put it back after).
-    fn take(&mut self, key: (u64, u8)) -> Option<PooledSession> {
-        self.sessions.remove(&key).map(|(s, _)| s)
-    }
-
-    fn put(&mut self, key: (u64, u8), session: PooledSession) {
-        self.clock += 1;
-        if self.sessions.len() >= self.cap && !self.sessions.contains_key(&key) {
-            if let Some(&victim) = self
-                .sessions
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k)
-            {
-                self.sessions.remove(&victim);
-            }
+        if let Some(auditor) = &shared.cfg.auditor {
+            machine.set_region_auditor(Some(auditor.clone()));
         }
-        self.sessions.insert(key, (session, self.clock));
+        Worker {
+            machine,
+            retune: RetuneTrigger::new(),
+        }
     }
 }
 
@@ -746,7 +723,7 @@ fn batch_identity(body: &RequestBody) -> Option<(u64, Vec<u8>)> {
 
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
     infs_trace::name_thread(&format!("worker {index}"));
-    let mut pool = SessionPool::new(shared.cfg.sessions_per_worker);
+    let mut worker = Worker::new(shared);
     while let Some(job) = shared.queue.pop() {
         shared.gate.wait_open();
         // Destructure first so the reply survives a panicking handler — the
@@ -760,12 +737,16 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         } = job;
         let id = request.id;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle(shared, &mut pool, request, deadline, enqueued)
+            handle(shared, &mut worker, request, deadline, enqueued)
         }));
         let mut response = outcome.unwrap_or_else(|payload| {
-            // The panic may have left pooled sessions half-mutated; discard
-            // them all and rebuild from scratch. The worker itself survives.
-            pool = SessionPool::new(shared.cfg.sessions_per_worker);
+            // The panic may have left the machine half-mutated: rebuild it
+            // (and its watermark — the new counters start at 0). Quarantined
+            // silicon does not heal, so the bank mask carries over. The
+            // worker thread itself survives.
+            let health = worker.machine.bank_health().clone();
+            worker = Worker::new(shared);
+            worker.machine.set_bank_health(health);
             shared.worker_faults.fetch_add(1, Ordering::Relaxed);
             infs_trace::counter!("serve.worker_faults", 1u64);
             let fault = ServeError::WorkerFault {
@@ -850,7 +831,7 @@ fn request_kind(body: &RequestBody) -> &'static str {
 
 fn handle(
     shared: &Shared,
-    pool: &mut SessionPool,
+    worker: &mut Worker,
     request: Request,
     deadline: Instant,
     enqueued: Instant,
@@ -908,11 +889,11 @@ fn handle(
             }
             RequestBody::Execute(e) => {
                 shared.maybe_panic(request.id);
-                handle_execute(shared, pool, e, deadline, &mut stats)
+                handle_execute(shared, worker, e, deadline, &mut stats)
             }
             RequestBody::Pipeline(p) => {
                 shared.maybe_panic(request.id);
-                handle_pipeline(shared, p, deadline, &mut stats)
+                handle_pipeline(shared, worker, p, deadline, &mut stats)
             }
         }
     };
@@ -1056,19 +1037,6 @@ fn validate_io(
     Ok(())
 }
 
-/// Arms a freshly built machine with what every served run carries. Chaos
-/// mode: the server's fault plan, so SRAM flips, dead banks and NoC faults
-/// reach simulated runs. Audit hook (the tuning soak installs `infs-check`
-/// here): every run — incumbent or explorer — is validated before commit.
-fn arm(shared: &Shared, machine: &mut Machine) {
-    if let Some(plan) = &shared.faults {
-        machine.set_fault_plan(plan.clone());
-    }
-    if let Some(auditor) = &shared.cfg.auditor {
-        machine.set_region_auditor(Some(auditor.clone()));
-    }
-}
-
 /// The plan a decided variant runs under: `plan` — what the static
 /// heuristics give this run — with the variant's one decision replaced. The
 /// machine clamps forced tiers to what health and feasibility allow, so an
@@ -1103,28 +1071,34 @@ struct ServedRun<'a> {
     /// When this request may be routed through a variant (`DESIGN.md` §15):
     /// the tuner, its table key and the candidate space. `None` runs `plan`.
     tune: Option<(&'a Tuner, u64, Candidates<'a>)>,
+    /// The array table of what runs: the worker's machine is re-targeted at
+    /// it, and `inputs`/`outputs` are checked against it.
+    arrays: &'a [ArrayDecl],
     /// Arrays written before the run.
     inputs: &'a [ArrayPayload],
     /// Arrays read back after it.
     outputs: &'a [u32],
 }
 
-/// The run tail every executing verb shares: write inputs, decide the
-/// variant, run the stages under its plan, watch for degradation, record or
-/// demote, read outputs back. `retune` is the watermark that travels with
-/// `machine`. Fills the run-level stats (`execute_us`, `cycles`, `executed`,
-/// `tuned_*`); the verb shapes the rest from the returned stage reports.
+/// The run tail every executing verb shares: check the I/O against the run's
+/// table, load that table onto the worker's machine (zeroed memory, cold
+/// residency), write inputs, decide the variant, run the stages under its
+/// plan, watch for degradation, record or demote, read outputs back. Fills
+/// the run-level stats (`execute_us`, `cycles`, `executed`, `tuned_*`); the
+/// verb shapes the rest from the returned stage reports.
 fn run_stages(
     shared: &Shared,
-    machine: &mut Machine,
-    retune: &mut RetuneTrigger,
+    worker: &mut Worker,
     run: ServedRun<'_>,
     deadline: Instant,
     stats: &mut ResponseStats,
 ) -> Result<(Vec<StageReport>, Vec<ArrayPayload>), WireError> {
+    validate_io(run.arrays, run.inputs, run.outputs)?;
     if Instant::now() >= deadline {
         return Err(timeout("deadline expired before execution"));
     }
+    let Worker { machine, retune } = worker;
+    machine.reset(run.arrays);
     for p in run.inputs {
         machine.memory().write_array(ArrayId(p.array), &p.data);
     }
@@ -1154,10 +1128,8 @@ fn run_stages(
     // Demote instead of recording: fault-polluted cycles must not enter the
     // table.
     let events = retune.observe(machine.fault_counters().degradation_events());
-    shared.banks_lost.fetch_max(
-        machine.fault_counters().banks_quarantined,
-        Ordering::Relaxed,
-    );
+    let dead = machine.bank_health().n_banks() - machine.bank_health().healthy_count();
+    shared.banks_dead.fetch_max(dead, Ordering::Relaxed);
     if let Some((tuner, key, d)) = &tuned {
         stats.tuned_variant = Some(d.variant.label());
         stats.tuned_explore = d.explore;
@@ -1216,61 +1188,44 @@ fn execute_candidates(shared: &Shared, instance: &RegionInstance) -> Vec<Variant
 
 fn handle_execute(
     shared: &Shared,
-    pool: &mut SessionPool,
+    worker: &mut Worker,
     e: &ExecuteRequest,
     deadline: Instant,
     stats: &mut ResponseStats,
 ) -> Result<Payload, WireError> {
     let (artifact_id, binary) = resolve_binary(shared, e)?;
-    let decls = binary
-        .regions
-        .first()
-        .ok_or_else(|| bad_request("inline binary contains no regions"))?
-        .kernel()
-        .arrays();
-    validate_io(decls, &e.inputs, &e.outputs)?;
     let compiled = binary.region(&e.region).ok_or_else(|| {
         WireError::new(
             WireError::UNKNOWN_REGION,
             format!("no region named '{}' in the artifact", e.region),
         )
     })?;
+    // The named region's table is the one the run loads. A binary's regions
+    // share one table by contract; an inline binary is outside input and may
+    // break it.
+    let arrays = compiled.kernel().arrays();
+    if let Some(other) = binary
+        .regions
+        .iter()
+        .find(|r| r.kernel().arrays() != arrays)
+    {
+        return Err(bad_request(format!(
+            "unusable binary: region '{}' declares a different array table",
+            other.name()
+        )));
+    }
     stats.tensorizable = Some(compiled.tensorizable);
     let instance = compiled.instantiate(&e.syms).map_err(|err| {
         WireError::new(WireError::EXECUTION, format!("instantiation failed: {err}"))
     })?;
 
-    let key = (artifact_id, e.mode.index());
-    let mut pooled = match pool.take(key) {
-        Some(mut p) => {
-            // Pooled machine, unrelated tenant: wipe functional state.
-            p.session.reset();
-            p
-        }
-        None => {
-            let mut session = Session::with_jit(
-                shared.cfg.system.clone(),
-                (*binary).clone(),
-                e.mode.exec_mode(),
-                shared.jit.clone(),
-            )
-            .map_err(|err| bad_request(format!("unusable binary: {err}")))?;
-            arm(shared, session.machine());
-            PooledSession {
-                session,
-                retune: RetuneTrigger::new(),
-            }
-        }
-    };
-
     // Tuning covers full Inf-S executes: that is the mode where the §4.1
     // tile and Eq-2 tier decisions — the variant space — actually apply.
     let tuner = shared.tuner.as_deref().filter(|_| e.mode == WireMode::InfS);
     let candidates = || execute_candidates(shared, &instance);
-    let result = run_stages(
+    let (stages, outputs) = run_stages(
         shared,
-        pooled.session.machine(),
-        &mut pooled.retune,
+        worker,
         ServedRun {
             stages: &[StageRequest {
                 region: &instance,
@@ -1281,14 +1236,13 @@ fn handle_execute(
             mode: e.mode.exec_mode(),
             plan: RunPlan::default(),
             tune: tuner.map(|t| (t, tune_key(artifact_id, e), &candidates as _)),
+            arrays,
             inputs: &e.inputs,
             outputs: &e.outputs,
         },
         deadline,
         stats,
-    );
-    pool.put(key, pooled);
-    let (stages, outputs) = result?;
+    )?;
     let region = stages
         .into_iter()
         .next()
@@ -1328,6 +1282,7 @@ fn pipeline_error(e: infs_pipeline::PipelineError) -> WireError {
 
 fn handle_pipeline(
     shared: &Shared,
+    worker: &mut Worker,
     p: &PipelineRequest,
     deadline: Instant,
     stats: &mut ResponseStats,
@@ -1351,13 +1306,6 @@ fn handle_pipeline(
         stats.compile_us = t0.elapsed().as_micros() as u64;
         shared.pipelines.insert(key, Arc::new(compiled))
     };
-    let tensors = &compiled.graph().tensors;
-    validate_io(tensors, &p.inputs, &p.outputs)?;
-
-    // Pipelines run on a fresh machine per request: the graph owns its whole
-    // tensor table, so there is no artifact×mode session to keep warm.
-    let mut machine = Machine::new(shared.cfg.system.clone(), tensors);
-    arm(shared, &mut machine);
 
     // Residency-policy tuning (`DESIGN.md` §15): a fused pipeline request may
     // be routed through the per-kernel round trip instead — legal because
@@ -1368,8 +1316,7 @@ fn handle_pipeline(
     let candidates = || vec![Variant::Baseline, Variant::Roundtrip];
     let (stages, outputs) = run_stages(
         shared,
-        &mut machine,
-        &mut RetuneTrigger::new(),
+        worker,
         ServedRun {
             stages: &compiled.stage_requests(),
             mode: p.mode.exec_mode(),
@@ -1385,6 +1332,7 @@ fn handle_pipeline(
                 let tk = fnv1a(format!("pipeline|{key:016x}|{}", p.mode.index()).as_bytes());
                 (t, tk, &candidates as _)
             }),
+            arrays: &compiled.graph().tensors,
             inputs: &p.inputs,
             outputs: &p.outputs,
         },

@@ -135,7 +135,6 @@ fn ping(id: u64) -> Request {
 fn concurrent_mixed_requests_match_sequential_baseline() {
     let server = Arc::new(Server::new(ServeConfig {
         workers: 3,
-        sessions_per_worker: 2,
         ..ServeConfig::default()
     }));
     let wl = workloads();

@@ -246,3 +246,61 @@ fn hostile_lines_get_one_typed_reply_each_and_the_server_lives() {
     assert_eq!(stats.lines, stats.responses);
     server.shutdown();
 }
+
+/// An inline `binary` is outside input: its regions may declare different
+/// array tables, which no compiled artifact does. Whichever region the
+/// request names — and whichever table its inputs happen to fit — the answer
+/// is a typed `bad-request`, never a `write_array` panic surfacing as
+/// `worker-fault`; a lone region of the same binary is served.
+#[test]
+fn an_inline_binary_whose_regions_disagree_is_a_bad_request() {
+    let server = Server::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let compile = |k| infs_isa::Compiler::default().compile(k, &[]).unwrap();
+    let inline = |regions: Vec<infs_isa::CompiledRegion>, region: &str, inputs: &[usize]| {
+        let mut binary = infs_isa::FatBinary::new();
+        for r in regions {
+            binary.push(r);
+        }
+        let payload = |(i, &len): (usize, &usize)| ArrayPayload {
+            array: i as u32,
+            data: vec![1.0; len],
+        };
+        server.call(Request {
+            id: 1,
+            tenant: "fuzz".into(),
+            deadline_ms: None,
+            body: RequestBody::Execute(ExecuteRequest {
+                artifact: None,
+                binary: Some(binary.to_json().unwrap()),
+                region: region.into(),
+                syms: vec![],
+                params: vec![2.0],
+                mode: WireMode::InfS,
+                inputs: inputs.iter().enumerate().map(payload).collect(),
+                outputs: vec![0],
+            }),
+        })
+    };
+    // scale: one array of 64; vec_add: three arrays of 32.
+    let both = || vec![compile(demo::scale(64)), compile(demo::vec_add(32))];
+    for (region, inputs) in [
+        ("scale", &[64][..]),
+        ("scale", &[32, 32]),
+        ("vec_add", &[32, 32]),
+        ("vec_add", &[64]),
+    ] {
+        let r = inline(both(), region, inputs);
+        let e = r.error.expect("refused");
+        assert_eq!(e.kind, WireError::BAD_REQUEST, "{region} {inputs:?}: {e:?}");
+        assert!(e.message.contains("different array table"), "{e:?}");
+    }
+    let r = inline(vec![compile(demo::vec_add(32))], "vec_add", &[32, 32]);
+    assert!(r.ok, "{:?}", r.error);
+    let r = inline(vec![compile(demo::vec_add(32))], "vec_add", &[64]);
+    assert_eq!(r.error.expect("refused").kind, WireError::BAD_REQUEST);
+    assert_eq!(server.worker_faults(), 0, "a worker panicked");
+    server.shutdown();
+}

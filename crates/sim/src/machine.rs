@@ -265,7 +265,7 @@ struct InMemoryPlan<'r> {
 
 /// Per-machine fault and degradation counters (`DESIGN.md` §10). These are
 /// *hardware* state like the health mask: they survive [`Machine::reset`]
-/// so a pooled server session keeps its history across requests.
+/// so a serve worker's resident machine keeps its history across requests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// SRAM wordline flips the modeled ECC scrub detected.
@@ -370,7 +370,7 @@ impl Machine {
     }
 
     /// Creates a machine that memoizes JIT-lowered command streams in a
-    /// **shared** cache: a resident server hands every session one
+    /// **shared** cache: a resident server hands every worker's machine one
     /// `Arc<JitCache>` so tenants re-executing the same region reuse each
     /// other's lowered commands (the serving analogue of §4.2 memoization).
     pub fn with_jit(
@@ -443,24 +443,26 @@ impl Machine {
         &self.fault_counts
     }
 
-    /// The JIT memoization cache this machine lowers through (shared when the
-    /// machine was built with [`Machine::with_jit`]).
-    pub fn jit_cache(&self) -> &Arc<JitCache> {
-        &self.jit
-    }
-
-    /// Resets the machine for reuse by an unrelated request: fresh functional
-    /// memory (all zeros), no transposed/resident state, zeroed run stats.
-    /// The JIT cache handle is kept — reuse of lowered commands across
-    /// requests is the point of pooling. What was fixed when the machine was
-    /// set up (`assume_transposed`, functional mode, the construction-time
-    /// [`RunPlan`], the auditor) also persists; it describes the machine, not
-    /// the request — a request's own placement travels in the plan it passes
-    /// to [`Machine::run`] and leaves nothing behind. So do the bank-health
-    /// mask, fault plan and fault counters: quarantined silicon does not
-    /// heal because a new tenant shows up.
-    pub fn reset(&mut self) {
-        self.mem.zero();
+    /// Re-targets the machine at `arrays` for an unrelated request — the
+    /// serving layer's per-request hook, one resident machine per worker:
+    /// fresh zeroed functional memory for that table, every array cold (no
+    /// transposed/resident state), zeroed run stats. The JIT cache handle and
+    /// the planned-layout cache are kept — reuse of lowered commands across
+    /// requests is the point of a resident machine. What was fixed when the
+    /// machine was set up (`assume_transposed`, functional mode, the
+    /// construction-time [`RunPlan`], the auditor) also persists; it
+    /// describes the machine, not the request — a request's own placement
+    /// travels in the plan it passes to [`Machine::run`] and leaves nothing
+    /// behind. So do the bank-health mask, fault plan, fault counters and
+    /// region sequence: quarantined silicon does not heal because a new
+    /// tenant shows up.
+    pub fn reset(&mut self, arrays: &[infs_sdfg::ArrayDecl]) {
+        // An unchanged table keeps its allocation; zeroing is not optional.
+        if self.mem.decls() == arrays {
+            self.mem.zero();
+        } else {
+            self.mem = Memory::for_arrays(arrays);
+        }
         self.jit_hits = 0;
         self.jit_misses = 0;
         self.jit_template_hits = 0;
@@ -468,7 +470,8 @@ impl Machine {
         self.jit_cmd_template = 0;
         self.jit_cmd_misses = 0;
         self.stats = RunStats::default();
-        self.residency.clear();
+        self.residency
+            .clear(arrays.iter().map(infs_sdfg::ArrayDecl::size_bytes));
     }
 
     /// Functional memory (for writing inputs / reading results).

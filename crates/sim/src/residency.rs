@@ -73,27 +73,30 @@ pub(crate) struct Residency {
 impl Residency {
     /// A ledger over arrays of the given byte sizes, all cold.
     pub fn new(sizes: impl IntoIterator<Item = u64>, capacity: u64) -> Self {
-        let entry = |bytes| Entry {
-            form: Form::Cold,
-            bytes,
-            stamp: 0,
-        };
-        Residency {
-            entries: sizes.into_iter().map(entry).collect(),
+        let mut ledger = Residency {
+            entries: Vec::new(),
             capacity,
             clock: 0,
             assume_transposed: false,
-        }
+        };
+        ledger.clear(sizes);
+        ledger
     }
 
-    /// Forgets all residency (a fresh request on a pooled machine); the
+    /// Forgets all residency and re-targets the ledger at a table of arrays
+    /// of the given byte sizes (a fresh request on a resident machine); the
     /// assume-transposed mode describes the machine and persists.
-    pub fn clear(&mut self) {
-        let rest = match self.assume_transposed {
+    pub fn clear(&mut self, sizes: impl IntoIterator<Item = u64>) {
+        let form = match self.assume_transposed {
             true => Form::Warm,
             false => Form::Cold,
         };
-        self.entries.iter_mut().for_each(|e| e.form = rest.clone());
+        let entry = |bytes| Entry {
+            form: form.clone(),
+            bytes,
+            stamp: 0,
+        };
+        self.entries = sizes.into_iter().map(entry).collect();
     }
 
     /// Marks every cold array warm (§6: inputs already tiled to fit L3).
@@ -307,7 +310,7 @@ mod tests {
         r.set_assume_transposed(true);
         assert_eq!(r.admit(&[0], &[0], &t1), Charge::default());
         assert!(!r.any_transposed());
-        r.clear();
+        r.clear([100]);
         assert_eq!(r.touch(&[0], &[]), 0);
     }
 }

@@ -196,7 +196,7 @@ fn sram_flips_quarantine_banks_and_health_survives_reset() {
     assert_eq!(dead_before.len() as u64, fc.banks_quarantined);
 
     // Reset wipes request state but not quarantined silicon.
-    m.reset();
+    m.reset(region.sdfg.arrays());
     assert_eq!(m.bank_health().dead_banks(), dead_before);
     assert_eq!(m.fault_counters(), &fc);
 }

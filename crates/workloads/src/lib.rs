@@ -166,26 +166,8 @@ pub fn verify(b: &dyn Benchmark, mode: ExecMode, cfg: &SystemConfig) -> Result<(
     Ok(())
 }
 
-/// The ten Fig 11 benchmarks at a given scale, best dataflow per the paper
-/// (tiled inner product for Base is handled inside `mm`/`kmeans`/`gather_mlp`
-/// via [`Dataflow`] selection in the figure harness).
-pub fn fig11_suite(scale: Scale) -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(Stencil1d::new(scale)),
-        Box::new(Stencil2d::new(scale)),
-        Box::new(Stencil3d::new(scale)),
-        Box::new(Dwt2d::new(scale)),
-        Box::new(GaussElim::new(scale)),
-        Box::new(Conv2d::new(scale)),
-        Box::new(Conv3d::new(scale)),
-        Box::new(MatMul::new(scale, Dataflow::Outer)),
-        Box::new(Kmeans::new(scale, Dataflow::Outer)),
-        Box::new(GatherMlp::new(scale, Dataflow::Outer)),
-    ]
-}
-
-/// All 13 Table 3 workload variants (the Fig 13/14 x-axis): the Fig 11 suite
-/// with both dataflows of the three reduction workloads.
+/// All 13 Table 3 workload variants (the Fig 13/14 x-axis): the ten Fig 11
+/// benchmarks with both dataflows of the three reduction workloads.
 pub fn full_suite(scale: Scale) -> Vec<Box<dyn Benchmark>> {
     vec![
         Box::new(Stencil1d::new(scale)),
