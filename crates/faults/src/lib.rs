@@ -52,4 +52,4 @@ pub use health::BankHealth;
 pub use plan::{FaultConfig, FaultPlan, NocFault, ScheduledFault, SramFlip};
 pub use retry::RetryPolicy;
 pub use retune::RetuneTrigger;
-pub use rng::{fnv1a, mix64, Xorshift64};
+pub use rng::{fnv1a, mix64, Fnv1a, Xorshift64};

@@ -10,6 +10,8 @@
 //!   sequence number `i` is independent of the order in which worker threads
 //!   ask — a requirement for deterministic schedules under real concurrency.
 
+use std::io;
+
 /// A minimal xorshift64\* PRNG. Deterministic, `no_std`-friendly, and cheap.
 ///
 /// Not cryptographic; used only for reproducible fault schedules.
@@ -67,19 +69,59 @@ pub fn mix64(seed: u64, domain: u64, index: u64) -> u64 {
 
 /// FNV-1a-style hash of a byte string: tiny, dependency-free, stable across
 /// platforms and processes (unlike `DefaultHasher`, which is seeded per
-/// process) — the one content hash behind artifact ids, pipeline and batch
-/// keys, tune keys and tenant ring positions.
+/// process) — the one content hash behind artifact ids, pipeline keys, tune
+/// keys and tenant ring positions.
 ///
 /// The multiplier is `2^44 + 0x1b3`, **not** the published 64-bit FNV prime
 /// (`2^40 + 0x1b3`): the artifact ids clients hold and the tuner's seeded
 /// decision sequence are functions of it, so it stays as first written.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] fed in pieces: the hash of the concatenation of everything
+/// written, so an encoder can stream into it (it is an [`io::Write`] sink)
+/// instead of materialising the bytes first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of the empty string.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Appends `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl io::Write for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        Fnv1a::write(self, bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -93,6 +135,20 @@ mod tests {
     fn fnv1a_is_pinned() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+    }
+
+    /// Fed in pieces — by hand or as an `io::Write` sink — the hash is the
+    /// hash of the concatenation, wherever the pieces split.
+    #[test]
+    fn incremental_fnv1a_is_the_hash_of_the_concatenation() {
+        use std::io::Write;
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        for split in [0, 1, 7, 8, 999, 1000] {
+            let mut h = Fnv1a::new();
+            h.write(&bytes[..split]);
+            h.write_all(&bytes[split..]).unwrap();
+            assert_eq!(h.finish(), fnv1a(&bytes), "split at {split}");
+        }
     }
 
     #[test]

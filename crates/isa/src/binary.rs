@@ -1,6 +1,6 @@
 use crate::{IsaError, Schedule, SramGeometry};
 use infs_egraph::CostParams;
-use infs_faults::fnv1a;
+use infs_faults::Fnv1a;
 use infs_frontend::{FrontendError, Kernel};
 use infs_geom::layout::LayoutHints;
 use infs_sdfg::Sdfg;
@@ -337,7 +337,8 @@ impl FatBinary {
     }
 
     /// A stable 64-bit content hash of the binary (FNV-1a over its canonical
-    /// JSON encoding, which writes struct fields in declaration order).
+    /// JSON encoding, which writes struct fields in declaration order; the
+    /// encoder streams into the hasher, so no copy of the JSON is built).
     /// Binaries that serialize identically hash identically — the
     /// content-addressing key the serving layer's artifact cache uses, so a
     /// kernel compiled by one tenant is found by every other tenant.
@@ -346,7 +347,9 @@ impl FatBinary {
     ///
     /// Returns [`IsaError::Serialize`] if the binary cannot be encoded.
     pub fn content_hash(&self) -> Result<u64, IsaError> {
-        Ok(fnv1a(self.to_json()?.as_bytes()))
+        let mut hash = Fnv1a::new();
+        serde_json::to_writer(&mut hash, self).map_err(|e| IsaError::Serialize(e.to_string()))?;
+        Ok(hash.finish())
     }
 }
 

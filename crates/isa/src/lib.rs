@@ -31,5 +31,5 @@ mod schedule;
 
 pub use binary::{CompileStage, CompiledRegion, Compiler, FatBinary, RegionInstance};
 pub use error::IsaError;
-pub use infs_faults::fnv1a;
+pub use infs_faults::{fnv1a, Fnv1a};
 pub use schedule::{Schedule, SramGeometry, WlReg};

@@ -212,7 +212,10 @@ impl PipelineGraph {
     ///
     /// [`PipelineError::Invalid`] if the graph cannot be serialized.
     pub fn content_key(&self) -> Result<u64, PipelineError> {
-        Ok(infs_isa::fnv1a(self.to_json()?.as_bytes()))
+        let mut hash = infs_isa::Fnv1a::new();
+        serde_json::to_writer(&mut hash, self)
+            .map_err(|e| PipelineError::Invalid(e.to_string()))?;
+        Ok(hash.finish())
     }
 }
 

@@ -18,7 +18,7 @@ use crate::protocol::{
 use crate::queue::{AdmissionQueue, PushError};
 use infs_faults::{FaultPlan, RetuneTrigger};
 use infs_geom::TileShape;
-use infs_isa::{fnv1a, Compiler, FatBinary, IsaError, RegionInstance};
+use infs_isa::{fnv1a, Compiler, FatBinary, Fnv1a, IsaError, RegionInstance};
 use infs_runtime::{JitCache, Tier, TransposedLayout};
 use infs_sdfg::{ArrayDecl, ArrayId};
 use infs_shard::{BatchMap, BatchStats, JoinOutcome};
@@ -649,76 +649,130 @@ impl Worker {
     }
 }
 
-/// The coalescing identity of a batchable request body: an exact canonical
-/// byte encoding of it as the guard, and the FNV-1a hash of those bytes as
-/// the key (so a 64-bit hash collision degrades to an unbatched execution,
-/// never a wrong answer). Every variable-length field is length-prefixed and
-/// floats go in as their bit patterns, so two bodies share a guard only if
-/// they are field-for-field, bit-for-bit the same request — stricter than
-/// their JSON text, and without printing a float on the reactor thread.
-/// Tenant, id, and deadline live on the envelope, not the body — identical
-/// work batches across tenants because the result is identical.
-fn batch_identity(body: &RequestBody) -> Option<(u64, Vec<u8>)> {
-    fn put_len(g: &mut Vec<u8>, n: usize) {
-        g.extend_from_slice(&(n as u64).to_le_bytes());
+/// Where [`encode_body`] puts its bytes: a counter on the sizing pass, the
+/// guard itself on the second, so the guard is allocated once at its exact
+/// length (a 512 KiB guard grown by doubling is copied twice over).
+trait GuardSink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl GuardSink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
     }
-    fn put_bytes(g: &mut Vec<u8>, b: &[u8]) {
-        put_len(g, b.len());
-        g.extend_from_slice(b);
+}
+
+impl GuardSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
-    fn put_opt(g: &mut Vec<u8>, s: Option<&String>) {
-        g.push(u8::from(s.is_some()));
+}
+
+/// The exact canonical byte encoding of a batchable request body (`None`
+/// for the verbs that are never coalesced). Every variable-length field is
+/// length-prefixed and floats go in as their bit patterns, so two bodies
+/// encode alike only if they are field-for-field, bit-for-bit the same
+/// request — stricter than their JSON text, and without printing a float on
+/// the reactor thread.
+fn encode_body<G: GuardSink>(body: &RequestBody, g: &mut G) -> Option<()> {
+    fn put_bytes(g: &mut impl GuardSink, b: &[u8]) {
+        g.put(&(b.len() as u64).to_le_bytes());
+        g.put(b);
+    }
+    fn put_opt(g: &mut impl GuardSink, s: Option<&String>) {
+        g.put(&[u8::from(s.is_some())]);
         if let Some(s) = s {
             put_bytes(g, s.as_bytes());
         }
     }
-    fn put_all<T: Copy, const N: usize>(g: &mut Vec<u8>, xs: &[T], le: impl Fn(T) -> [u8; N]) {
-        put_len(g, xs.len());
-        g.reserve(xs.len() * N);
-        for &x in xs {
-            g.extend_from_slice(&le(x));
+    fn put_all<T: Copy, const N: usize>(
+        g: &mut impl GuardSink,
+        xs: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) {
+        g.put(&(xs.len() as u64).to_le_bytes());
+        // Through a stack block: one `put` per element is a capacity check
+        // and a length update per four bytes of a 512 KiB guard.
+        let mut block = [0u8; 1024];
+        for run in xs.chunks(block.len() / N) {
+            for (bytes, &x) in block.chunks_exact_mut(N).zip(run) {
+                bytes.copy_from_slice(&le(x));
+            }
+            g.put(&block[..run.len() * N]);
         }
     }
-    fn put_payloads(g: &mut Vec<u8>, inputs: &[ArrayPayload]) {
-        put_len(g, inputs.len());
+    fn put_payloads(g: &mut impl GuardSink, inputs: &[ArrayPayload]) {
+        g.put(&(inputs.len() as u64).to_le_bytes());
         for p in inputs {
-            g.extend_from_slice(&p.array.to_le_bytes());
+            g.put(&p.array.to_le_bytes());
             put_all(g, &p.data, |v| v.to_bits().to_le_bytes());
         }
     }
-    let mut g = Vec::new();
     match body {
         RequestBody::Compile(c) => {
-            g.push(0);
+            g.put(&[0]);
             // A kernel is a small tree with no bulk data: its canonical JSON
             // is its encoding.
-            put_bytes(&mut g, serde_json::to_string(&c.kernel).ok()?.as_bytes());
-            put_all(&mut g, &c.representative_syms, i64::to_le_bytes);
-            g.push(u8::from(c.optimize));
+            put_bytes(g, serde_json::to_string(&c.kernel).ok()?.as_bytes());
+            put_all(g, &c.representative_syms, i64::to_le_bytes);
+            g.put(&[u8::from(c.optimize)]);
         }
         RequestBody::Execute(e) => {
-            g.push(1);
-            put_opt(&mut g, e.artifact.as_ref());
-            put_opt(&mut g, e.binary.as_ref());
-            put_bytes(&mut g, e.region.as_bytes());
-            put_all(&mut g, &e.syms, i64::to_le_bytes);
-            put_all(&mut g, &e.params, |v| v.to_bits().to_le_bytes());
-            g.push(e.mode.index());
-            put_payloads(&mut g, &e.inputs);
-            put_all(&mut g, &e.outputs, u32::to_le_bytes);
+            g.put(&[1]);
+            put_opt(g, e.artifact.as_ref());
+            put_opt(g, e.binary.as_ref());
+            put_bytes(g, e.region.as_bytes());
+            put_all(g, &e.syms, i64::to_le_bytes);
+            put_all(g, &e.params, |v| v.to_bits().to_le_bytes());
+            g.put(&[e.mode.index()]);
+            put_payloads(g, &e.inputs);
+            put_all(g, &e.outputs, u32::to_le_bytes);
         }
         RequestBody::Pipeline(p) => {
-            g.push(2);
-            put_bytes(&mut g, p.graph.as_bytes());
-            g.push(p.mode.index());
-            g.push(u8::from(p.fused));
-            put_payloads(&mut g, &p.inputs);
-            put_all(&mut g, &p.outputs, u32::to_le_bytes);
+            g.put(&[2]);
+            put_bytes(g, p.graph.as_bytes());
+            g.put(&[p.mode.index(), u8::from(p.fused)]);
+            put_payloads(g, &p.inputs);
+            put_all(g, &p.outputs, u32::to_le_bytes);
         }
         // Control verbs are cheap and side-effecting; never coalesced.
         _ => return None,
     }
-    Some((fnv1a(&g), g))
+    Some(())
+}
+
+/// The coalescing identity of a batchable request body: its
+/// [`encode_body`] bytes as the guard and [`fold64`] of them as the key (so
+/// a 64-bit hash collision degrades to an unbatched execution, never a
+/// wrong answer). Tenant, id, and deadline live on the envelope, not the
+/// body — identical work batches across tenants because the result is
+/// identical.
+fn batch_identity(body: &RequestBody) -> Option<(u64, Vec<u8>)> {
+    let mut len = 0;
+    encode_body(body, &mut len)?;
+    let mut guard = Vec::with_capacity(len);
+    encode_body(body, &mut guard)?;
+    Some((fold64(&guard), guard))
+}
+
+/// Folds `bytes` to a batch key, eight bytes per multiply. Unlike the
+/// byte-serial [`fnv1a`] behind artifact ids, this value never leaves the
+/// process and nothing is addressed by it across runs: it only picks a slot
+/// in the batch table, and the guard compare catches a collision.
+fn fold64(bytes: &[u8]) -> u64 {
+    let step = |h: u64, word: u64| {
+        (h ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29)
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    let mut last = [0; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    step(h, u64::from_le_bytes(last))
 }
 
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
@@ -928,13 +982,17 @@ fn timeout(message: impl Into<String>) -> WireError {
 /// over the canonical encoding), so a restarted server re-derives the same
 /// artifact ids.
 fn compile_key(compiler: &Compiler, c: &CompileRequest) -> Result<u64, WireError> {
-    let kernel = serde_json::to_string(&c.kernel)
+    let mut hash = Fnv1a::new();
+    serde_json::to_writer(&mut hash, &c.kernel)
         .map_err(|e| bad_request(format!("unserializable kernel: {e}")))?;
-    let tag = format!(
-        "{kernel}|syms={:?}|opt={}|geoms={:?}",
-        c.representative_syms, c.optimize, compiler.geometries
+    hash.write(
+        format!(
+            "|syms={:?}|opt={}|geoms={:?}",
+            c.representative_syms, c.optimize, compiler.geometries
+        )
+        .as_bytes(),
     );
-    Ok(fnv1a(tag.as_bytes()))
+    Ok(hash.finish())
 }
 
 fn handle_compile(

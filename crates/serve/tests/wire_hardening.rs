@@ -10,14 +10,17 @@ use infs_serve::{
     demo, serve_reactor, ArrayPayload, CompileRequest, ExecuteRequest, PipelineRequest, Request,
     RequestBody, Response, ServeConfig, Server, WireError, WireMode,
 };
-use infs_shard::ReactorConfig;
+use infs_shard::{ReactorConfig, ReactorStats};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 const SEED: u64 = 0xC0FFEE;
 const LINES: u64 = 400;
+/// Elements in the demo arrays.
+const N: u64 = 64;
 
 const TYPED: [&str; 10] = [
     WireError::BACKPRESSURE,
@@ -71,10 +74,17 @@ enum Expect {
     Any,
 }
 
+/// `valid` with its `"id"` value replaced by `token`.
+fn with_id(valid: &str, token: &str) -> String {
+    let at = valid.find("\"id\":").expect("every request has an id") + 5;
+    let digits = valid[at..].bytes().take_while(u8::is_ascii_digit).count();
+    format!("{}{token}{}", &valid[..at], &valid[at + digits..])
+}
+
 fn mutate(valid: &str, case: u64) -> (Vec<u8>, Expect) {
     let roll = |k: u64, n: u64| mix64(SEED, case, k) % n;
     let bytes = valid.as_bytes();
-    match roll(0, 5) {
+    match roll(0, 6) {
         // Truncated: an object cut short of its closing brace never parses.
         0 => {
             let cut = 1 + roll(1, bytes.len() as u64 - 1) as usize;
@@ -126,6 +136,60 @@ fn mutate(valid: &str, case: u64) -> (Vec<u8>, Expect) {
             }
             (raw, Expect::Any)
         }
+        // Numbers: outside RFC 8259's grammar, outside the field's range
+        // (an id is a u64), or long enough that only the scanner's own
+        // bounds stand between them and an overflow.
+        4 => {
+            let long = "7".repeat(400);
+            let tiny = format!("0.{}1", "0".repeat(400)); // underflows to 0.0
+            let outside_the_grammar = [
+                "+1", "01", "-01", ".5", "1.", "1.e3", "-", "1e", "1e+", "0x1f",
+            ];
+            let not_a_u64 = [
+                "18446744073709551616",
+                "-1",
+                "1.5",
+                "1e30",
+                "1e999999999",
+                "-1e999999999",
+                "1e99999999999999999999",
+                "4e-1",
+                &long,
+            ];
+            let floats = [
+                "1e999999999",
+                "-1e999999999",
+                "1e-999999999",
+                &long,
+                &tiny,
+                "-0",
+                "0e0",
+            ];
+            match roll(1, 3) {
+                0 => (
+                    with_id(valid, outside_the_grammar[roll(2, 10) as usize]).into_bytes(),
+                    Expect::Error,
+                ),
+                1 => (
+                    with_id(valid, not_a_u64[roll(2, 9) as usize]).into_bytes(),
+                    Expect::Error,
+                ),
+                // Any of these is an `f32` (±inf, ±0, or 7.7…e399 → inf); what
+                // the request then means is for validation to say.
+                _ if valid.contains("\"data\":[") => {
+                    let extra = format!("\"data\":[{},", floats[roll(2, 7) as usize]);
+                    (
+                        valid.replacen("\"data\":[", &extra, 1).into_bytes(),
+                        Expect::Any,
+                    )
+                }
+                // `1e-999999999` is 0.0, and 0.0 is an id.
+                _ => (
+                    with_id(valid, floats[roll(2, 5) as usize]).into_bytes(),
+                    Expect::Any,
+                ),
+            }
+        }
         // Escapes the parser must refuse: unpaired and mispaired surrogates,
         // short and non-hex `\u`, an unknown escape.
         _ => {
@@ -144,8 +208,15 @@ fn mutate(valid: &str, case: u64) -> (Vec<u8>, Expect) {
     }
 }
 
-#[test]
-fn hostile_lines_get_one_typed_reply_each_and_the_server_lives() {
+/// A two-worker server behind the reactor, one connection to it, and the
+/// compile line for `demo::scale(64)` with its (successful) reply.
+fn serve() -> (
+    Arc<Server>,
+    JoinHandle<ReactorStats>,
+    Wire,
+    String,
+    Response,
+) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = Arc::new(Server::new(ServeConfig {
@@ -167,44 +238,56 @@ fn hostile_lines_get_one_typed_reply_each_and_the_server_lives() {
         writer: stream.try_clone().unwrap(),
         reader: BufReader::new(stream),
     };
-
-    // The valid requests everything is derived from, each checked first.
-    let n = 64u64;
     let compile = line(
         1,
         RequestBody::Compile(CompileRequest {
-            kernel: demo::scale(n),
+            kernel: demo::scale(N),
             representative_syms: vec![],
             optimize: true,
         }),
     );
     let compiled = wire.round_trip(compile.as_bytes());
     assert!(compiled.ok, "{:?}", compiled.error);
+    (server, io, wire, compile, compiled)
+}
+
+fn execute_scale(id: u64, compiled: &Response) -> String {
+    line(
+        id,
+        RequestBody::Execute(ExecuteRequest {
+            artifact: compiled.artifact.clone(),
+            binary: None,
+            region: "scale".into(),
+            syms: vec![],
+            params: vec![2.0],
+            mode: WireMode::InfS,
+            inputs: vec![ArrayPayload {
+                array: 0,
+                data: (0..N).map(|i| i as f32).collect(),
+            }],
+            outputs: vec![0],
+        }),
+    )
+}
+
+#[test]
+fn hostile_lines_get_one_typed_reply_each_and_the_server_lives() {
+    let (server, io, mut wire, compile, compiled) = serve();
+
+    // The valid requests everything is derived from, each checked first.
     let input = ArrayPayload {
         array: 0,
-        data: (0..n).map(|i| i as f32).collect(),
+        data: (0..N).map(|i| i as f32).collect(),
     };
     let valid = [
         line(2, RequestBody::Ping),
         line(3, RequestBody::Health),
         compile,
-        line(
-            4,
-            RequestBody::Execute(ExecuteRequest {
-                artifact: compiled.artifact,
-                binary: None,
-                region: "scale".into(),
-                syms: vec![],
-                params: vec![2.0],
-                mode: WireMode::InfS,
-                inputs: vec![input.clone()],
-                outputs: vec![0],
-            }),
-        ),
+        execute_scale(4, &compiled),
         line(
             5,
             RequestBody::Pipeline(PipelineRequest {
-                graph: demo::pipeline(n, 3.0).to_json().unwrap(),
+                graph: demo::pipeline(N, 3.0).to_json().unwrap(),
                 mode: WireMode::InfS,
                 fused: true,
                 inputs: vec![input],
@@ -239,6 +322,63 @@ fn hostile_lines_get_one_typed_reply_each_and_the_server_lives() {
     // One reply per line, no more: the next reply is to the next request.
     let pong = wire.round_trip(line(777, RequestBody::Ping).as_bytes());
     assert!(pong.ok && pong.id == 777, "{pong:?}");
+    assert_eq!(server.worker_faults(), 0, "a worker panicked");
+
+    server.begin_shutdown();
+    let stats = io.join().expect("the reactor thread did not panic");
+    assert_eq!(stats.lines, stats.responses);
+    server.shutdown();
+}
+
+/// Integer fields are range-checked where they are read: `4294967298` is not
+/// array 2, `-1` is not a deadline, and the answer is a typed `bad-request`
+/// — while every spelling of an in-range integer, `0.0` and `2e0` included,
+/// is still the request it always was.
+#[test]
+fn out_of_range_integers_are_bad_requests_and_in_range_ones_still_run() {
+    let (server, io, mut wire, _, compiled) = serve();
+    let valid = execute_scale(9, &compiled);
+    let reference = wire.round_trip(valid.as_bytes());
+    assert!(reference.ok, "{:?}", reference.error);
+
+    for (field, spelling) in [
+        ("\"outputs\":[0]", "\"outputs\":[0.0]"),
+        ("\"outputs\":[0]", "\"outputs\":[0e0]"),
+        ("\"outputs\":[0]", "\"outputs\":[-0]"),
+        ("\"array\":0", "\"array\":0.0"),
+        ("\"id\":9", "\"id\":9.0"),
+        ("\"id\":9", "\"id\":0.9e1"),
+        ("\"deadline_ms\":null", "\"deadline_ms\":6e4"),
+    ] {
+        assert!(valid.contains(field), "{field}");
+        let r = wire.round_trip(valid.replacen(field, spelling, 1).as_bytes());
+        assert!(r.ok && r.id == 9, "{spelling}: {:?}", r.error);
+        assert_eq!(r.outputs[0].data, reference.outputs[0].data, "{spelling}");
+    }
+    for (field, spelling) in [
+        ("\"outputs\":[0]", "\"outputs\":[4294967296]"),
+        ("\"outputs\":[0]", "\"outputs\":[4294967298]"),
+        ("\"outputs\":[0]", "\"outputs\":[-1]"),
+        ("\"outputs\":[0]", "\"outputs\":[1e30]"),
+        ("\"outputs\":[0]", "\"outputs\":[0.5]"),
+        ("\"array\":0", "\"array\":4294967296"),
+        ("\"array\":0", "\"array\":-4294967296"),
+        ("\"id\":9", "\"id\":18446744073709551616"),
+        ("\"id\":9", "\"id\":-9"),
+        ("\"deadline_ms\":null", "\"deadline_ms\":-1"),
+        ("\"deadline_ms\":null", "\"deadline_ms\":1e20"),
+        ("\"syms\":[]", "\"syms\":[9223372036854775808]"),
+        ("\"syms\":[]", "\"syms\":[-9223372036854775809]"),
+    ] {
+        assert!(valid.contains(field), "{field}");
+        let r = wire.round_trip(valid.replacen(field, spelling, 1).as_bytes());
+        let e = r.error.unwrap_or_else(|| panic!("{spelling} was accepted"));
+        assert_eq!(e.kind, WireError::BAD_REQUEST, "{spelling}: {e:?}");
+        assert!(
+            e.message.contains("unparseable request"),
+            "{spelling}: {e:?}"
+        );
+    }
     assert_eq!(server.worker_faults(), 0, "a worker panicked");
 
     server.begin_shutdown();
