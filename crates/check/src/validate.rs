@@ -12,9 +12,7 @@
 
 use infs_geom::HyperRect;
 use infs_isa::{Schedule, SramGeometry};
-use infs_runtime::{
-    distill, instantiate, lower, CommandStream, InfCommand, RuntimeError, TransposedLayout,
-};
+use infs_runtime::{lower, CommandStream, InfCommand, RuntimeError, TransposedLayout};
 use infs_sdfg::ArrayDecl;
 use infs_sim::{RegionAuditor, SystemConfig};
 use infs_tdfg::{Node, NodeId, OutputTarget, Tdfg};
@@ -55,13 +53,6 @@ pub enum CheckError {
     },
     /// JIT lowering itself rejected the region.
     Lower(RuntimeError),
-    /// The shape-polymorphic JIT path diverged: instantiating the region's
-    /// distilled template against its own slot table did not reproduce the
-    /// directly-lowered command stream bit for bit.
-    Template {
-        /// Violated invariant.
-        what: String,
-    },
     /// A multi-kernel pipeline graph or its residency plan is ill-formed.
     Pipeline {
         /// Violated invariant.
@@ -79,7 +70,6 @@ impl fmt::Display for CheckError {
             }
             CheckError::Stream { index, what } => write!(f, "command {index}: {what}"),
             CheckError::Lower(e) => write!(f, "JIT lowering failed: {e}"),
-            CheckError::Template { what } => write!(f, "template path: {what}"),
             CheckError::Pipeline { what } => write!(f, "pipeline graph: {what}"),
         }
     }
@@ -606,52 +596,7 @@ pub fn validate_region(
         if let Ok(layout) = TransposedLayout::plan(g, &g.layout_hints(), &hw) {
             let stream = lower(g, s, &layout, &hw)?;
             validate_stream(&stream, hw.n_banks)?;
-            validate_template_path(g, s, &layout, &hw, &stream)?;
         }
-    }
-    Ok(())
-}
-
-/// Validates the shape-polymorphic JIT path for a region: distills the
-/// relocatable template, instantiates it against its own slot table, and
-/// requires the patched stream to be **bitwise identical** to the directly
-/// lowered one — same commands, same bank loads, same modeled stats. This is
-/// the differential check that makes a template cache hit safe: whatever
-/// `instantiate` stamps out for *fresh* slots is exactly what `lower` would
-/// have produced for the graph those slots came from.
-///
-/// # Errors
-///
-/// [`CheckError::Template`] on any divergence (including a distillation or
-/// instantiation failure on a region that lowered fine).
-fn validate_template_path(
-    g: &Tdfg,
-    s: &Schedule,
-    layout: &TransposedLayout,
-    hw: &infs_runtime::HwConfig,
-    direct: &CommandStream,
-) -> Result<(), CheckError> {
-    let (template, slots) = distill(g, s, hw).map_err(|e| CheckError::Template {
-        what: format!("distillation failed on a lowerable region: {e}"),
-    })?;
-    let patched = instantiate(&template, &slots, layout, hw).map_err(|e| CheckError::Template {
-        what: format!("instantiation failed on a lowerable region: {e}"),
-    })?;
-    if patched != *direct {
-        let first_diff = patched
-            .cmds
-            .iter()
-            .zip(direct.cmds.iter())
-            .position(|(a, b)| a != b);
-        return Err(CheckError::Template {
-            what: format!(
-                "patched stream diverges from direct lowering \
-                 ({} vs {} commands; first differing command: {:?})",
-                patched.cmds.len(),
-                direct.cmds.len(),
-                first_diff,
-            ),
-        });
     }
     Ok(())
 }

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The static compiler derives these from the tDFG's data-movement pattern; the
 /// runtime combines them with the array shape to pick a tile size quickly.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LayoutHints {
     /// Dimensions along which tensors are shifted (`mv` nodes).
     pub shift_dims: Vec<usize>,

@@ -1,3 +1,4 @@
+use crate::JitOutcome;
 use infs_isa::SramGeometry;
 use serde::{Deserialize, Serialize};
 
@@ -20,21 +21,41 @@ pub struct HwConfig {
     pub cores: u32,
     /// fp32 lanes per core per cycle (one 512-bit vector op → 16).
     pub simd_lanes: u32,
-    /// JIT model: fixed cycles per lowering invocation.
-    pub jit_base_cycles: u64,
-    /// JIT model: cycles per generated command (steps 1–2).
-    pub jit_per_cmd_cycles: u64,
-    /// JIT model: cycles per command *per bank* (step 3, the `O(N_bank×N_cmd)`
-    /// mapping loop the paper identifies as the most expensive).
-    pub jit_per_cmd_bank_cycles: u64,
+    /// The JIT cycle model ([`HwConfig::jit_cycles`] prices it).
+    pub jit: JitModel,
+}
+
+/// The JIT cycle-model constants — the one cost table every JIT charge and
+/// estimate reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct JitModel {
+    /// Fixed cycles per lowering invocation.
+    pub base: u64,
+    /// Cycles per generated command (steps 1–2).
+    pub per_cmd: u64,
+    /// Cycles per command *per bank* (step 3, the `O(N_bank×N_cmd)` mapping
+    /// loop the paper identifies as the most expensive).
+    pub per_cmd_bank: u64,
     /// Cycles charged on a JIT-cache hit.
-    pub jit_hit_cycles: u64,
+    pub hit: u64,
     /// Cycles to copy-and-patch one command's offset/extent slots when a
     /// relocatable template serves the request (template hit, or a command
     /// whose emission class was already materialized earlier in the same
-    /// stream). Orders of magnitude below `jit_per_cmd_cycles` because no
-    /// decomposition or scheduling re-runs.
-    pub jit_patch_per_cmd_cycles: u64,
+    /// stream). Orders of magnitude below `per_cmd` because no decomposition
+    /// or scheduling re-runs.
+    pub patch_per_cmd: u64,
+}
+
+impl Default for JitModel {
+    fn default() -> Self {
+        JitModel {
+            base: 2_000,
+            per_cmd: 60,
+            per_cmd_bank: 2,
+            hit: 500,
+            patch_per_cmd: 2,
+        }
+    }
 }
 
 impl Default for HwConfig {
@@ -46,11 +67,7 @@ impl Default for HwConfig {
             line_bytes: 64,
             cores: 64,
             simd_lanes: 16,
-            jit_base_cycles: 2_000,
-            jit_per_cmd_cycles: 60,
-            jit_per_cmd_bank_cycles: 2,
-            jit_hit_cycles: 500,
-            jit_patch_per_cmd_cycles: 2,
+            jit: JitModel::default(),
         }
     }
 }
@@ -67,31 +84,31 @@ impl HwConfig {
         self.cores as u64 * self.simd_lanes as u64
     }
 
-    /// The JIT lowering cycle model for a freshly lowered stream of `n_cmds`
-    /// commands, none of which reuse a previously materialized emission class.
-    pub fn jit_cycles(&self, n_cmds: u64) -> u64 {
-        self.jit_cycles_templated(n_cmds, 0)
-    }
-
-    /// The JIT lowering cycle model for a fresh stream in which
-    /// `from_template` of the `n_cmds` commands were stamped out of an
-    /// emission class already materialized earlier in the same stream (e.g.
-    /// the per-piece copies of one decomposed compute node): those pay the
-    /// copy-and-patch rate instead of the full per-command rate. The
-    /// `O(N_bank×N_cmd)` bank-mapping loop still runs for every command —
-    /// cold streams have no bank structure to reuse.
-    pub fn jit_cycles_templated(&self, n_cmds: u64, from_template: u64) -> u64 {
-        let fresh = n_cmds.saturating_sub(from_template);
-        self.jit_base_cycles
-            + self.jit_per_cmd_cycles * fresh
-            + self.jit_patch_per_cmd_cycles * from_template.min(n_cmds)
-            + self.jit_per_cmd_bank_cycles * n_cmds * self.n_banks as u64
-    }
-
-    /// Cycles to serve a request from a cached relocatable template:
-    /// the hit cost plus one slot patch per command.
-    pub fn jit_patch_cycles(&self, n_cmds: u64) -> u64 {
-        self.jit_hit_cycles + self.jit_patch_per_cmd_cycles * n_cmds
+    /// The JIT cycle model: what one region entry's JIT step costs when the
+    /// cache resolves it as `outcome` for a stream of `n_cmds` commands.
+    ///
+    /// - A concrete hit pays the lookup, `jit.hit`.
+    /// - A template hit pays the lookup plus one slot patch per command.
+    /// - A miss lowers in full: `jit.base`, the per-command rate for the
+    ///   commands that materialize a new emission class, the patch rate for
+    ///   the `from_template` commands stamped out of a class already
+    ///   materialized earlier in the same stream (e.g. the per-piece copies
+    ///   of one decomposed compute node), and the `O(N_bank×N_cmd)`
+    ///   bank-mapping loop for every command — cold streams have no bank
+    ///   structure to reuse. `from_template` is ignored on hits.
+    pub fn jit_cycles(&self, outcome: JitOutcome, n_cmds: u64, from_template: u64) -> u64 {
+        let m = &self.jit;
+        match outcome {
+            JitOutcome::ConcreteHit => m.hit,
+            JitOutcome::TemplateHit => m.hit + m.patch_per_cmd * n_cmds,
+            JitOutcome::Miss => {
+                let fresh = n_cmds.saturating_sub(from_template);
+                m.base
+                    + m.per_cmd * fresh
+                    + m.patch_per_cmd * from_template.min(n_cmds)
+                    + m.per_cmd_bank * n_cmds * self.n_banks as u64
+            }
+        }
     }
 }
 
@@ -110,23 +127,25 @@ mod tests {
     fn jit_model_scales_with_banks() {
         let hw = HwConfig::default();
         let half = HwConfig { n_banks: 32, ..hw };
-        assert!(hw.jit_cycles(100) > half.jit_cycles(100));
+        let miss = |hw: &HwConfig| hw.jit_cycles(JitOutcome::Miss, 100, 0);
+        assert!(miss(&hw) > miss(&half));
     }
 
     #[test]
     fn templated_commands_are_cheaper_than_fresh_ones() {
         let hw = HwConfig::default();
-        assert!(hw.jit_cycles_templated(100, 60) < hw.jit_cycles(100));
-        // All-fresh matches the legacy flat model.
-        assert_eq!(hw.jit_cycles_templated(100, 0), hw.jit_cycles(100));
+        let miss = |from_template| hw.jit_cycles(JitOutcome::Miss, 100, from_template);
+        assert!(miss(60) < miss(0));
         // from_template can never push the cost below base + bank mapping.
-        let floor = hw.jit_base_cycles + hw.jit_per_cmd_bank_cycles * 100 * hw.n_banks as u64;
-        assert!(hw.jit_cycles_templated(100, 100) >= floor);
+        let floor = hw.jit.base + hw.jit.per_cmd_bank * 100 * hw.n_banks as u64;
+        assert!(miss(100) >= floor);
     }
 
     #[test]
     fn patch_is_orders_cheaper_than_lowering() {
         let hw = HwConfig::default();
-        assert!(hw.jit_patch_cycles(100) * 10 < hw.jit_cycles(100));
+        let patch = hw.jit_cycles(JitOutcome::TemplateHit, 100, 0);
+        assert!(patch * 10 < hw.jit_cycles(JitOutcome::Miss, 100, 0));
+        assert!(hw.jit_cycles(JitOutcome::ConcreteHit, 100, 0) < patch);
     }
 }

@@ -24,8 +24,8 @@ pub enum Paradigm {
 /// constant-time check, "a basic and conservative heuristic (assuming peak core
 /// performance), but sufficient for the studied workloads".
 ///
-/// `expected_jit_cycles` is the memoization-aware lowering estimate: pass
-/// [`HwConfig::jit_hit_cycles`] when the command stream is already cached.
+/// `expected_jit_cycles` is the memoization-aware lowering estimate:
+/// [`HwConfig::jit_cycles`] of the outcome the JIT cache anticipates.
 pub fn decide(profile: &OpProfile, hw: &HwConfig, expected_jit_cycles: u64) -> Paradigm {
     if profile.max_domain_elems == 0 {
         return Paradigm::NearMemory;

@@ -9,13 +9,17 @@
 //!    innermost), and mapping lattice cells to L3 banks / SRAM arrays /
 //!    bitlines.
 //! 2. [`lower`] JIT-lowers the scheduled tDFG into bit-serial
-//!    [commands](InfCommand): tensors are decomposed along tile boundaries
+//!    [commands](InfCommand): [`distill`] splits the graph into a
+//!    relocatable template and a slot table, and [`instantiate`] stamps the
+//!    template out — tensors are decomposed along tile boundaries
 //!    (Algorithm 1, in `infs-geom`), moves become intra-/inter-tile shift
 //!    commands (Algorithm 2), commands are mapped to the L3 banks owning their
 //!    tiles, and `sync` barriers are inserted after inter-tile movement.
-//! 3. [`JitCache`] memoizes lowered command streams — re-executing the same
-//!    region with the same parameters (iterative stencils, matmul rounds) hits
-//!    the cache and skips lowering, the paper's key JIT-overhead optimization.
+//! 3. [`JitCache`] memoizes lowered command streams and templates —
+//!    re-executing the same region with the same parameters (iterative
+//!    stencils, matmul rounds) hits the cache and skips lowering, the paper's
+//!    key JIT-overhead optimization; a shape sibling re-stamps the cached
+//!    template. [`HwConfig::jit_cycles`] prices every outcome.
 //! 4. [`decide`] implements the Eq 2 in-/near-memory decision: offload
 //!    in-memory only when the core-side latency of the region's element
 //!    operations exceeds the summed bit-serial command latencies plus the JIT
@@ -43,7 +47,7 @@ mod lower;
 mod memo;
 mod template;
 
-pub use config::HwConfig;
+pub use config::{HwConfig, JitModel};
 pub use decide::{decide, Paradigm};
 pub use error::RuntimeError;
 pub use health::{decide_healthy, in_memory_quorum, place_on_healthy, Tier};

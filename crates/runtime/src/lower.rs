@@ -6,16 +6,15 @@
 //! transfer lists. They are the *timing* representation consumed by the
 //! simulator; functional values always come from the tDFG interpreter.
 //!
-//! Two entry points share one emission core:
-//!
-//! - [`lower`] walks the graph directly (the cold path);
-//! - [`instantiate`] walks a relocatable [`CommandTemplate`] plus a fresh
-//!   slot table (the template-hit path of the shape-polymorphic JIT).
-//!
-//! Because both paths drive the same decomposition/masking/bank-mapping
-//! helpers, a template distilled from one instance and patched with another
-//! instance's slots must reproduce the re-lowered stream bit for bit — the
-//! `check` auditor and the differential fuzzer enforce exactly that.
+//! There is one walk: [`instantiate`] stamps a relocatable
+//! [`CommandTemplate`] out against a slot table through the emission core,
+//! and [`lower`] is [`crate::distill`] followed by [`instantiate`] of the
+//! fresh template. A cache miss and a template hit therefore differ only in
+//! which template they stamp — the one just distilled, or a cached shape
+//! sibling's — and a template distilled from one instance and patched with
+//! another instance's slots reproduces the re-lowered stream bit for bit
+//! (`check/tests/template_equivalence.rs` and the differential fuzzer pin
+//! it).
 //!
 //! Emission is the host-side critical path of a JIT hit: every command folds
 //! each tile it touches into per-bank loads. The fold allocates nothing per
@@ -26,11 +25,10 @@
 //! streams must stay `==` to it.
 
 use crate::template::{CommandTemplate, TemplateOp};
-use crate::{HwConfig, RuntimeError, TransposedLayout};
+use crate::{HwConfig, JitOutcome, RuntimeError, TransposedLayout};
 use infs_geom::{decompose, HyperRect};
 use infs_isa::Schedule;
-use infs_sdfg::ReduceOp;
-use infs_tdfg::{bit_serial_latency, ComputeOp, Node, NodeId, Tdfg};
+use infs_tdfg::{ComputeOp, NodeId, Tdfg};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -167,7 +165,7 @@ pub struct LoweredStats {
     /// Commands whose emission class (operator kind + immediate width) was
     /// already materialized earlier in the same stream. The JIT charges these
     /// the copy-and-patch rate instead of the full per-command rate
-    /// ([`HwConfig::jit_cycles_templated`]); cache accounting attributes them
+    /// ([`HwConfig::jit_cycles`]); cache accounting attributes them
     /// to the template path even on a cold lowering.
     pub cmds_from_template: u64,
 }
@@ -282,9 +280,8 @@ impl RemoteAcc {
     }
 }
 
-/// The emission core shared by [`lower`] (direct graph walk) and
-/// [`instantiate`] (template + slot table walk). Knows nothing about graphs
-/// or templates — only layouts, rects and the per-node emission rules.
+/// The emission core [`instantiate`] drives. Knows nothing about graphs or
+/// templates — only layouts, rects and the per-node emission rules.
 struct Emitter<'a> {
     layout: &'a TransposedLayout,
     cmds: Vec<InfCommand>,
@@ -294,115 +291,42 @@ struct Emitter<'a> {
     seen: HashSet<CmdClass>,
 }
 
-/// JIT-lowers a scheduled tDFG into a command stream for the given layout.
+/// JIT-lowers a scheduled tDFG into a command stream for the given layout:
+/// [`crate::distill`] of the graph, then [`instantiate`] of the fresh
+/// template against its own slot table.
 ///
 /// # Errors
 ///
-/// Returns [`RuntimeError::BadBounding`] if a node's domain escapes the
-/// layout's lattice (cannot happen for graphs the layout was planned for).
+/// [`RuntimeError::MalformedGraph`] for the malformed graphs
+/// [`crate::distill`] rejects (dangling ids, missing required domains);
+/// [`RuntimeError::BadBounding`] if a node's domain escapes the layout's
+/// lattice (cannot happen for graphs the layout was planned for).
 pub fn lower(
     g: &Tdfg,
     schedule: &Schedule,
     layout: &TransposedLayout,
     hw: &HwConfig,
 ) -> Result<CommandStream, RuntimeError> {
-    let mut span = infs_trace::span!("runtime.lower", nodes = g.nodes().len());
-    // Deserialized fat binaries bypass the builder's validation: reject
-    // dangling ids up front so every later indexed access is in range.
-    let n_nodes = g.nodes().len();
-    for &id in &schedule.order {
-        if id.0 as usize >= n_nodes {
-            return Err(RuntimeError::MalformedGraph {
-                node: id.0,
-                what: "schedule order references a node the graph does not have",
-            });
-        }
-        for input in g.node(id).inputs() {
-            if input.0 as usize >= n_nodes {
-                return Err(RuntimeError::MalformedGraph {
-                    node: id.0,
-                    what: "node input references a node the graph does not have",
-                });
-            }
-        }
-    }
-    let mut em = Emitter::new(layout, g.dtype().size_bytes() as u64);
-    for &id in &schedule.order {
-        match g.node(id) {
-            Node::Input { .. }
-            | Node::StreamIn { .. }
-            | Node::Shrink { .. }
-            | Node::ConstVal { .. }
-            | Node::Param { .. } => {} // no commands: array-backed, alias, or immediate
-            Node::Compute { op, inputs } => {
-                let Some(domain) = g.domain(id) else {
-                    continue; // constant-folded compute
-                };
-                let imm_inputs = inputs.iter().filter(|&&x| g.domain(x).is_none()).count() as u64;
-                em.emit_compute(
-                    id,
-                    *op,
-                    bit_serial_latency(*op, g.dtype()),
-                    imm_inputs * em.elem_bytes,
-                    &domain.clone(),
-                )?;
-            }
-            Node::Mv { dim, dist, .. } => {
-                let domain = g.domain(id).cloned();
-                em.emit_mv(id, *dim, *dist, domain.as_ref())?;
-            }
-            Node::Bc { input, dim, .. } => {
-                let domain = g.domain(id).cloned().ok_or(RuntimeError::MalformedGraph {
-                    node: id.0,
-                    what: "bc node has no finite domain",
-                })?;
-                let src = g
-                    .domain(*input)
-                    .cloned()
-                    .ok_or(RuntimeError::MalformedGraph {
-                        node: id.0,
-                        what: "bc input has no finite domain",
-                    })?;
-                em.emit_bc(id, &src, &domain, *dim)?;
-            }
-            Node::Reduce { input, dim, op } => {
-                let in_dom = g
-                    .domain(*input)
-                    .cloned()
-                    .ok_or(RuntimeError::MalformedGraph {
-                        node: id.0,
-                        what: "reduce input has no finite domain",
-                    })?;
-                let eq = match op {
-                    ReduceOp::Sum => ComputeOp::Add,
-                    ReduceOp::Min => ComputeOp::Min,
-                    ReduceOp::Max => ComputeOp::Max,
-                };
-                em.emit_reduce(id, &in_dom, *dim, eq, bit_serial_latency(eq, g.dtype()))?;
-            }
-        }
-    }
-    let cs = em.finish(hw);
-    span.arg("cmds", cs.stats.n_cmds);
-    span.arg("jit_cycles", cs.jit_cycles);
-    Ok(cs)
+    let (template, slots) = crate::distill(g, schedule, hw)?;
+    instantiate(&template, &slots, layout, hw)
 }
 
-/// Stamps a cached relocatable template out against a fresh slot table — the
-/// template-hit path of the shape-polymorphic JIT (§4.2 extension).
-///
-/// Geometry is recomputed through the same emission core as [`lower`], so the
-/// result is bitwise identical to fully re-lowering the instance the slots
-/// were distilled from; only the *modeled* hardware cost differs (an
-/// O(commands) copy-and-patch, [`HwConfig::jit_patch_cycles`], which the
-/// caller charges instead of `CommandStream::jit_cycles`).
+/// Stamps a relocatable template out against a slot table through the
+/// emission core — the one JIT emission path: a cache miss stamps the
+/// template just distilled, a template hit (§4.2 extension) a cached shape
+/// sibling's. Geometry is recomputed from the slots either way, so the
+/// stream is bitwise identical to lowering the instance the slots were
+/// distilled from; only the *modeled* hardware cost of the two outcomes
+/// differs ([`HwConfig::jit_cycles`]). `CommandStream::jit_cycles` is the
+/// miss price.
 ///
 /// # Errors
 ///
 /// [`RuntimeError::MalformedGraph`] if the slot table does not fit the
 /// template (wrong length, escaping or inverted rects, out-of-range
 /// dimension slots — possible only with a corrupted cache entry, which the
-/// checksum catches first), [`RuntimeError::BadBounding`] as for [`lower`].
+/// checksum catches first), [`RuntimeError::BadBounding`] if a rect escapes
+/// the layout's lattice.
 pub fn instantiate(
     t: &CommandTemplate,
     slots: &[i64],
@@ -478,7 +402,6 @@ pub fn instantiate(
     }
     let cs = em.finish(hw);
     span.arg("cmds", cs.stats.n_cmds);
-    infs_trace::counter!("jit.instantiations", 1u64);
     Ok(cs)
 }
 
@@ -503,12 +426,16 @@ impl<'a> Emitter<'a> {
         self.cmds.push(cmd);
     }
 
-    /// Seals the stream: counts commands and applies the templated JIT cycle
-    /// model (commands that reused an already-materialized emission class pay
-    /// the copy-and-patch rate).
+    /// Seals the stream: counts commands and prices it as a miss (commands
+    /// that reused an already-materialized emission class pay the
+    /// copy-and-patch rate).
     fn finish(mut self, hw: &HwConfig) -> CommandStream {
         self.stats.n_cmds = self.cmds.len() as u64;
-        let jit_cycles = hw.jit_cycles_templated(self.stats.n_cmds, self.stats.cmds_from_template);
+        let jit_cycles = hw.jit_cycles(
+            JitOutcome::Miss,
+            self.stats.n_cmds,
+            self.stats.cmds_from_template,
+        );
         infs_trace::counter!("jit.commands", self.stats.n_cmds);
         infs_trace::counter!("jit.syncs", self.stats.syncs);
         CommandStream {
@@ -899,7 +826,7 @@ mod tests {
     use super::*;
     use infs_frontend::{Idx, KernelBuilder, ScalarExpr};
     use infs_geom::TileShape;
-    use infs_sdfg::DataType;
+    use infs_sdfg::{DataType, ReduceOp};
     use infs_tdfg::OutputTarget;
 
     fn hw_small() -> HwConfig {
@@ -1126,14 +1053,12 @@ mod tests {
         let hw = hw_small();
         let g = mv_graph(4, 1);
         let cs = lower_graph(&g, &hw);
-        assert_eq!(
-            cs.jit_cycles,
-            hw.jit_cycles_templated(cs.stats.n_cmds, cs.stats.cmds_from_template)
-        );
-        assert!(cs.jit_cycles > hw.jit_base_cycles);
+        let miss = |from_template| hw.jit_cycles(JitOutcome::Miss, cs.stats.n_cmds, from_template);
+        assert_eq!(cs.jit_cycles, miss(cs.stats.cmds_from_template));
+        assert!(cs.jit_cycles > hw.jit.base);
         // Commands reusing an earlier emission class are charged the patch
-        // rate, so the stream is never costed above the flat model.
-        assert!(cs.jit_cycles <= hw.jit_cycles(cs.stats.n_cmds));
+        // rate, so the stream is never costed above the all-fresh model.
+        assert!(cs.jit_cycles <= miss(0));
     }
 
     #[test]
@@ -1171,23 +1096,6 @@ mod tests {
         let total_elems: u64 = computes[0].iter().map(|b| b.elems).sum();
         assert_eq!(total_elems, 4);
         assert!(computes[0].iter().map(|b| b.tiles).sum::<u64>() > 1);
-    }
-
-    /// The template path must reproduce the direct path bit for bit: distill
-    /// a template from one instance, instantiate it with that instance's (and
-    /// a *different* instance's) slots, compare whole streams.
-    #[test]
-    fn instantiate_matches_lower_bitwise() {
-        let hw = hw_small();
-        for (n, dist) in [(4u64, 1i64), (4, 2), (4, -1)] {
-            let g = mv_graph(n, dist);
-            let schedule = Schedule::compute(&g, hw.geometry).unwrap();
-            let layout = TransposedLayout::plan(&g, &g.layout_hints(), &hw).unwrap();
-            let direct = lower(&g, &schedule, &layout, &hw).unwrap();
-            let (t, slots) = crate::distill(&g, &schedule, &hw).unwrap();
-            let stamped = instantiate(&t, &slots, &layout, &hw).unwrap();
-            assert_eq!(direct, stamped, "n={n} dist={dist}");
-        }
     }
 
     /// Cross-instance: the template distilled at one shift distance serves a

@@ -3,9 +3,10 @@
 //! against: streams must be `==`, command for command, load for load.
 //!
 //! It is the old code verbatim minus tracing and input validation (the tests
-//! feed it well-formed graphs). Only the template walk is kept — the old
-//! `lower` equalled `instantiate ∘ distill` bit for bit, so one driver pins
-//! both entry points. An intentional change to the emission *rules* must be
+//! feed it well-formed graphs). Only the template walk is kept — `lower` is
+//! `instantiate ∘ distill`, so one test helper pins the one emission path, and
+//! the old cost formula is read through [`HwConfig::jit_cycles`], the one
+//! cost table. An intentional change to the emission *rules* must be
 //! made here too; a change that only makes emission cheaper must not touch
 //! this file.
 
@@ -152,7 +153,11 @@ impl<'a> Emitter<'a> {
     /// the copy-and-patch rate).
     fn finish(mut self, hw: &HwConfig) -> CommandStream {
         self.stats.n_cmds = self.cmds.len() as u64;
-        let jit_cycles = hw.jit_cycles_templated(self.stats.n_cmds, self.stats.cmds_from_template);
+        let jit_cycles = hw.jit_cycles(
+            crate::JitOutcome::Miss,
+            self.stats.n_cmds,
+            self.stats.cmds_from_template,
+        );
         CommandStream {
             cmds: self.cmds,
             jit_cycles,
@@ -561,7 +566,7 @@ impl<'a> Emitter<'a> {
 }
 
 mod tests {
-    use super::super::{instantiate, lower};
+    use super::super::lower;
     use crate::{distill, HwConfig, TransposedLayout};
     use infs_frontend::{Idx, KernelBuilder, ScalarExpr};
     use infs_geom::{HyperRect, TileShape};
@@ -570,7 +575,8 @@ mod tests {
     use infs_tdfg::{ComputeOp, OutputTarget, Tdfg, TdfgBuilder};
     use proptest::prelude::*;
 
-    /// `lower` and `instantiate` against the per-tile reference.
+    /// `lower` — `instantiate` of the distilled template — against the
+    /// per-tile reference.
     fn assert_streams_match(
         g: &Tdfg,
         schedule: &Schedule,
@@ -583,11 +589,6 @@ mod tests {
         assert!(!want.cmds.is_empty(), "{what}: nothing to compare");
         let lowered = lower(g, schedule, layout, hw).expect("lowers");
         assert!(lowered == want, "{what}: lower() left the reference stream");
-        let patched = instantiate(&template, &slots, layout, hw).expect("patches");
-        assert!(
-            patched == want,
-            "{what}: instantiate() left the reference stream"
-        );
     }
 
     /// A compiled region instance on the paper machine, under its own plan.

@@ -214,36 +214,36 @@ impl JitCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Looks up, patches, or lowers a command stream.
+    /// Looks up a command stream, or stamps one out with `emit`.
     ///
     /// Three-way resolution, checked in order:
     ///
     /// 1. **Concrete hit** — `(signature, slots, tile)` holds a verified
     ///    stream: return it, zero JIT work.
     /// 2. **Template hit** — `(signature, tile)` holds a verified relocatable
-    ///    template: run `instantiate` against the *cached* template (an
-    ///    O(commands) copy-and-patch), cache the patched stream under its
-    ///    concrete key (checksum covering the patched output and the slot
-    ///    table), and return it.
-    /// 3. **Miss** — run `lower`, seed both the concrete level and the
-    ///    template level (`template` is the freshly distilled skeleton).
+    ///    template: `emit` the *cached* template (an O(commands)
+    ///    copy-and-patch), cache the patched stream under its concrete key
+    ///    (checksum covering the patched output and the slot table), and
+    ///    return it.
+    /// 3. **Miss** — `emit` the freshly distilled `template` (a full
+    ///    lowering), and seed both the concrete and the template level.
     ///
-    /// Both closures run outside every lock. Racing threads on one key may
-    /// each do the work, but the first insert wins and all get usable
-    /// streams. Corrupted entries at either level are dropped, counted, and
-    /// treated as absent.
+    /// `emit` stamps whichever template it is handed against the request's
+    /// slot table ([`crate::instantiate`]), outside every lock. Racing
+    /// threads on one key may each do the work, but the first insert wins
+    /// and all get usable streams. Corrupted entries at either level are
+    /// dropped, counted, and treated as absent.
     ///
     /// # Errors
     ///
-    /// Propagates whatever `instantiate` or `lower` returns.
+    /// Propagates whatever `emit` returns.
     pub fn get_or_instantiate<E>(
         &self,
         region: &str,
         template: &CommandTemplate,
         slots: &[i64],
         tile: &[u64],
-        instantiate: impl FnOnce(&CommandTemplate) -> Result<CommandStream, E>,
-        lower: impl FnOnce() -> Result<CommandStream, E>,
+        emit: impl FnOnce(&CommandTemplate) -> Result<CommandStream, E>,
     ) -> Result<(Arc<CommandStream>, JitOutcome), E> {
         let key = (template.signature, slots.to_vec(), tile.to_vec());
         if let Some(found) = self.lookup_verified(&key) {
@@ -272,7 +272,7 @@ impl JitCache {
             let t0 = std::time::Instant::now();
             let cs = {
                 let _span = infs_trace::span!("runtime.jit_patch", region = region);
-                Arc::new(instantiate(&tpl)?)
+                Arc::new(emit(&tpl)?)
             };
             infs_trace::counter!("jit.patch_ns", t0.elapsed().as_nanos() as u64);
             infs_trace::counter!("jit.template_hits", 1u64);
@@ -283,7 +283,7 @@ impl JitCache {
         infs_trace::counter!("jit.memo_misses", 1u64);
         let cs = {
             let _span = infs_trace::span!("runtime.jit_lower", region = region);
-            Arc::new(lower()?)
+            Arc::new(emit(template)?)
         };
         let n_cmds = cs.cmds.len() as u64;
         let stored = self.insert_stream(key, cs);
@@ -507,8 +507,7 @@ mod tests {
     }
 
     /// One request for a region of signature `sig`, as `Machine` issues it:
-    /// whichever of patching and lowering the cache asks for yields
-    /// `dummy(n)`.
+    /// whatever template the cache hands the emitter yields `dummy(n)`.
     fn request(
         cache: &JitCache,
         sig: u64,
@@ -517,28 +516,14 @@ mod tests {
         n: u64,
     ) -> (Arc<CommandStream>, JitOutcome) {
         cache
-            .get_or_instantiate::<()>(
-                "r",
-                &tpl(sig),
-                slots,
-                tile,
-                |_| Ok(dummy(n)),
-                || Ok(dummy(n)),
-            )
+            .get_or_instantiate::<()>("r", &tpl(sig), slots, tile, |_| Ok(dummy(n)))
             .unwrap()
     }
 
     /// [`request`] for a key that must already be cached.
     fn cached(cache: &JitCache, sig: u64, slots: &[i64], tile: &[u64]) -> Arc<CommandStream> {
         let (cs, out) = cache
-            .get_or_instantiate::<()>(
-                "r",
-                &tpl(sig),
-                slots,
-                tile,
-                |_| panic!("must not patch"),
-                || panic!("must not lower"),
-            )
+            .get_or_instantiate::<()>("r", &tpl(sig), slots, tile, |_| panic!("must not emit"))
             .unwrap();
         assert_eq!(out, JitOutcome::ConcreteHit);
         cs
@@ -577,14 +562,7 @@ mod tests {
     #[test]
     fn lowering_errors_propagate() {
         let cache = JitCache::new();
-        let r = cache.get_or_instantiate::<&str>(
-            "r",
-            &tpl(1),
-            &[],
-            &[],
-            |_| unreachable!(),
-            || Err("boom"),
-        );
+        let r = cache.get_or_instantiate::<&str>("r", &tpl(1), &[], &[], |_| Err("boom"));
         assert_eq!(r.unwrap_err(), "boom");
         assert_eq!(cache.stats(), (0, 0));
     }
@@ -769,53 +747,36 @@ mod tests {
 
     /// The three-way resolution: a cold request misses (and seeds the
     /// template), a second request with *different* slots is a template hit,
-    /// repeating either exact request is a concrete hit.
+    /// repeating either exact request is a concrete hit. A miss stamps the
+    /// template it was handed; a template hit stamps the *cached* one.
     #[test]
     fn template_hit_between_miss_and_concrete_hit() {
         let cache = JitCache::new();
         let t = tpl(42);
         let (_, out) = cache
-            .get_or_instantiate::<()>(
-                "r",
-                &t,
-                &[0, 8],
-                &[16],
-                |_| panic!("no template cached yet"),
-                || Ok(dummy(1)),
-            )
+            .get_or_instantiate::<()>("r", &t, &[0, 8], &[16], |fresh| {
+                assert!(std::ptr::eq(fresh, &t), "a miss stamps the fresh template");
+                Ok(dummy(1))
+            })
             .unwrap();
         assert_eq!(out, JitOutcome::Miss);
         assert_eq!(cache.template_count(), 1);
         // Same shape, shifted geometry: served by patching, not re-lowering.
+        let sibling = CommandTemplate {
+            n_slots: 3,
+            ..tpl(42)
+        };
         let (_, out) = cache
-            .get_or_instantiate::<()>(
-                "r",
-                &t,
-                &[4, 12],
-                &[16],
-                |cached| {
-                    assert_eq!(cached.signature, 42);
-                    Ok(dummy(2))
-                },
-                || panic!("template must serve this"),
-            )
+            .get_or_instantiate::<()>("r", &sibling, &[4, 12], &[16], |stamped| {
+                assert_eq!(*stamped, t, "a template hit stamps the cached template");
+                Ok(dummy(2))
+            })
             .unwrap();
         assert_eq!(out, JitOutcome::TemplateHit);
         assert_eq!(cache.template_hits(), 1);
         // Exact repeats of both requests: concrete hits, no JIT work at all.
-        for slots in [[0i64, 8], [4, 12]] {
-            let (_, out) = cache
-                .get_or_instantiate::<()>(
-                    "r",
-                    &t,
-                    &slots,
-                    &[16],
-                    |_| panic!("must not patch"),
-                    || panic!("must not lower"),
-                )
-                .unwrap();
-            assert_eq!(out, JitOutcome::ConcreteHit);
-        }
+        cached(&cache, 42, &[0, 8], &[16]);
+        cached(&cache, 42, &[4, 12], &[16]);
         // hits (incl. template) + misses == operations.
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (3, 1));
@@ -828,26 +789,16 @@ mod tests {
         let cache = JitCache::new();
         let t = tpl(7);
         cache
-            .get_or_instantiate::<()>(
-                "phase_a",
-                &t,
-                &[0, 8],
-                &[16],
-                |_| unreachable!(),
-                || Ok(dummy(1)),
-            )
+            .get_or_instantiate::<()>("phase_a", &t, &[0, 8], &[16], |_| Ok(dummy(1)))
             .unwrap();
         let (_, out) = cache
-            .get_or_instantiate::<()>(
-                "phase_b",
-                &t,
-                &[1, 9],
-                &[16],
-                |_| Ok(dummy(2)),
-                || panic!("phase_b must reuse phase_a's template"),
-            )
+            .get_or_instantiate::<()>("phase_b", &t, &[1, 9], &[16], |_| Ok(dummy(2)))
             .unwrap();
-        assert_eq!(out, JitOutcome::TemplateHit);
+        assert_eq!(
+            out,
+            JitOutcome::TemplateHit,
+            "phase_b reuses phase_a's template"
+        );
         assert_eq!(cache.template_count(), 1);
     }
 
@@ -856,20 +807,8 @@ mod tests {
     #[test]
     fn different_tiles_do_not_share_templates() {
         let cache = JitCache::new();
-        let t = tpl(7);
-        cache
-            .get_or_instantiate::<()>("r", &t, &[0, 8], &[16], |_| unreachable!(), || Ok(dummy(1)))
-            .unwrap();
-        let (_, out) = cache
-            .get_or_instantiate::<()>(
-                "r",
-                &t,
-                &[0, 8],
-                &[4, 4],
-                |_| unreachable!(),
-                || Ok(dummy(2)),
-            )
-            .unwrap();
+        request(&cache, 7, &[0, 8], &[16], 1);
+        let (_, out) = request(&cache, 7, &[0, 8], &[4, 4], 2);
         assert_eq!(out, JitOutcome::Miss);
         assert_eq!(cache.template_count(), 2);
     }
@@ -880,45 +819,16 @@ mod tests {
     #[test]
     fn tampered_slot_is_detected_on_hit() {
         let cache = JitCache::new();
-        let t = tpl(42);
-        cache
-            .get_or_instantiate::<()>(
-                "r",
-                &t,
-                &[3, 11],
-                &[16],
-                |_| unreachable!(),
-                || Ok(dummy(5)),
-            )
-            .unwrap();
+        request(&cache, 42, &[3, 11], &[16], 5);
         assert_eq!(cache.tamper_slots(), 1);
         // The concrete entry must NOT be served; the (clean) template level
         // transparently re-materializes the stream.
-        let (cs, out) = cache
-            .get_or_instantiate::<()>(
-                "r",
-                &t,
-                &[3, 11],
-                &[16],
-                |_| Ok(dummy(5)),
-                || panic!("template level is clean"),
-            )
-            .unwrap();
+        let (cs, out) = request(&cache, 42, &[3, 11], &[16], 5);
         assert_eq!(out, JitOutcome::TemplateHit);
         assert_eq!(cs.jit_cycles, 5);
         assert_eq!(cache.corruptions(), 1);
         // The healed entry verifies clean again.
-        let (_, out) = cache
-            .get_or_instantiate::<()>(
-                "r",
-                &t,
-                &[3, 11],
-                &[16],
-                |_| panic!("must not patch"),
-                || panic!("must not lower"),
-            )
-            .unwrap();
-        assert_eq!(out, JitOutcome::ConcreteHit);
+        cached(&cache, 42, &[3, 11], &[16]);
         assert_eq!(cache.corruptions(), 1);
     }
 
@@ -926,11 +836,8 @@ mod tests {
     #[test]
     fn classify_predicts_without_mutating() {
         let cache = JitCache::new();
-        let t = tpl(42);
         assert_eq!(cache.classify(42, &[0, 8], &[16]), JitClass::Miss);
-        cache
-            .get_or_instantiate::<()>("r", &t, &[0, 8], &[16], |_| unreachable!(), || Ok(dummy(3)))
-            .unwrap();
+        request(&cache, 42, &[0, 8], &[16], 3);
         assert_eq!(cache.classify(42, &[0, 8], &[16]), JitClass::Concrete);
         assert_eq!(
             cache.classify(42, &[5, 13], &[16]),
@@ -943,34 +850,20 @@ mod tests {
         assert_eq!(cache.template_hits(), 0);
     }
 
-    /// Instantiation and lowering errors propagate without seeding either
-    /// cache level.
+    /// Emission errors on either path — a miss or a template hit — propagate
+    /// without seeding either cache level.
     #[test]
     fn template_path_errors_propagate() {
         let cache = JitCache::new();
         let t = tpl(1);
-        let r = cache.get_or_instantiate::<&str>(
-            "r",
-            &t,
-            &[],
-            &[],
-            |_| unreachable!(),
-            || Err("cold boom"),
-        );
+        let r = cache.get_or_instantiate::<&str>("r", &t, &[], &[], |_| Err("cold boom"));
         assert_eq!(r.unwrap_err(), "cold boom");
         assert_eq!(cache.template_count(), 0);
         assert!(cache.is_empty());
         cache
-            .get_or_instantiate::<&str>("r", &t, &[], &[], |_| unreachable!(), || Ok(dummy(1)))
+            .get_or_instantiate::<&str>("r", &t, &[], &[], |_| Ok(dummy(1)))
             .unwrap();
-        let r = cache.get_or_instantiate::<&str>(
-            "r",
-            &t,
-            &[1],
-            &[],
-            |_| Err("patch boom"),
-            || panic!("template is cached"),
-        );
+        let r = cache.get_or_instantiate::<&str>("r", &t, &[1], &[], |_| Err("patch boom"));
         assert_eq!(r.unwrap_err(), "patch boom");
         assert_eq!(cache.len(), 1, "failed patch must not insert");
     }

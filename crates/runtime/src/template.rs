@@ -15,11 +15,12 @@
 //! - the slot table itself, a flat `Vec<i64>` of rect intervals, dimension
 //!   choices and shift distances ([`distill`] returns both).
 //!
-//! A cache hit on `(signature, tile)` *instantiates* the cached template by
-//! patching the fresh slot values through the shared emission core
-//! ([`crate::instantiate`]) — the modeled hardware cost is an O(commands)
-//! copy-and-patch ([`crate::HwConfig::jit_patch_cycles`]) instead of full
-//! re-lowering through layout planning and decomposition.
+//! Every command stream is emitted by [`crate::instantiate`] from a template
+//! and a slot table: [`crate::lower`] stamps the template it just distilled,
+//! and a cache hit on `(signature, tile)` stamps the cached one with the
+//! fresh slot values — the modeled hardware cost is then an O(commands)
+//! copy-and-patch instead of full re-lowering through layout planning and
+//! decomposition ([`crate::HwConfig::jit_cycles`]).
 //!
 //! Array and stream identities never reach the template: command emission is
 //! pure lattice-space, so ping-pong buffered phases and same-shape regions
@@ -122,13 +123,14 @@ pub struct CommandTemplate {
 /// Extracts the relocatable template and concrete slot table of a scheduled
 /// graph. O(nodes); runs on every dispatch — the expensive work (layout
 /// planning, decomposition, bank mapping) only happens when the template
-/// misses the cache.
+/// misses the cache. The crate's one walk over graph nodes, and so the one
+/// place malformed graphs are turned away.
 ///
 /// # Errors
 ///
-/// [`RuntimeError::MalformedGraph`] under exactly the conditions
-/// [`crate::lower`] rejects: dangling schedule/input ids, or broadcast /
-/// reduce nodes whose required domains are infinite.
+/// [`RuntimeError::MalformedGraph`] for dangling schedule/input ids
+/// (deserialized fat binaries bypass the builder's validation), or `mv` /
+/// broadcast / reduce nodes whose required domains are infinite.
 pub fn distill(
     g: &Tdfg,
     schedule: &Schedule,

@@ -19,8 +19,8 @@ pub struct ServeConfig {
     /// Entry cap of the content-addressed artifact (compiled fat binary)
     /// cache.
     pub artifact_capacity: usize,
-    /// Entry cap of the shared JIT memoization cache (`0` = unbounded —
-    /// only sensible for short-lived test servers).
+    /// Entry cap of the shared JIT memoization cache (each of its two
+    /// levels, concrete streams and templates, holds at most this many).
     pub jit_capacity: usize,
     /// The simulated machine configuration each worker's machine is built
     /// with.

@@ -19,7 +19,7 @@ use crate::queue::{AdmissionQueue, PushError};
 use infs_faults::{FaultPlan, RetuneTrigger};
 use infs_geom::TileShape;
 use infs_isa::{fnv1a, Compiler, FatBinary, Fnv1a, IsaError, RegionInstance};
-use infs_runtime::{JitCache, Tier, TransposedLayout};
+use infs_runtime::{JitCache, JitOutcome, Tier, TransposedLayout};
 use infs_sdfg::{ArrayDecl, ArrayId};
 use infs_shard::{BatchMap, BatchStats, JoinOutcome};
 use infs_sim::{ExecMode, Machine, PipelinePolicy, RunPlan, StageReport, StageRequest};
@@ -338,11 +338,7 @@ pub struct Server {
 impl Server {
     /// Starts the worker pool and returns the running server.
     pub fn new(cfg: ServeConfig) -> Self {
-        let jit = if cfg.jit_capacity == 0 {
-            Arc::new(JitCache::new())
-        } else {
-            Arc::new(JitCache::bounded(cfg.jit_capacity))
-        };
+        let jit = Arc::new(JitCache::bounded(cfg.jit_capacity));
         let faults = cfg.faults.clone().map(|fc| Arc::new(FaultPlan::new(fc)));
         let tuner = cfg.tune.clone().map(|tc| Arc::new(Tuner::new(tc)));
         let n_banks = cfg.system.n_banks;
@@ -1306,12 +1302,12 @@ fn handle_execute(
         .next()
         .expect("one stage in, one report out")
         .region;
-    stats.jit_cache_hit = region.jit_hit;
+    stats.jit_cache_hit = region.jit_outcome.map(JitOutcome::is_hit);
     stats.jit_outcome = region.jit_outcome.map(|o| {
         match o {
-            infs_sim::JitOutcome::ConcreteHit => "concrete",
-            infs_sim::JitOutcome::TemplateHit => "template",
-            infs_sim::JitOutcome::Miss => "miss",
+            JitOutcome::ConcreteHit => "concrete",
+            JitOutcome::TemplateHit => "template",
+            JitOutcome::Miss => "miss",
         }
         .to_string()
     });

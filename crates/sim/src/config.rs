@@ -1,5 +1,5 @@
 use infs_isa::SramGeometry;
-use infs_runtime::HwConfig;
+use infs_runtime::{HwConfig, JitModel};
 use serde::{Deserialize, Serialize};
 
 /// Full system parameters (Table 2 of the paper as defaults).
@@ -62,23 +62,9 @@ pub struct SystemConfig {
     pub offload_latency: u64,
     /// Sync-barrier base latency (§5.2 packet-count protocol round trip).
     pub sync_latency: u64,
-    /// JIT cycle-model constants (shared with the runtime).
+    /// JIT cycle-model constants: the runtime's one cost table, handed to it
+    /// unchanged by [`SystemConfig::hw`].
     pub jit: JitModel,
-}
-
-/// JIT lowering cycle-model constants (see [`HwConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JitModel {
-    /// Fixed cycles per lowering.
-    pub base: u64,
-    /// Cycles per command.
-    pub per_cmd: u64,
-    /// Cycles per command per bank (step 3).
-    pub per_cmd_bank: u64,
-    /// Cycles on a memoization hit.
-    pub hit: u64,
-    /// Cycles to copy-and-patch one command's slots on a template hit.
-    pub patch_per_cmd: u64,
 }
 
 impl Default for SystemConfig {
@@ -110,13 +96,7 @@ impl Default for SystemConfig {
             sel3_init_latency: 4,
             offload_latency: 500,
             sync_latency: 64,
-            jit: JitModel {
-                base: 2_000,
-                per_cmd: 60,
-                per_cmd_bank: 2,
-                hit: 500,
-                patch_per_cmd: 2,
-            },
+            jit: JitModel::default(),
         }
     }
 }
@@ -167,11 +147,7 @@ impl SystemConfig {
             line_bytes: self.line_bytes,
             cores: self.cores,
             simd_lanes: self.simd_lanes,
-            jit_base_cycles: self.jit.base,
-            jit_per_cmd_cycles: self.jit.per_cmd,
-            jit_per_cmd_bank_cycles: self.jit.per_cmd_bank,
-            jit_hit_cycles: self.jit.hit,
-            jit_patch_per_cmd_cycles: self.jit.patch_per_cmd,
+            jit: self.jit,
         }
     }
 

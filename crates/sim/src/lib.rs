@@ -48,7 +48,7 @@ mod stats;
 pub use config::SystemConfig;
 pub use core_model::{core_time, CoreProfile};
 pub use energy::{area_report, AreaReport, EnergyBreakdown, EnergyParams};
-pub use infs_runtime::{JitOutcome, Tier};
+pub use infs_runtime::{JitModel, JitOutcome, Tier};
 pub use inmem::InMemOutcome;
 pub use machine::{
     ExecMode, Executed, FaultCounters, Machine, PipelinePolicy, RegionAuditor, RegionReport,

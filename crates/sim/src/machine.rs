@@ -3,6 +3,7 @@ use crate::nearmem::nearmem_time;
 use crate::residency::{Charge, Residency};
 use crate::{inmem, EnergyParams, Mesh, RunStats, SystemConfig};
 use infs_faults::{BankHealth, FaultPlan, NocFault};
+use infs_geom::layout::LayoutHints;
 use infs_geom::TileShape;
 use infs_isa::RegionInstance;
 use infs_runtime::{
@@ -76,13 +77,10 @@ pub struct RegionReport {
     pub cycles: u64,
     /// Where it ran.
     pub executed: Executed,
-    /// For in-memory execution, whether the JIT memoization cache already
-    /// held the lowered commands (`None` for core/near-memory runs) — the
-    /// per-invocation observability hook the serving layer reports to
-    /// clients. Template hits count as hits.
-    pub jit_hit: Option<bool>,
-    /// The three-way JIT resolution for in-memory execution: concrete hit,
-    /// template (copy-and-patch) hit, or full lowering.
+    /// The three-way JIT resolution for in-memory execution — concrete hit,
+    /// template (copy-and-patch) hit, or full lowering; `None` for core and
+    /// near-memory runs. The per-invocation observability hook the serving
+    /// layer reports to clients ([`JitOutcome::is_hit`] folds both hits).
     pub jit_outcome: Option<JitOutcome>,
     /// Cycles of `cycles` spent preparing operands before the command stream
     /// could start — fetching and transposing them, and writing back what the
@@ -248,7 +246,6 @@ impl fmt::Debug for RegionAuditor {
 /// template.
 struct InMemoryPlan<'r> {
     tdfg: &'r infs_tdfg::Tdfg,
-    schedule: &'r infs_isa::Schedule,
     hw: HwConfig,
     layout: Arc<TransposedLayout>,
     /// Whether `layout` keeps the tile the operands are already resident in
@@ -262,6 +259,18 @@ struct InMemoryPlan<'r> {
     /// executes.
     jit: Result<(CommandTemplate, Vec<i64>), RuntimeError>,
 }
+
+/// Everything [`TransposedLayout::plan`] reads that varies between regions
+/// on one machine: lattice shape, element bytes, layout hints, (healthy)
+/// bank count, the run's tile, and whether that tile is a residency
+/// proposal.
+type LayoutKey = (Vec<u64>, u32, LayoutHints, u32, Option<TileShape>, bool);
+
+/// Entries the planned-layout cache holds before it starts over. A machine
+/// entering the paper workloads plans a handful of layouts; a served
+/// machine meets whatever kernel shapes clients send, for the life of the
+/// process.
+const LAYOUT_CACHE_CAP: usize = 256;
 
 /// Per-machine fault and degradation counters (`DESIGN.md` §10). These are
 /// *hardware* state like the health mask: they survive [`Machine::reset`]
@@ -308,25 +317,18 @@ pub struct Machine {
     mesh: Mesh,
     eparams: EnergyParams,
     mem: Memory,
+    /// The JIT cache, possibly shared with other machines. Its own counters
+    /// aggregate every tenant, so this machine's JIT outcomes are counted in
+    /// `stats` as they happen.
     jit: Arc<JitCache>,
-    /// This machine's own JIT hit/miss counts. With a shared cache the
-    /// cache-global counters aggregate every tenant, so per-run stats must be
-    /// tracked locally. `jit_hits` includes template hits.
-    jit_hits: u64,
-    jit_misses: u64,
-    jit_template_hits: u64,
-    /// Command-granular three-way accounting (see [`RunStats`]).
-    jit_cmd_hits: u64,
-    jit_cmd_template: u64,
-    jit_cmd_misses: u64,
     /// Planned-layout cache. Layout planning depends only on the graph's
     /// lattice shape, element size, layout hints and the (health-dependent)
     /// bank count — not on rect coordinates — so gauss_elim's per-pivot
     /// graphs (one per pivot, thousands at paper scale) plan exactly once.
-    /// Keyed by a rendered string of those ingredients. Failures are not
-    /// cached: planning is only re-attempted for regions that cannot run
-    /// in-memory anyway, and the concrete error must stay fresh.
-    layouts: Mutex<HashMap<String, Arc<TransposedLayout>>>,
+    /// Failures are not cached: planning is only re-attempted for regions
+    /// that cannot run in-memory anyway, and the concrete error must stay
+    /// fresh. Bounded by [`LAYOUT_CACHE_CAP`].
+    layouts: Mutex<HashMap<LayoutKey, Arc<TransposedLayout>>>,
     stats: RunStats,
     /// Where every array lives (cold, warm, transposed under which tile,
     /// dirty) — the one piece of residency state (`DESIGN.md` §7).
@@ -390,12 +392,6 @@ impl Machine {
             eparams: EnergyParams::default(),
             mem: Memory::for_arrays(arrays),
             jit,
-            jit_hits: 0,
-            jit_misses: 0,
-            jit_template_hits: 0,
-            jit_cmd_hits: 0,
-            jit_cmd_template: 0,
-            jit_cmd_misses: 0,
             layouts: Mutex::new(HashMap::new()),
             stats: RunStats::default(),
             residency,
@@ -446,9 +442,10 @@ impl Machine {
     /// Re-targets the machine at `arrays` for an unrelated request — the
     /// serving layer's per-request hook, one resident machine per worker:
     /// fresh zeroed functional memory for that table, every array cold (no
-    /// transposed/resident state), zeroed run stats. The JIT cache handle and
-    /// the planned-layout cache are kept — reuse of lowered commands across
-    /// requests is the point of a resident machine. What was fixed when the
+    /// transposed/resident state), zeroed run stats (JIT counts included).
+    /// The JIT cache handle and the planned-layout cache are kept — reuse of
+    /// lowered commands across requests is the point of a resident machine.
+    /// What was fixed when the
     /// machine was set up (`assume_transposed`, functional mode, the
     /// construction-time [`RunPlan`], the auditor) also persists; it
     /// describes the machine, not the request — a request's own placement
@@ -463,12 +460,6 @@ impl Machine {
         } else {
             self.mem = Memory::for_arrays(arrays);
         }
-        self.jit_hits = 0;
-        self.jit_misses = 0;
-        self.jit_template_hits = 0;
-        self.jit_cmd_hits = 0;
-        self.jit_cmd_template = 0;
-        self.jit_cmd_misses = 0;
         self.stats = RunStats::default();
         self.residency
             .clear(arrays.iter().map(infs_sdfg::ArrayDecl::size_bytes));
@@ -510,12 +501,6 @@ impl Machine {
 
     /// Finalizes the run: computes NoC utilization and returns the stats.
     pub fn finish(mut self) -> RunStats {
-        self.stats.jit_hits = self.jit_hits;
-        self.stats.jit_misses = self.jit_misses;
-        self.stats.jit_template_hits = self.jit_template_hits;
-        self.stats.jit_cmd_hits = self.jit_cmd_hits;
-        self.stats.jit_cmd_template = self.jit_cmd_template;
-        self.stats.jit_cmd_misses = self.jit_cmd_misses;
         self.stats.noc_utilization = self
             .mesh
             .utilization(self.stats.traffic.noc_total(), self.stats.cycles.max(1));
@@ -847,15 +832,14 @@ impl Machine {
         let expected_jit = if nojit {
             0
         } else {
-            match self.jit_class(plan) {
-                JitClass::Concrete => self.cfg.jit.hit,
-                JitClass::Template { n_cmds } => {
-                    self.cfg.jit.hit + self.cfg.jit.patch_per_cmd * n_cmds
-                }
+            let (outcome, n_cmds) = match self.jit_class(plan) {
+                JitClass::Concrete => (JitOutcome::ConcreteHit, 0),
+                JitClass::Template { n_cmds } => (JitOutcome::TemplateHit, n_cmds),
                 // Conservative pre-lowering estimate: a handful of commands
-                // per node.
-                JitClass::Miss => hw.jit_cycles(region.profile.node_count * 4),
-            }
+                // per node, none of them stamped from an earlier one.
+                JitClass::Miss => (JitOutcome::Miss, region.profile.node_count * 4),
+            };
+            hw.jit_cycles(outcome, n_cmds, 0)
         };
         decide_healthy(&region.profile, &hw, expected_jit, health)
     }
@@ -906,7 +890,6 @@ impl Machine {
         let jit = infs_runtime::distill(tdfg, schedule, &hw);
         Some(InMemoryPlan {
             tdfg,
-            schedule,
             hw,
             layout,
             kept_resident_tile,
@@ -917,7 +900,7 @@ impl Machine {
     }
 
     /// Plans (or reuses) the transposed layout for a graph. The cache key
-    /// renders every input [`TransposedLayout::plan`] actually reads, so two
+    /// holds every input [`TransposedLayout::plan`] actually reads, so two
     /// graphs with the same lattice footprint — gauss_elim's per-pivot
     /// instances — share one planned layout. A `resident` tile is one the
     /// ledger proposes rather than the run forces: it must be one of the
@@ -925,16 +908,18 @@ impl Machine {
     fn plan_layout(
         &self,
         tdfg: &infs_tdfg::Tdfg,
-        hints: &infs_geom::layout::LayoutHints,
+        hints: &LayoutHints,
         hw: &HwConfig,
         tile: Option<&TileShape>,
         resident: bool,
     ) -> Result<Arc<TransposedLayout>, RuntimeError> {
-        let lattice = TransposedLayout::lattice_shape_for(tdfg)?;
-        let key = format!(
-            "{lattice:?}|{}|{hints:?}|{}|{tile:?}|{resident}",
+        let key = (
+            TransposedLayout::lattice_shape_for(tdfg)?,
             tdfg.dtype().size_bytes(),
+            hints.clone(),
             hw.n_banks,
+            tile.cloned(),
+            resident,
         );
         if let Some(cached) = self.layouts.lock().expect("layout cache lock").get(&key) {
             return Ok(cached.clone());
@@ -951,10 +936,13 @@ impl Machine {
             None => TransposedLayout::plan(tdfg, hints, hw),
         }?;
         let arc = Arc::new(planned);
-        self.layouts
-            .lock()
-            .expect("layout cache lock")
-            .insert(key, arc.clone());
+        let mut layouts = self.layouts.lock().expect("layout cache lock");
+        if layouts.len() >= LAYOUT_CACHE_CAP {
+            // Re-planning is a pure function of the key: dropping every
+            // entry costs host time only, never a cycle.
+            layouts.clear();
+        }
+        layouts.insert(key, arc.clone());
         Ok(arc)
     }
 
@@ -1018,7 +1006,6 @@ impl Machine {
             scalars,
             cycles: out.cycles,
             executed: Executed::Core,
-            jit_hit: None,
             jit_outcome: None,
             prepare_cycles: 0,
         })
@@ -1058,7 +1045,6 @@ impl Machine {
             scalars,
             cycles: out.cycles,
             executed: Executed::NearMemory,
-            jit_hit: None,
             jit_outcome: None,
             prepare_cycles: 0,
         })
@@ -1074,7 +1060,6 @@ impl Machine {
     ) -> Result<RegionReport, SimError> {
         let InMemoryPlan {
             tdfg,
-            schedule,
             hw,
             layout,
             kept_resident_tile,
@@ -1094,11 +1079,12 @@ impl Machine {
 
         // 2. JIT: resolve the distilled template (O(nodes), done with the
         // plan) through the two-level cache — exact stream (concrete hit),
-        // copy-and-patch against a cached template (template hit), or full
-        // lowering (miss). The key is the template's canonical signature,
-        // never the region name, so shape-equal regions over different
-        // arrays — gauss_elim's per-pivot instances, conv's per-channel
-        // taps, ping-pong phase pairs — reuse each other's work.
+        // the cached template stamped with this instance's slots (template
+        // hit), or the fresh template stamped (miss). The key is the
+        // template's canonical signature, never the region name, so
+        // shape-equal regions over different arrays — gauss_elim's per-pivot
+        // instances, conv's per-channel taps, ping-pong phase pairs — reuse
+        // each other's work.
         let (template, slots) = jit?;
         let (cs, outcome) = self.jit.get_or_instantiate(
             &region.name,
@@ -1106,35 +1092,30 @@ impl Machine {
             &slots,
             layout.tile().dims(),
             |tpl| infs_runtime::instantiate(tpl, &slots, &layout, &hw),
-            || infs_runtime::lower(tdfg, schedule, &layout, &hw),
         )?;
-        let hit = outcome.is_hit();
-        if hit {
-            self.jit_hits += 1;
-        } else {
-            self.jit_misses += 1;
-        }
-        if outcome == JitOutcome::TemplateHit {
-            self.jit_template_hits += 1;
-        }
         let n_cmds = cs.cmds.len() as u64;
+        let s = &mut self.stats;
         match outcome {
-            JitOutcome::ConcreteHit => self.jit_cmd_hits += n_cmds,
-            JitOutcome::TemplateHit => self.jit_cmd_template += n_cmds,
+            JitOutcome::ConcreteHit => {
+                s.jit_hits += 1;
+                s.jit_cmd_hits += n_cmds;
+            }
+            JitOutcome::TemplateHit => {
+                s.jit_hits += 1;
+                s.jit_template_hits += 1;
+                s.jit_cmd_template += n_cmds;
+            }
             JitOutcome::Miss => {
                 let from_template = cs.stats.cmds_from_template.min(n_cmds);
-                self.jit_cmd_template += from_template;
-                self.jit_cmd_misses += n_cmds - from_template;
+                s.jit_misses += 1;
+                s.jit_cmd_template += from_template;
+                s.jit_cmd_misses += n_cmds - from_template;
             }
         }
         let jit_cycles = if nojit {
             0
         } else {
-            match outcome {
-                JitOutcome::ConcreteHit => self.cfg.jit.hit,
-                JitOutcome::TemplateHit => self.cfg.jit.hit + self.cfg.jit.patch_per_cmd * n_cmds,
-                JitOutcome::Miss => cs.jit_cycles,
-            }
+            hw.jit_cycles(outcome, n_cmds, cs.stats.cmds_from_template)
         };
 
         // 3. Execute the command stream. The command phase starts on the
@@ -1169,7 +1150,7 @@ impl Machine {
                 total,
                 vec![
                     ("executed", infs_trace::ArgValue::Str("in-memory".into())),
-                    ("jit_hit", infs_trace::ArgValue::Bool(hit)),
+                    ("jit_hit", infs_trace::ArgValue::Bool(outcome.is_hit())),
                 ],
             );
             infs_trace::sim_span(
@@ -1210,7 +1191,6 @@ impl Machine {
             scalars: out.scalars,
             cycles: total,
             executed: Executed::InMemory,
-            jit_hit: Some(hit),
             jit_outcome: Some(outcome),
             prepare_cycles,
         })
@@ -1232,5 +1212,67 @@ impl Machine {
         );
         let out = infs_sdfg::interp::execute(&region.sdfg, &mut self.mem, params)?;
         Ok(out.iter().map(|(n, v)| (n.to_string(), v)).collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use infs_frontend::{Idx, KernelBuilder, ScalarExpr};
+    use infs_isa::Compiler;
+
+    /// `A[i] *= param0` over `n` elements: one lattice per `n`.
+    fn scale_region(n: u64) -> RegionInstance {
+        let mut k = KernelBuilder::new("scale", infs_sdfg::DataType::F32);
+        let a = k.array("A", vec![n]);
+        let i = k.parallel_loop("i", 0, n as i64);
+        let x = ScalarExpr::load(a, vec![Idx::var(i)]);
+        k.assign(
+            a,
+            vec![Idx::var(i)],
+            ScalarExpr::mul(x, ScalarExpr::Param(0)),
+        );
+        Compiler {
+            optimize: false,
+            ..Default::default()
+        }
+        .compile(k.build().unwrap(), &[])
+        .unwrap()
+        .into_instance(&[])
+        .unwrap()
+    }
+
+    /// More distinct lattices than the planned-layout cache holds, entered
+    /// twice through one resident machine: the cache never outgrows its cap,
+    /// and every entry — the second pass re-plans what the overflow dropped —
+    /// takes exactly the cycles a fresh machine takes.
+    #[test]
+    fn layout_cache_is_bounded_and_replanning_moves_no_cycle() {
+        let cfg = SystemConfig::default();
+        let regions: Vec<_> = (1..=LAYOUT_CACHE_CAP as u64 + 8)
+            .map(|k| scale_region(256 * k))
+            .collect();
+        let jit = Arc::new(JitCache::new());
+        let mut m = Machine::with_jit(cfg.clone(), &[], jit.clone());
+        let mut peak = 0;
+        for pass in 0..2 {
+            // Every entry below lowers, on `m` as on a fresh machine, so only
+            // the layout cache tells the two apart.
+            jit.clear();
+            for region in &regions {
+                let arrays = region.sdfg.arrays();
+                m.reset(arrays);
+                let got = m.run_region(region, &[2.0], ExecMode::InL3).unwrap();
+                let want = Machine::new(cfg.clone(), arrays)
+                    .run_region(region, &[2.0], ExecMode::InL3)
+                    .unwrap();
+                assert_eq!(got.executed, Executed::InMemory);
+                assert_eq!(got.cycles, want.cycles, "pass {pass}, {:?}", arrays);
+                let len = m.layouts.lock().unwrap().len();
+                assert!(len <= LAYOUT_CACHE_CAP, "{len} planned layouts");
+                peak = peak.max(len);
+            }
+        }
+        assert_eq!(peak, LAYOUT_CACHE_CAP, "the cache filled and started over");
     }
 }

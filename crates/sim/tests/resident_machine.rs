@@ -8,7 +8,7 @@ use infs_frontend::{Idx, KernelBuilder, ScalarExpr};
 use infs_isa::{Compiler, RegionInstance};
 use infs_runtime::JitCache;
 use infs_sdfg::{ArrayId, DataType};
-use infs_sim::{ExecMode, Executed, Machine, SystemConfig};
+use infs_sim::{ExecMode, Executed, JitOutcome, Machine, SystemConfig};
 use std::sync::Arc;
 
 /// `A[i] *= param0` over `n` elements.
@@ -44,7 +44,7 @@ fn machines_share_a_jit_cache() {
         let r = m.run_region(&region, &[2.0], ExecMode::InL3).unwrap();
         assert_eq!(r.executed, Executed::InMemory);
         assert_eq!(
-            r.jit_hit,
+            r.jit_outcome.map(JitOutcome::is_hit),
             Some(round == 1),
             "round 0 lowers, round 1 hits the shared cache"
         );
@@ -80,7 +80,7 @@ fn reset_retargets_the_machine_at_another_table() {
     let mut m = Machine::new(SystemConfig::default(), small.sdfg.arrays());
     m.memory().write_array(A, &vec![1.0; 256]);
     let first = m.run_region(&small, &[2.0], ExecMode::InL3).unwrap();
-    assert_eq!(first.jit_hit, Some(false));
+    assert_eq!(first.jit_outcome.map(JitOutcome::is_hit), Some(false));
 
     m.reset(large.sdfg.arrays());
     assert_eq!(m.memory_ref().array(A), vec![0.0; 4096]);
@@ -91,9 +91,27 @@ fn reset_retargets_the_machine_at_another_table() {
     m.reset(small.sdfg.arrays());
     assert_eq!(m.memory_ref().array(A), vec![0.0; 256]);
     let again = m.run_region(&small, &[2.0], ExecMode::InL3).unwrap();
-    assert_eq!(again.jit_hit, Some(true), "the JIT handle survives reset");
+    assert_eq!(
+        again.jit_outcome.map(JitOutcome::is_hit),
+        Some(true),
+        "the JIT handle survives reset"
+    );
     assert!(
         again.cycles < first.cycles,
         "a hit is cheaper than lowering"
     );
+}
+
+/// A machine's JIT outcomes are in its stats as soon as the region returns —
+/// what a serve worker reads between requests — not only after `finish()`.
+#[test]
+fn machine_stats_count_jit_outcomes_before_finish() {
+    let region = scale_region(256);
+    let mut m = Machine::new(SystemConfig::default(), region.sdfg.arrays());
+    m.run_region(&region, &[2.0], ExecMode::InL3).unwrap();
+    assert_eq!((m.stats().jit_hits, m.stats().jit_misses), (0, 1));
+    m.run_region(&region, &[2.0], ExecMode::InL3).unwrap();
+    assert_eq!((m.stats().jit_hits, m.stats().jit_misses), (1, 1));
+    let stats = m.finish();
+    assert_eq!((stats.jit_hits, stats.jit_misses), (1, 1));
 }
