@@ -77,7 +77,7 @@ pub mod prelude {
     pub use infs_frontend::{Idx, Kernel, KernelBuilder, ScalarExpr};
     pub use infs_geom::{HyperRect, TileShape};
     pub use infs_isa::{CompiledRegion, Compiler, FatBinary, RegionInstance, SramGeometry};
-    pub use infs_runtime::{Paradigm, TransposedLayout};
+    pub use infs_runtime::{Tier, TransposedLayout};
     pub use infs_sdfg::{ArrayDecl, ArrayId, DataType, Memory, ReduceOp};
     pub use infs_sim::{ExecMode, Executed, Machine, RegionReport, RunStats, SystemConfig};
     pub use infs_tdfg::{ComputeOp, Tdfg};

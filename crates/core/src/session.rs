@@ -127,7 +127,7 @@ impl Session {
     }
 
     /// Enters a region by name with symbol bindings and runtime parameters —
-    /// the `inf_cfg` moment: instantiate, decide the paradigm, lay out, JIT,
+    /// the `inf_cfg` moment: instantiate, lay out, place on a tier, JIT,
     /// execute.
     ///
     /// # Errors

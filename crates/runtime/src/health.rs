@@ -1,12 +1,12 @@
-//! Health-aware offload decisions: the degradation ladder.
+//! Where a region runs: the one placement decision.
 //!
-//! When L3 banks are quarantined (see `infs-faults` and `DESIGN.md` §10),
-//! the Eq 2 decision gains a third outcome — falling all the way back to
-//! the host — and its in-memory latency estimate must account for the work
-//! the dead banks no longer absorb. This module keeps that logic next to
-//! [`decide`] so the simulator and serving layer share one ladder.
+//! [`place`] owns every rule that puts a region on a [`Tier`] at `inf_cfg`
+//! (§4.3): the Eq 2 in-/near-memory inequality, the degradation ladder a
+//! bank-health mask adds to it (`DESIGN.md` §10), and the clamping of a
+//! forced tier to what the machine can honour. Nothing else evaluates
+//! Eq 2.
 
-use crate::{decide, HwConfig, Paradigm};
+use crate::HwConfig;
 use infs_faults::BankHealth;
 use infs_tdfg::OpProfile;
 
@@ -26,6 +26,40 @@ pub enum Tier {
     InMemory,
 }
 
+/// The two sides of Eq 2 in cycles, as [`place`] compared them: the region
+/// goes in-memory exactly when `core > in_memory`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Eq2Terms {
+    /// `N_elem × N_op / TP_core`: one core executing every element
+    /// operation at peak throughput.
+    pub core: u64,
+    /// `Σᵢ Lat_opᵢ × n_banks / healthy + Lat_JIT` plus the fixed offload
+    /// overhead.
+    pub in_memory: u64,
+}
+
+/// Where [`place`] puts a region, and the Eq 2 terms behind it when Eq 2
+/// decided (`None` when a rule above it did).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// The tier the region runs on.
+    pub tier: Tier,
+    /// The inequality's two sides, when it was evaluated.
+    pub eq2: Option<Eq2Terms>,
+}
+
+impl From<Tier> for Placement {
+    /// A placement no Eq 2 evaluation decided.
+    fn from(tier: Tier) -> Self {
+        Placement { tier, eq2: None }
+    }
+}
+
+/// Fixed offload overhead: configuration, way reservation and the final
+/// sync barrier — keeps tiny regions (small MLP layers, Fig 19) off the
+/// bitlines even when commands are precompiled.
+const OFFLOAD_OVERHEAD: u64 = 2_000;
+
 /// Does the health mask leave enough banks for in-memory execution?
 ///
 /// In-memory offload needs a strict majority quorum: at least half the
@@ -37,66 +71,94 @@ pub fn in_memory_quorum(health: &BankHealth) -> bool {
     health.any_healthy() && u64::from(health.healthy_count()) * 2 >= u64::from(health.n_banks())
 }
 
-/// Eq 2 with a health mask: the three-tier degradation decision.
+/// The placement of one region entry. `in_memory` is `None` when the
+/// region has no feasible in-memory plan, else the plan's expected JIT
+/// cycles ([`HwConfig::jit_cycles`] of the outcome the JIT cache
+/// anticipates; only Eq 2 reads it). The rules, first match wins:
 ///
-/// * No healthy banks → [`Tier::Host`] (the stream engines live at the
-///   banks too).
-/// * Below the in-memory quorum → [`Tier::NearMemory`].
-/// * Otherwise re-run [`decide`] with the bit-serial latency scaled by
-///   `n_banks / healthy` (dead banks' tiles fold onto survivors, serializing
-///   their bit-serial work), mapping the paradigm onto the tier.
+/// 1. No live bank → [`Tier::Host`]: the stream engines live at the banks
+///    too.
+/// 2. A `forced` tier is clamped to what is feasible: in-memory needs a
+///    plan and the [`in_memory_quorum`], else near-memory; near-memory and
+///    host are honoured.
+/// 3. No plan or no quorum → [`Tier::NearMemory`].
+/// 4. Eq 2:
 ///
-/// Because the scale factor grows monotonically as banks die, a region can
-/// only move down the ladder as health degrades — never up.
-pub fn decide_healthy(
+///    ```text
+///    N_elem × N_op / TP_core  >  Σᵢ Lat_opᵢ × n_banks / healthy + Lat_JIT + overhead
+///    ```
+///
+///    The left side models a core executing every element operation at
+///    peak throughput — the offloading core's own, one 512-bit vector per
+///    cycle (the paper offloads from a single-thread scalar version, §7).
+///    The right side is the in-memory latency — independent of `N_elem`
+///    because computation is fully parallel across bitlines — scaled by
+///    `n_banks / healthy` because dead banks' tiles fold onto survivors
+///    and serialize their bit-serial work, plus the JIT lowering time. The
+///    compiler's aggregate [`OpProfile`] hints make this a constant-time
+///    check, "a basic and conservative heuristic (assuming peak core
+///    performance), but sufficient for the studied workloads".
+///
+/// The scale factor only grows as banks die, so losing banks can only move
+/// a region *down* the ladder, never up.
+pub fn place(
     profile: &OpProfile,
     hw: &HwConfig,
-    expected_jit_cycles: u64,
     health: &BankHealth,
-) -> Tier {
+    in_memory: Option<u64>,
+    forced: Option<Tier>,
+) -> Placement {
     let healthy = u64::from(health.healthy_count());
-    if healthy == 0 {
-        return Tier::Host;
+    match (forced, in_memory.filter(|_| in_memory_quorum(health))) {
+        _ if healthy == 0 => Tier::Host.into(),
+        (Some(Tier::Host), _) => Tier::Host.into(),
+        (Some(Tier::InMemory), Some(_)) => Tier::InMemory.into(),
+        (Some(_), _) | (None, None) => Tier::NearMemory.into(),
+        (None, Some(jit_cycles)) => {
+            let bit_serial = profile
+                .total_bit_serial_latency
+                .saturating_mul(u64::from(health.n_banks()))
+                .div_ceil(healthy);
+            let eq2 = Eq2Terms {
+                core: profile
+                    .max_domain_elems
+                    .saturating_mul(profile.ops_per_elem)
+                    / u64::from(hw.simd_lanes.max(1)),
+                in_memory: bit_serial + jit_cycles + OFFLOAD_OVERHEAD,
+            };
+            Placement {
+                tier: if eq2.core > eq2.in_memory {
+                    Tier::InMemory
+                } else {
+                    Tier::NearMemory
+                },
+                eq2: Some(eq2),
+            }
+        }
     }
-    if !in_memory_quorum(health) {
-        return Tier::NearMemory;
-    }
-    let mut scaled = profile.clone();
-    scaled.total_bit_serial_latency = profile
-        .total_bit_serial_latency
-        .saturating_mul(u64::from(health.n_banks()))
-        .div_ceil(healthy);
-    match decide(&scaled, hw, expected_jit_cycles) {
-        Paradigm::InMemory => Tier::InMemory,
-        Paradigm::NearMemory => Tier::NearMemory,
-    }
-}
-
-/// Round-robin placement of `n_items` work items over the *healthy* banks
-/// only. Returns the bank index for each item, or `None` when no bank is
-/// healthy (the caller must degrade to the host tier).
-pub fn place_on_healthy(n_items: usize, health: &BankHealth) -> Option<Vec<u32>> {
-    let banks = health.healthy_banks();
-    if banks.is_empty() {
-        return None;
-    }
-    Some((0..n_items).map(|i| banks[i % banks.len()]).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn profile(elems: u64, lat: u64) -> OpProfile {
+    fn profile(elems: u64, ops: u64, lat: u64) -> OpProfile {
         OpProfile {
             max_domain_elems: elems,
-            ops_per_elem: 3,
-            total_elem_ops: elems * 3,
+            ops_per_elem: ops,
+            total_elem_ops: elems * ops,
             total_bit_serial_latency: lat,
             node_count: 8,
             moved_elems: 0,
             per_op: Vec::new(),
         }
+    }
+
+    /// The unforced tier at full health with a feasible plan costing `jit`.
+    fn healthy_tier(p: &OpProfile, jit: u64) -> Tier {
+        let hw = HwConfig::default();
+        let health = BankHealth::all_healthy(hw.n_banks);
+        place(p, &hw, &health, Some(jit), None).tier
     }
 
     #[test]
@@ -106,14 +168,57 @@ mod tests {
     }
 
     #[test]
+    fn large_inputs_go_in_memory() {
+        // 4M elements, 3 ops each: core side 786 432 cycles vs 13 000.
+        assert_eq!(
+            healthy_tier(&profile(4 << 20, 3, 1_000), 10_000),
+            Tier::InMemory
+        );
+    }
+
+    #[test]
+    fn small_inputs_stay_near_memory() {
+        // 16k elements: core side 3 072 cycles vs 13 000.
+        assert_eq!(
+            healthy_tier(&profile(16 << 10, 3, 1_000), 10_000),
+            Tier::NearMemory
+        );
+    }
+
+    #[test]
+    fn jit_cost_can_flip_the_decision() {
+        let p = profile(1 << 20, 2, 1_000);
+        // LHS = 2M/16 = 131 072.
+        assert_eq!(healthy_tier(&p, 500), Tier::InMemory);
+        assert_eq!(healthy_tier(&p, 2_000_000), Tier::NearMemory);
+    }
+
+    #[test]
+    fn empty_profile_is_near_memory() {
+        assert_eq!(healthy_tier(&OpProfile::default(), 0), Tier::NearMemory);
+    }
+
+    #[test]
     fn full_health_matches_plain_decide() {
+        // At full health Eq 2 compares the unscaled sums.
         let hw = HwConfig::default();
         let health = BankHealth::all_healthy(hw.n_banks);
-        let big = profile(4 << 20, 1_000);
-        let small = profile(16 << 10, 1_000);
-        assert_eq!(decide_healthy(&big, &hw, 500, &health), Tier::InMemory);
-        assert_eq!(decide(&big, &hw, 500), Paradigm::InMemory);
-        assert_eq!(decide_healthy(&small, &hw, 500, &health), Tier::NearMemory);
+        let big = place(&profile(4 << 20, 3, 1_000), &hw, &health, Some(500), None);
+        let terms = Eq2Terms {
+            core: (4 << 20) * 3 / 16,
+            in_memory: 1_000 + 500 + OFFLOAD_OVERHEAD,
+        };
+        assert_eq!(
+            big,
+            Placement {
+                tier: Tier::InMemory,
+                eq2: Some(terms)
+            }
+        );
+        assert_eq!(
+            healthy_tier(&profile(16 << 10, 3, 1_000), 500),
+            Tier::NearMemory
+        );
     }
 
     #[test]
@@ -121,55 +226,63 @@ mod tests {
         let hw = HwConfig::default();
         // Barely in-memory at full health: lhs = 3·2²¹/16 ≈ 393k core
         // cycles vs 300k bit-serial + overheads.
-        let p = profile(1 << 21, 300_000);
+        let p = profile(1 << 21, 3, 300_000);
+        let tier = |health: &BankHealth| place(&p, &hw, health, Some(500), None).tier;
         let mut health = BankHealth::all_healthy(hw.n_banks);
-        assert_eq!(decide_healthy(&p, &hw, 500, &health), Tier::InMemory);
+        assert_eq!(tier(&health), Tier::InMemory);
         // Halve the banks: scaled latency doubles and flips the decision.
         for b in 0..hw.n_banks / 2 {
             health.mark_dead(b);
         }
-        assert_eq!(decide_healthy(&p, &hw, 500, &health), Tier::NearMemory);
+        assert_eq!(tier(&health), Tier::NearMemory);
         // Kill the rest: even near-memory is gone.
         for b in 0..hw.n_banks {
             health.mark_dead(b);
         }
-        assert_eq!(decide_healthy(&p, &hw, 500, &health), Tier::Host);
+        assert_eq!(tier(&health), Tier::Host);
     }
 
     #[test]
     fn below_quorum_never_in_memory() {
         let hw = HwConfig::default();
-        let p = profile(u64::MAX / 8, 1); // would trivially win Eq 2
+        let p = profile(u64::MAX / 8, 1, 1); // would trivially win Eq 2
         let mut health = BankHealth::all_healthy(hw.n_banks);
         for b in 0..hw.n_banks / 2 + 1 {
             health.mark_dead(b);
         }
         assert!(!in_memory_quorum(&health));
-        assert_eq!(decide_healthy(&p, &hw, 0, &health), Tier::NearMemory);
+        for forced in [None, Some(Tier::InMemory)] {
+            let placed = place(&p, &hw, &health, Some(0), forced);
+            assert_eq!(placed, Tier::NearMemory.into(), "{forced:?}");
+        }
     }
 
     #[test]
-    fn placement_skips_dead_banks() {
-        let mut health = BankHealth::all_healthy(8);
-        health.mark_dead(0);
-        health.mark_dead(3);
-        let places = place_on_healthy(12, &health).unwrap();
-        assert_eq!(places.len(), 12);
-        for b in &places {
-            assert!(health.is_healthy(*b));
-        }
-        // Round-robin covers every healthy bank.
-        for b in health.healthy_banks() {
-            assert!(places.contains(&b));
-        }
+    fn forced_tiers_clamp_to_what_is_feasible() {
+        let hw = HwConfig::default();
+        let health = BankHealth::all_healthy(hw.n_banks);
+        // Eq 2 alone would pick near-memory for this one.
+        let p = profile(16 << 10, 3, 1_000);
+        let placed = |plan, forced| place(&p, &hw, &health, plan, Some(forced));
+        assert_eq!(placed(Some(0), Tier::InMemory), Tier::InMemory.into());
+        assert_eq!(placed(None, Tier::InMemory), Tier::NearMemory.into());
+        assert_eq!(placed(Some(0), Tier::NearMemory), Tier::NearMemory.into());
+        assert_eq!(placed(Some(0), Tier::Host), Tier::Host.into());
     }
 
     #[test]
     fn placement_fails_with_no_healthy_banks() {
-        let mut health = BankHealth::all_healthy(4);
-        for b in 0..4 {
+        let hw = HwConfig::default();
+        let mut health = BankHealth::all_healthy(hw.n_banks);
+        for b in 0..hw.n_banks {
             health.mark_dead(b);
         }
-        assert_eq!(place_on_healthy(3, &health), None);
+        let p = profile(4 << 20, 3, 1_000);
+        for plan in [None, Some(0)] {
+            for forced in [None, Some(Tier::InMemory), Some(Tier::NearMemory)] {
+                let placed = place(&p, &hw, &health, plan, forced);
+                assert_eq!(placed, Tier::Host.into(), "{plan:?} {forced:?}");
+            }
+        }
     }
 }

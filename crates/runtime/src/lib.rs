@@ -20,10 +20,13 @@
 //!    stencils, matmul rounds) hits the cache and skips lowering, the paper's
 //!    key JIT-overhead optimization; a shape sibling re-stamps the cached
 //!    template. [`HwConfig::jit_cycles`] prices every outcome.
-//! 4. [`decide`] implements the Eq 2 in-/near-memory decision: offload
-//!    in-memory only when the core-side latency of the region's element
-//!    operations exceeds the summed bit-serial command latencies plus the JIT
-//!    lowering time.
+//! 4. [`place`] is the one placement decision: a region runs on the host
+//!    when no bank is live, on a forced tier clamped to what is feasible,
+//!    near-memory without an in-memory plan or a healthy-bank quorum, and
+//!    otherwise per Eq 2 — in-memory only when the core-side latency of the
+//!    region's element operations exceeds the summed bit-serial command
+//!    latencies (scaled by `n_banks / healthy`) plus the JIT lowering time.
+//!    The [`Placement`] it returns carries the Eq 2 terms it compared.
 //!
 //! The commands carry exact per-bank tile/element loads and remote-transfer
 //! lists, which is what the cycle-level simulator (`infs-sim`) consumes for
@@ -32,14 +35,13 @@
 //! timing model, checked end-to-end against the interpreter by construction.
 //!
 //! `DESIGN.md` §4 (system inventory) locates this crate in the stack;
-//! `DESIGN.md` §10 covers the health-aware side — [`decide_healthy`]'s
-//! degradation ladder and the [`JitCache`] load-path checksums.
+//! `DESIGN.md` §10 covers the health-aware side — [`place`]'s degradation
+//! ladder and the [`JitCache`] load-path checksums.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;
-mod decide;
 mod error;
 mod health;
 mod layout;
@@ -48,9 +50,8 @@ mod memo;
 mod template;
 
 pub use config::{HwConfig, JitModel};
-pub use decide::{decide, Paradigm};
 pub use error::RuntimeError;
-pub use health::{decide_healthy, in_memory_quorum, place_on_healthy, Tier};
+pub use health::{in_memory_quorum, place, Eq2Terms, Placement, Tier};
 pub use layout::TransposedLayout;
 pub use lower::{
     instantiate, lower, BankLoad, CommandStream, InfCommand, LoweredStats, RemoteTransfer,

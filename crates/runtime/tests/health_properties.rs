@@ -1,9 +1,10 @@
-//! Property tests for the degradation ladder (`DESIGN.md` §10): placement
-//! never lands on a dead bank, and the in-memory → near-memory → host
-//! fallback is monotone — degrading health never *upgrades* the tier.
+//! Property tests for the one placement decision (`DESIGN.md` §10): the
+//! in-memory → near-memory → host ladder is monotone — degrading health
+//! never *upgrades* the tier — a forced tier is clamped to what is
+//! feasible, and at full health the tier is exactly Eq 2's verdict.
 
 use infs_faults::BankHealth;
-use infs_runtime::{decide, decide_healthy, place_on_healthy, HwConfig, Paradigm, Tier};
+use infs_runtime::{place, HwConfig, Tier};
 use infs_tdfg::OpProfile;
 use proptest::prelude::*;
 
@@ -30,29 +31,19 @@ fn mask(n: u32, kill: u64) -> BankHealth {
     h
 }
 
+/// No forced tier, or one of the three.
+const FORCED: [Option<Tier>; 4] = [
+    None,
+    Some(Tier::InMemory),
+    Some(Tier::NearMemory),
+    Some(Tier::Host),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Placement over a random health mask never lands on a dead bank, and
-    /// fails (None) exactly when every bank is dead.
-    #[test]
-    fn prop_placement_avoids_dead_banks(
-        kill in 0u64..u64::MAX,
-        n_items in 1usize..100,
-    ) {
-        let health = mask(64, kill);
-        match place_on_healthy(n_items, &health) {
-            None => prop_assert!(!health.any_healthy()),
-            Some(places) => {
-                prop_assert_eq!(places.len(), n_items);
-                for b in places {
-                    prop_assert!(health.is_healthy(b), "placed on dead bank {b}");
-                }
-            }
-        }
-    }
-
-    /// Killing one more healthy bank never moves a region *up* the ladder.
+    /// Killing one more healthy bank never moves a region *up* the ladder,
+    /// forced or not.
     #[test]
     fn prop_ladder_is_monotone(
         kill in 0u64..u64::MAX,
@@ -61,39 +52,56 @@ proptest! {
         ops in 1u64..8,
         lat in 0u64..5_000_000,
         jit in 0u64..100_000,
+        forced in 0usize..4,
     ) {
         let hw = HwConfig::default();
         let p = profile(1u64 << elems_log, ops, lat);
         let before = mask(64, kill);
         let mut after = before.clone();
         after.mark_dead(extra);
-        let t_before = decide_healthy(&p, &hw, jit, &before);
-        let t_after = decide_healthy(&p, &hw, jit, &after);
+        let forced = FORCED[forced];
+        let t_before = place(&p, &hw, &before, Some(jit), forced).tier;
+        let t_after = place(&p, &hw, &after, Some(jit), forced).tier;
         prop_assert!(
             t_after <= t_before,
             "killing bank {extra} upgraded {:?} -> {:?}", t_before, t_after
         );
     }
 
-    /// With every bank healthy the ladder agrees with the plain Eq 2
-    /// decision; with no healthy banks it is always Host.
+    /// With every bank healthy the tier is in-memory exactly when Eq 2's
+    /// core side exceeds its in-memory side; with no live bank it is always
+    /// the host, whatever is forced and whether or not there is a plan.
     #[test]
     fn prop_ladder_endpoints(
         elems_log in 10u32..26,
         ops in 1u64..8,
         lat in 0u64..5_000_000,
         jit in 0u64..100_000,
+        forced in 0usize..4,
+        planned in proptest::bool::ANY,
     ) {
         let hw = HwConfig::default();
         let p = profile(1u64 << elems_log, ops, lat);
-        let full = BankHealth::all_healthy(64);
-        let expect = match decide(&p, &hw, jit) {
-            Paradigm::InMemory => Tier::InMemory,
-            Paradigm::NearMemory => Tier::NearMemory,
-        };
-        prop_assert_eq!(decide_healthy(&p, &hw, jit, &full), expect);
+        let full = place(&p, &hw, &BankHealth::all_healthy(64), Some(jit), None);
+        let eq2 = full.eq2.expect("an unforced feasible entry evaluates Eq 2");
+        prop_assert_eq!(full.tier == Tier::InMemory, eq2.core > eq2.in_memory);
         let dead = mask(64, u64::MAX);
-        prop_assert_eq!(decide_healthy(&p, &hw, jit, &dead), Tier::Host);
+        let plan = planned.then_some(jit);
+        prop_assert_eq!(place(&p, &hw, &dead, plan, FORCED[forced]).tier, Tier::Host);
+    }
+
+    /// Forced in-memory without a feasible plan never runs in memory.
+    #[test]
+    fn prop_forced_in_memory_needs_a_plan(
+        kill in 0u64..u64::MAX,
+        elems_log in 10u32..26,
+        lat in 0u64..5_000_000,
+    ) {
+        let hw = HwConfig::default();
+        let p = profile(1u64 << elems_log, 3, lat);
+        let placed = place(&p, &hw, &mask(64, kill), None, Some(Tier::InMemory));
+        prop_assert_ne!(placed.tier, Tier::InMemory);
+        prop_assert_eq!(placed.eq2, None);
     }
 
     /// A dead-bank mask can only *shrink* the set of regions that qualify
@@ -108,9 +116,9 @@ proptest! {
         let hw = HwConfig::default();
         let p = profile(1u64 << elems_log, 3, lat);
         let health = mask(64, kill);
-        if decide_healthy(&p, &hw, 500, &health) == Tier::InMemory {
+        if place(&p, &hw, &health, Some(500), None).tier == Tier::InMemory {
             let full = BankHealth::all_healthy(64);
-            prop_assert_eq!(decide_healthy(&p, &hw, 500, &full), Tier::InMemory);
+            prop_assert_eq!(place(&p, &hw, &full, Some(500), None).tier, Tier::InMemory);
         }
     }
 }
