@@ -8,7 +8,7 @@ use crate::records::{
 };
 use crate::{ConfigName, Ctx, MatrixEntry, RunMatrix, Table};
 use infs_geom::TileShape;
-use infs_sim::{ExecMode, Machine, RunPlan, SystemConfig};
+use infs_sim::{ExecMode, Machine, RunPlan, StageReport, SystemConfig};
 use infs_workloads::{ArraySum, Benchmark, MlpStack, PointNet, PointNetVariant, Scale, VecAdd};
 use rayon::prelude::*;
 
@@ -1045,13 +1045,13 @@ struct PipelineRun {
     stages: usize,
     fused: infs_pipeline::PipelineReport,
     roundtrip: infs_pipeline::PipelineReport,
-    spills: u64,
 }
 
 /// Runs one graph under both policies on fresh machines, asserts the outputs
-/// are bitwise identical, and returns the two reports plus the planner's
-/// spill count. A cycle number from a graph that computed something different
-/// would be worse than no number at all, so equivalence gates the measurement.
+/// are bitwise identical and that each run's stage reports add up to its
+/// cycles, and returns the two reports. A cycle number from a graph that
+/// computed something different would be worse than no number at all, so
+/// equivalence gates the measurement.
 fn measure_pipeline(
     ctx: &Ctx,
     name: &'static str,
@@ -1083,12 +1083,18 @@ fn measure_pipeline(
             graph.tensors[t as usize].name
         );
     }
+    for report in [&fused, &roundtrip] {
+        assert_eq!(
+            report.stages.iter().map(StageReport::cycles).sum::<u64>(),
+            report.total_cycles,
+            "pipeline '{name}': stage reports do not add up to the run's cycles"
+        );
+    }
     PipelineRun {
         name,
         stages: graph.stages.len(),
         fused,
         roundtrip,
-        spills: compiled.plan().spill_count(),
     }
 }
 
@@ -1124,7 +1130,6 @@ pub fn pipeline(ctx: &Ctx) {
             "speedup",
             "prepare stalls",
             "prefetch hidden",
-            "spills",
         ],
     );
     let mut record = BenchPipeline {
@@ -1148,7 +1153,6 @@ pub fn pipeline(ctx: &Ctx) {
             Table::f(speedup),
             r.fused.prepare_stall_cycles.to_string(),
             r.fused.prefetch_hidden_cycles.to_string(),
-            r.spills.to_string(),
         ]);
         record.workloads.insert(
             r.name.to_string(),
@@ -1159,7 +1163,6 @@ pub fn pipeline(ctx: &Ctx) {
                 speedup: rounded(speedup, 6),
                 prepare_stall_cycles: r.fused.prepare_stall_cycles,
                 prefetch_hidden_cycles: r.fused.prefetch_hidden_cycles,
-                spills: r.spills,
             },
         );
     }

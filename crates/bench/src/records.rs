@@ -74,8 +74,6 @@ pub struct PipelineRow {
     pub prepare_stall_cycles: u64,
     /// Fused prefetch cycles hidden under the previous stage.
     pub prefetch_hidden_cycles: u64,
-    /// Tensors the residency planner spilled.
-    pub spills: u64,
 }
 
 /// `BENCH_serve.json`: the serving soak. The one host-timed record —

@@ -53,7 +53,7 @@ pub enum CheckError {
     },
     /// JIT lowering itself rejected the region.
     Lower(RuntimeError),
-    /// A multi-kernel pipeline graph or its residency plan is ill-formed.
+    /// A multi-kernel pipeline graph or its liveness lists are ill-formed.
     Pipeline {
         /// Violated invariant.
         what: String,
@@ -601,7 +601,7 @@ pub fn validate_region(
     Ok(())
 }
 
-/// Validates a multi-kernel pipeline graph *and* the residency plan it
+/// Validates a multi-kernel pipeline graph *and* the liveness lists it
 /// implies on the given machine configuration.
 ///
 /// Three layers, mirroring the trust boundary of [`validate_graph`] — graphs
@@ -612,12 +612,11 @@ pub fn validate_region(
 ///    tensor table (which is what makes every edge shape/dtype-consistent),
 ///    derived read/write edge lists that agree with the kernels, a single
 ///    producer per tensor, and producer-before-consumer stage order.
-/// 2. **Capacity**: the residency plan exists (no stage's working set exceeds
-///    the L3 compute ways) and its peak occupancy fits the configuration.
-/// 3. **Liveness**: no stage uses an intermediate the plan already released
-///    for good. A tensor evicted as *dead* must never reappear in a later
-///    stage's working set (a *spilled* tensor may — it re-enters cold, which
-///    the planner records and the scheduler re-stages).
+/// 2. **Capacity**: no stage's own working set exceeds the L3 compute ways.
+///    What leaves L3 beyond that is the machine's residency ledger's rule.
+/// 3. **Liveness**: one list per stage and, replayed in stage order, every
+///    `prefetch` is part of the next stage's working set and no tensor on
+///    an `evict` list reappears in a later stage's working set.
 ///
 /// # Errors
 ///
@@ -634,12 +633,6 @@ pub fn validate_pipeline(
     let plan = infs_pipeline::plan_residency(g, capacity).map_err(|e| CheckError::Pipeline {
         what: e.to_string(),
     })?;
-    if plan.peak_bytes() > capacity {
-        return fail(format!(
-            "plan peak occupancy {} exceeds L3 compute capacity {capacity}",
-            plan.peak_bytes()
-        ));
-    }
     if plan.stages.len() != g.stages.len() {
         return fail(format!(
             "plan has {} stages, graph has {}",
@@ -647,41 +640,21 @@ pub fn validate_pipeline(
             g.stages.len()
         ));
     }
+    let working: Vec<Vec<u32>> = g.stages.iter().map(|st| st.working_set()).collect();
     for (k, (st, sp)) in g.stages.iter().zip(&plan.stages).enumerate() {
-        if sp.stage != st.name {
+        let next = working.get(k + 1).map_or(&[][..], Vec::as_slice);
+        if let Some(t) = sp.prefetch.iter().find(|t| !next.contains(t)) {
             return fail(format!(
-                "plan stage {k} is '{}', graph stage is '{}'",
-                sp.stage, st.name
+                "stage '{}' prefetches tensor {t} ('{}'), which the next stage does not use",
+                st.name, g.tensors[*t as usize].name
             ));
         }
-        if sp.resident != st.working_set() {
-            return fail(format!(
-                "stage '{}' plans residency {:?} but its working set is {:?}",
-                st.name,
-                sp.resident,
-                st.working_set()
-            ));
-        }
-    }
-    // Liveness replay: an eviction is *dead* (not a spill) unless the next
-    // stage records it as spilled. Dead tensors must stay dead.
-    for (k, sp) in plan.stages.iter().enumerate() {
         for &t in &sp.evict {
-            let respilled = plan
-                .stages
-                .get(k + 1)
-                .is_some_and(|next| next.spilled.contains(&t));
-            if respilled {
-                continue;
-            }
-            if let Some(user) = g.stages[k + 1..]
-                .iter()
-                .find(|st| st.working_set().contains(&t))
-            {
+            if let Some(user) = (k + 1..g.stages.len()).find(|&j| working[j].contains(&t)) {
                 return fail(format!(
                     "stage '{}' uses tensor {t} ('{}') after the plan evicted \
                      it as dead at stage '{}'",
-                    user.name, g.tensors[t as usize].name, sp.stage
+                    g.stages[user].name, g.tensors[t as usize].name, st.name
                 ));
             }
         }

@@ -9,8 +9,8 @@ use infs_sim::{
 };
 use std::time::Instant;
 
-/// A graph lowered against one machine configuration: validated, residency-
-/// planned, every stage compiled and instantiated.
+/// A graph lowered against one machine configuration: validated, its
+/// liveness lists derived, every stage compiled and instantiated.
 #[derive(Debug)]
 pub struct CompiledPipeline {
     graph: PipelineGraph,
@@ -25,7 +25,8 @@ pub struct CompiledPipeline {
 pub struct PipelineReport {
     /// Per-stage machine reports, in execution order.
     pub stages: Vec<StageReport>,
-    /// Total simulated cycles the run advanced the machine's clock.
+    /// Total simulated cycles the run advanced the machine's clock — the sum
+    /// of [`StageReport::cycles`] over `stages`.
     pub total_cycles: u64,
     /// Cycles stalled preparing (transposing) operands at stage entry.
     pub prepare_stall_cycles: u64,
@@ -106,11 +107,6 @@ impl CompiledPipeline {
         &self.graph
     }
 
-    /// The residency plan the executor follows.
-    pub fn plan(&self) -> &ResidencyPlan {
-        &self.plan
-    }
-
     /// The compiled region instances, one per stage.
     pub fn regions(&self) -> &[RegionInstance] {
         &self.regions
@@ -122,8 +118,7 @@ impl CompiledPipeline {
     }
 
     /// The stages as [`Machine::run`] takes them: each region with its
-    /// parameters and the residency plan's prefetch and evict lists (which a
-    /// round-trip run ignores).
+    /// parameters and its liveness lists (which a round-trip run ignores).
     pub fn stage_requests(&self) -> Vec<StageRequest<'_>> {
         self.regions
             .iter()
@@ -156,8 +151,9 @@ impl CompiledPipeline {
         Ok(PipelineReport::from_stages(stages, total))
     }
 
-    /// Runs the fused pipeline: intermediates stay resident per the plan and
-    /// each stage's operands are prefetched under its predecessor.
+    /// Runs the fused pipeline: intermediates stay resident until their last
+    /// use unless the machine's ledger evicts them for capacity, and each
+    /// stage's operands are prefetched under its predecessor.
     ///
     /// # Errors
     ///

@@ -10,10 +10,12 @@
 //!   tensors from one shared table, with a validator enforcing acyclicity
 //!   (dataflow stage order), shape/dtype-compatible edges, and a single
 //!   producer per tensor.
-//! * [`ResidencyPlan`] — a planner assigning intermediate tensors to L3 tile
-//!   regions under the compute-way capacity model, spilling to host only
-//!   when a stage's neighbors cannot fit: the "only the current layer
-//!   resident" discipline.
+//! * [`ResidencyPlan`] — liveness: per stage, the next stage's operands to
+//!   stage under it and the tensors that die with it — the "only the current
+//!   layer resident" discipline. A stage whose own working set exceeds the
+//!   L3 compute ways is a [`PipelineError::Capacity`]; everything else about
+//!   capacity is the machine's residency ledger's one rule, which evicts the
+//!   least-recently-used transposed arrays the entering stage does not need.
 //! * [`CompiledPipeline`] — the phase scheduler running the 3-phase
 //!   prepare/stream/prefetch loop on the simulated machine, so stage *k+1*'s
 //!   operands are staged while stage *k* executes and a producer's transposed
@@ -39,7 +41,7 @@ pub use plan::{plan_residency, ResidencyPlan, StagePlan};
 use std::error::Error;
 use std::fmt;
 
-/// Errors from graph validation, residency planning, or stage compilation.
+/// Errors from graph validation, the capacity check, or stage compilation.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum PipelineError {

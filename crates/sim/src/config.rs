@@ -125,8 +125,8 @@ impl SystemConfig {
 
     /// L3 bytes that can hold transposed data: the compute ways, i.e. the
     /// cache minus the ways reserved for normal traffic (§4) — 128 MB by
-    /// default. Bounds the machine's residency ledger and the pipeline
-    /// residency planner alike.
+    /// default. Bounds the machine's residency ledger, and each pipeline
+    /// stage's own working set.
     pub fn compute_capacity_bytes(&self) -> u64 {
         self.l3_bytes() / self.ways as u64 * (self.ways - self.reserved_ways) as u64
     }

@@ -109,8 +109,8 @@ pub struct StageRequest<'a> {
     /// cycles overlap with this stage's execution; only the excess stalls
     /// the timeline.
     pub prefetch: &'a [u32],
-    /// Arrays dead after this stage (the residency planner's eviction list):
-    /// dropped from L3 (the dirty ones written back), freeing compute ways.
+    /// Arrays dead after this stage (the pipeline's liveness list): dropped
+    /// from L3 (the dirty ones written back), freeing compute ways.
     pub evict: &'a [u32],
 }
 
@@ -131,18 +131,31 @@ pub struct StageReport {
     /// Portion of `prefetch_issued` hidden under this stage's execution —
     /// the cycles the fused pipeline saves over a round trip.
     pub prefetch_hidden: u64,
+    /// Cycles stalled writing back what the stage released afterwards — its
+    /// evict list under [`PipelinePolicy::Fused`], everything under
+    /// [`PipelinePolicy::Roundtrip`].
+    pub release_stall: u64,
     /// Host wall-clock nanoseconds spent driving this stage (the serving
     /// layer's per-stage breakdown).
     pub host_ns: u64,
+}
+
+impl StageReport {
+    /// Cycles this stage advanced the timeline: the region, the prefetch
+    /// that did not hide under it, and the release after it. A run's stages
+    /// sum to the cycles the run took.
+    pub fn cycles(&self) -> u64 {
+        self.region.cycles + self.prefetch_issued - self.prefetch_hidden + self.release_stall
+    }
 }
 
 /// How [`Machine::run`] treats inter-stage state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelinePolicy {
     /// Fused streaming execution: intermediates stay resident (and
-    /// transposed) across stages, the next stage's operands are prefetched
-    /// under the current stage's execution, and only planner-declared
-    /// evictions write back.
+    /// transposed) across stages until their evict list — or the residency
+    /// ledger's capacity rule — drops them, and the next stage's operands
+    /// are prefetched under the current stage's execution.
     #[default]
     Fused,
     /// Per-kernel host round trip (the pre-pipeline baseline): after every
@@ -518,26 +531,29 @@ impl Machine {
 
     /// Releases all resident data (delayed-release trigger, §5.2): everything
     /// leaves L3, and what was written in transposed form is written back.
-    pub fn release_transposed(&mut self) {
+    /// Returns the cycles the write-back stalled the timeline.
+    pub fn release_transposed(&mut self) -> u64 {
         let charge = self.residency.evict_all();
-        self.stall(charge);
+        self.stall(charge)
     }
 
-    /// Drops a specific set of arrays from L3 (the residency planner's
-    /// per-stage eviction, as opposed to the global
-    /// [`Machine::release_transposed`]). Dirty transposed arrays pay the DRAM
-    /// write-back; clean and untransposed ones are simply dropped.
-    pub fn evict_resident(&mut self, arrays: &[u32]) {
+    /// Drops a stage's evict list from L3. Dirty transposed arrays pay the
+    /// DRAM write-back; clean and untransposed ones are simply dropped.
+    /// Returns the cycles the write-back stalled the timeline.
+    fn evict_resident(&mut self, arrays: &[u32]) -> u64 {
         let charge = self.residency.evict(arrays.iter().copied());
-        self.stall(charge);
+        let cycles = self.stall(charge);
         infs_trace::counter!("pipeline.evictions", arrays.len() as u64);
+        cycles
     }
 
-    /// Advances the timeline by a charge no region entry owns.
-    fn stall(&mut self, charge: Charge) {
+    /// Advances the timeline by a charge no region entry owns, returning
+    /// the cycles it took.
+    fn stall(&mut self, charge: Charge) -> u64 {
         let cycles = self.charge(charge);
         self.stats.cycles += cycles;
         self.stats.breakdown.dram += cycles;
+        cycles
     }
 
     /// The one place residency bytes become time: prices a [`Charge`] in
@@ -589,7 +605,8 @@ impl Machine {
     /// prepare/stream/prefetch loop: while stage *k* streams, stage *k+1*'s
     /// operands (each request's `prefetch` list) are staged, and only
     /// staging cycles exceeding the execution window stall the clock. A lone
-    /// kernel is the one-stage case.
+    /// kernel is the one-stage case. The stages' [`StageReport::cycles`] sum
+    /// to the cycles the run advances the clock.
     ///
     /// Under [`PipelinePolicy::Roundtrip`] every stage instead behaves like an
     /// isolated request: prefetch and evict lists are ignored and all
@@ -615,7 +632,7 @@ impl Machine {
             let t0 = std::time::Instant::now();
             let region = self.enter_region(st.region, st.params, mode, plan)?;
             let prepare_stall = region.prepare_cycles;
-            let (mut prefetch_issued, mut prefetch_hidden) = (0, 0);
+            let (mut prefetch_issued, mut prefetch_hidden, mut release_stall) = (0, 0, 0);
             match plan.policy {
                 PipelinePolicy::Fused => {
                     if !st.prefetch.is_empty() {
@@ -628,10 +645,10 @@ impl Machine {
                         infs_trace::counter!("pipeline.prefetch_stall_cycles", stall);
                     }
                     if !st.evict.is_empty() {
-                        self.evict_resident(st.evict);
+                        release_stall = self.evict_resident(st.evict);
                     }
                 }
-                PipelinePolicy::Roundtrip => self.release_transposed(),
+                PipelinePolicy::Roundtrip => release_stall = self.release_transposed(),
             }
             infs_trace::counter!("pipeline.prepare_stall_cycles", prepare_stall);
             reports.push(StageReport {
@@ -640,6 +657,7 @@ impl Machine {
                 prepare_stall,
                 prefetch_issued,
                 prefetch_hidden,
+                release_stall,
                 host_ns: t0.elapsed().as_nanos() as u64,
             });
         }

@@ -303,6 +303,120 @@ mod tests {
         assert_eq!(r.evict([0, 1]).writeback, 200);
     }
 
+    /// A seeded source of small random choices.
+    struct Rng(infs_faults::Xorshift64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0.next_u64() % n
+        }
+
+        /// A random subset of `from`, in order.
+        fn pick(&mut self, from: impl IntoIterator<Item = u32>) -> Vec<u32> {
+            from.into_iter().filter(|_| self.below(2) == 0).collect()
+        }
+    }
+
+    /// Whether an entry is transposed under `tile` and dirty.
+    fn dirty_in(e: &Entry, tile: &TileShape) -> bool {
+        matches!(&e.form, Form::Transposed { tile: t, dirty: true } if t == tile)
+    }
+
+    /// Bytes of the dirty transposed arrays of `before` that are no longer
+    /// held in the same tile in `after` — what a drop must write back.
+    fn dirty_dropped(before: &[Entry], after: &[Entry]) -> u64 {
+        let dropped = before.iter().zip(after).filter(|(b, a)| match &b.form {
+            Form::Transposed { tile, dirty: true } => !matches!(
+                &a.form, Form::Transposed { tile: t, .. } if t == tile
+            ),
+            _ => false,
+        });
+        dropped.map(|(b, _)| b.bytes).sum()
+    }
+
+    fn transposed_bytes(r: &Residency) -> u64 {
+        let transposed = r.entries.iter().filter(|e| e.is_transposed());
+        transposed.map(|e| e.bytes).sum()
+    }
+
+    #[test]
+    fn random_sequences_keep_the_capacity_rule() {
+        let (t1, t2) = tiles();
+        let mut bound_seeds = 0;
+        for seed in 1..=300 {
+            let mut rng = Rng(infs_faults::Xorshift64::new(seed));
+            let n = 2 + rng.below(6) as usize;
+            let sizes: Vec<u64> = (0..n).map(|_| 1 + rng.below(64)).collect();
+            let capacity = rng.below(200);
+            let mut r = Residency::new(sizes.iter().copied(), capacity);
+            if rng.below(2) == 0 {
+                r.warm_all();
+            }
+            let mut bound = false;
+            for step in 0..40 {
+                let before = r.entries.clone();
+                let ctx = format!("seed {seed} step {step}");
+                match rng.below(4) {
+                    0 | 1 => {
+                        let needed = rng.pick(0..n as u32);
+                        let written = rng.pick(needed.iter().copied());
+                        let tile = if rng.below(3) == 0 { &t2 } else { &t1 };
+                        let c = r.admit(&needed, &written, tile);
+                        let after = &r.entries;
+                        for &a in &needed {
+                            let e = &after[a as usize];
+                            let want = Form::Transposed {
+                                tile: tile.clone(),
+                                dirty: written.contains(&a) || dirty_in(&before[a as usize], tile),
+                            };
+                            assert_eq!(e.form, want, "{ctx}: needed array {a}");
+                        }
+                        assert_eq!(c.writeback, dirty_dropped(&before, after), "{ctx}");
+                        // Victims: transposed arrays the entry did not name,
+                        // now cold — all older than every such survivor.
+                        let others = (0..n as u32).filter(|a| !needed.contains(a));
+                        let (victims, kept): (Vec<u32>, Vec<u32>) = others
+                            .filter(|&a| before[a as usize].is_transposed())
+                            .partition(|&a| !after[a as usize].is_transposed());
+                        assert_eq!(c.capacity_evictions, victims.len() as u64, "{ctx}");
+                        let stamp = |a: &u32| before[*a as usize].stamp;
+                        if let (Some(v), Some(k)) = (
+                            victims.iter().map(stamp).max(),
+                            kept.iter().map(stamp).min(),
+                        ) {
+                            assert!(v <= k, "{ctx}: evicted stamp {v} over kept {k}");
+                        }
+                        let need: u64 = needed.iter().map(|&a| sizes[a as usize]).sum();
+                        if need <= capacity {
+                            assert!(transposed_bytes(&r) <= capacity, "{ctx}");
+                        }
+                        bound |= c.capacity_evictions > 0;
+                    }
+                    2 => {
+                        let arrays = rng.pick(0..n as u32);
+                        let written = rng.pick(arrays.iter().copied());
+                        let cold = arrays
+                            .iter()
+                            .filter(|&&a| before[a as usize].form == Form::Cold);
+                        let want: u64 = cold.map(|&a| sizes[a as usize]).sum();
+                        assert_eq!(r.touch(&arrays, &written), want, "{ctx}");
+                        assert_eq!(dirty_dropped(&before, &r.entries), 0, "{ctx}");
+                    }
+                    _ => {
+                        let arrays = rng.pick(0..n as u32);
+                        let c = r.evict(arrays.iter().copied());
+                        assert_eq!(c.writeback, dirty_dropped(&before, &r.entries), "{ctx}");
+                        assert!(arrays
+                            .iter()
+                            .all(|&a| r.entries[a as usize].form == Form::Cold));
+                    }
+                }
+            }
+            bound_seeds += u32::from(bound);
+        }
+        assert!(bound_seeds > 0, "no seed made the capacity bound bind");
+    }
+
     #[test]
     fn assume_transposed_moves_nothing_and_survives_clear() {
         let (t1, _) = tiles();

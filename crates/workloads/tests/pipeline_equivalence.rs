@@ -8,7 +8,7 @@
 use infs_faults::{FaultConfig, FaultPlan};
 use infs_pipeline::PipelineGraph;
 use infs_sdfg::ArrayDecl;
-use infs_sim::{ExecMode, Machine, SystemConfig};
+use infs_sim::{ExecMode, Machine, StageReport, SystemConfig};
 use infs_workloads::{Benchmark, MlpStack, PointNet, PointNetVariant, Scale};
 use std::sync::Arc;
 
@@ -86,6 +86,31 @@ fn mlp_stack_fused_is_bitwise_identical_to_roundtrip() {
     let graph = b.graph().clone();
     let arrays = b.arrays();
     assert_bitwise_equivalent(&graph, &arrays, |m| b.init(m.memory()));
+}
+
+#[test]
+fn stage_reports_add_up_to_the_run_cycles() {
+    // In memory, both policies write back after stages: the fused run its
+    // evict lists, the round trip everything. Those stalls are in the
+    // stage reports, so every cycle of a run is in one of them.
+    let b = PointNet::new(Scale::Test, PointNetVariant::Ssg);
+    let graph = b.tail_graph();
+    let cfg = SystemConfig::default();
+    let compiled = infs_pipeline::compile(&graph, &cfg).expect("graph compiles");
+    for fused in [true, false] {
+        let mut m = Machine::new(cfg.clone(), &b.arrays());
+        b.seed_tail_inputs(m.memory());
+        let report = if fused {
+            compiled.run_fused(&mut m, ExecMode::InL3)
+        } else {
+            compiled.run_roundtrip(&mut m, ExecMode::InL3)
+        }
+        .expect("pipeline runs");
+        let staged: u64 = report.stages.iter().map(StageReport::cycles).sum();
+        assert_eq!(staged, report.total_cycles, "fused: {fused}");
+        assert_eq!(report.total_cycles, m.stats().cycles);
+        assert!(report.stages.iter().any(|s| s.release_stall > 0));
+    }
 }
 
 #[test]
