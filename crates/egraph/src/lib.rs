@@ -92,7 +92,12 @@ use infs_tdfg::{Tdfg, TdfgError};
 pub struct SaturationLimits {
     /// Maximum rule-application rounds.
     pub max_iters: usize,
-    /// Stop growing once this many e-nodes exist.
+    /// E-node budget, checked only between rules: once it is reached no
+    /// further rule runs and saturation stops after the pass's rebuild. A
+    /// rule that starts below the budget runs to completion, so one pass can
+    /// overshoot it several times over (`demo::mat_stencil(256)`'s last pass
+    /// grows 3 823 → 20 012 e-nodes against the default 4 000). Enforcing it
+    /// inside a pass is open work (ROADMAP item 6(a)).
     pub max_nodes: usize,
 }
 
