@@ -1,22 +1,32 @@
 //! The e-graph's bookkeeping (rebuild, dedup, the memo) may get faster but
 //! must never change what it extracts. These goldens pin the optimized output
-//! byte for byte: the fat binary's content hash for three paper-scale demo
-//! kernels, whose last saturation passes grow to thousands of e-nodes, and one
-//! FNV-1a fold over the optimized instances of the first 200 kernels of the
-//! `0xC0FFEE` fuzz campaign (the seed CI's `fuzz_hunt` runs).
+//! byte for byte: the fat binary's content hash for five paper-scale demo
+//! kernels, whose last saturation passes grow to thousands of e-nodes; one
+//! FNV-1a fold over the regions the paper-scale stencil and convolution
+//! workloads compile; and one over the optimized instances of the first 200
+//! kernels of the `0xC0FFEE` fuzz campaign (the seed CI's `fuzz_hunt` runs).
 
 use infs_isa::{Compiler, FatBinary, Fnv1a};
 use infs_serve::demo;
+use infs_workloads::{by_name, Scale};
 
-/// (kernel, `FatBinary::content_hash`), optimizer on; computed at commit
-/// 9840e35, before the rebuild was made linear.
-fn goldens() -> [(infs_frontend::Kernel, u64); 3] {
+/// (kernel, `FatBinary::content_hash`), optimizer on. The first three were
+/// computed at commit 9840e35, before the rebuild was made linear; the last
+/// two at 81fa8a2, before the e-graph's operands were inlined.
+fn goldens() -> [(infs_frontend::Kernel, u64); 5] {
     [
         (demo::mat_stencil(256), 0x3cfa_441a_c763_c128),
         (demo::mat_update(256, 12), 0x7b93_605e_7a2d_a55c),
         (demo::mat_muladd(256, 8), 0x4356_e5fb_bfc7_f38b),
+        (demo::stencil(4096), 0xd4e8_9c73_59e2_5662),
+        (demo::mat_update(256, 8), 0xe567_a366_7ce9_5900),
     ]
 }
+
+/// FNV-1a over the JSON of every region instance these paper-scale workloads
+/// compile at construction, in this order; computed at 81fa8a2.
+const WORKLOAD_FOLD: u64 = 0x7418_e0dc_d21d_f731;
+const FOLDED_WORKLOADS: [&str; 4] = ["stencil2d", "stencil3d", "conv2d", "dwt2d"];
 
 /// FNV-1a over the JSON of every optimized instance, in campaign order.
 const CAMPAIGN_FOLD: u64 = 0xc5f1_be88_443d_7b6e;
@@ -36,6 +46,21 @@ fn demo_binaries_match_the_goldens() {
         let hash = fb.content_hash().expect("hashable");
         assert_eq!(hash, want, "{name}: content hash moved ({hash:#018x})");
     }
+}
+
+#[test]
+fn workload_regions_match_the_golden_fold() {
+    let mut fold = Fnv1a::new();
+    for name in FOLDED_WORKLOADS {
+        let bench = by_name(name, Scale::Paper).expect("a Table 3 workload");
+        let instances = bench.instances();
+        assert!(!instances.is_empty(), "{name} compiles at construction");
+        for instance in instances {
+            serde_json::to_writer(&mut fold, instance).expect("instances serialize");
+        }
+    }
+    let got = fold.finish();
+    assert_eq!(got, WORKLOAD_FOLD, "workload fold moved ({got:#018x})");
 }
 
 #[test]

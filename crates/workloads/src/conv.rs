@@ -98,6 +98,10 @@ impl Benchmark for Conv2d {
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![ArrayId(1)]
     }
+
+    fn instances(&self) -> Vec<&RegionInstance> {
+        vec![&self.region]
+    }
 }
 
 /// Channelled 3×3 convolution: `OUT[x][y][co] = Σ_{ci,dx,dy} IN[x+dx][y+dy][ci]

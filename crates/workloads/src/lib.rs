@@ -44,6 +44,7 @@ pub use pointnet::{PointNet, PointNetVariant};
 pub use stencil::{Dwt2d, Stencil1d, Stencil2d, Stencil3d};
 pub use util::Dataflow;
 
+use infs_isa::RegionInstance;
 use infs_sdfg::{ArrayDecl, Memory};
 use infs_sim::{ExecMode, Machine, RunPlan, RunStats, SimError, SystemConfig};
 
@@ -84,6 +85,13 @@ pub trait Benchmark: Send + Sync {
 
     /// Arrays whose contents constitute the checked output.
     fn output_arrays(&self) -> Vec<infs_sdfg::ArrayId>;
+
+    /// The region instances compiled at construction, in build order.
+    /// Empty for benchmarks that keep region templates and instantiate them
+    /// per entry instead.
+    fn instances(&self) -> Vec<&RegionInstance> {
+        Vec::new()
+    }
 }
 
 // Compile-time audit of the types the parallel run matrix moves across or

@@ -77,6 +77,10 @@ impl Benchmark for VecAdd {
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![ArrayId(2)]
     }
+
+    fn instances(&self) -> Vec<&RegionInstance> {
+        vec![&self.region]
+    }
 }
 
 /// `v = Σ A[i]` over `n` elements (Fig 2's `array_sum`): in-memory partial
@@ -148,6 +152,10 @@ impl Benchmark for ArraySum {
 
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![ArrayId(1)]
+    }
+
+    fn instances(&self) -> Vec<&RegionInstance> {
+        vec![&self.region]
     }
 }
 

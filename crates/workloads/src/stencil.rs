@@ -92,6 +92,10 @@ impl Benchmark for Stencil1d {
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![ArrayId(if self.iters % 2 == 1 { 1 } else { 0 })]
     }
+
+    fn instances(&self) -> Vec<&RegionInstance> {
+        vec![&self.fwd, &self.bwd]
+    }
 }
 
 /// 5-point iterative 2-D stencil over an `n×n` grid.
@@ -180,6 +184,10 @@ impl Benchmark for Stencil2d {
 
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![ArrayId(if self.iters % 2 == 1 { 1 } else { 0 })]
+    }
+
+    fn instances(&self) -> Vec<&RegionInstance> {
+        vec![&self.fwd, &self.bwd]
     }
 }
 
@@ -286,6 +294,10 @@ impl Benchmark for Stencil3d {
 
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![ArrayId(if self.iters % 2 == 1 { 1 } else { 0 })]
+    }
+
+    fn instances(&self) -> Vec<&RegionInstance> {
+        vec![&self.fwd, &self.bwd]
     }
 }
 
@@ -422,6 +434,10 @@ impl Benchmark for Dwt2d {
 
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![ArrayId(3), ArrayId(4)]
+    }
+
+    fn instances(&self) -> Vec<&RegionInstance> {
+        self.phases.iter().collect()
     }
 }
 
