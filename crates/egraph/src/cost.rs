@@ -71,7 +71,7 @@ impl CostParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EClassId;
+    use crate::{EClassId, Operands};
 
     #[test]
     fn shrink_and_leaves_are_free() {
@@ -106,7 +106,7 @@ mod tests {
         let big = HyperRect::new(vec![(0, 64)]).unwrap();
         let n = ENode::Compute {
             op: ComputeOp::Add,
-            inputs: vec![],
+            inputs: Operands::new(&[]),
         };
         let c_small = p.enode_cost(&n, Some(&small), DataType::F32);
         let c_big = p.enode_cost(&n, Some(&big), DataType::F32);

@@ -17,9 +17,26 @@ impl fmt::Display for EClassId {
 
 #[derive(Debug, Clone, Default)]
 struct EClass {
-    nodes: Vec<ENode>,
+    nodes: Vec<Slot>,
     domain: Option<HyperRect>, // None = infinite (constant) tensor
     parents: Vec<(ENode, EClassId)>,
+}
+
+/// Index of a stored e-node in [`EGraph::slots`]. A slot never moves: a
+/// stale node is rewritten in place, and a dropped one is marked dead and
+/// left out of its class's list at the end of the rebuild.
+type Slot = u32;
+
+/// Slot of a memo key that no stored node carries. A repair that cannot
+/// find a parent entry's stored copy still keys the entry's canonical form;
+/// the check after every rebuild finds no such key left.
+const NO_SLOT: Slot = Slot::MAX;
+
+/// Where a memo key lives: its class, and the slot storing it.
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    class: EClassId,
+    slot: Slot,
 }
 
 /// A domain-aware e-graph over tDFG nodes.
@@ -28,16 +45,28 @@ struct EClass {
 /// be unioned when their domains agree, which is the paper's definition of tDFG
 /// node equivalence ("same result *and* same domain in the lattice space").
 ///
-/// Memo invariant: every stored e-node is a key of `memo` that resolves to
-/// its own class, so two classes never store equal nodes and
-/// [`union`](Self::union) can concatenate node lists without a duplicate scan.
+/// Memo invariant: every stored e-node is a key of `memo` whose entry names
+/// the node's slot and resolves to its own class. So two classes never store
+/// equal nodes, [`union`](Self::union) can concatenate node lists without a
+/// duplicate scan, and [`rebuild`](Self::rebuild) finds a stale node's slot,
+/// or whether its canonical form is stored already, with one memo lookup.
+/// After every rebuild the memo's keys are exactly the stored nodes, and each
+/// stored node's canonical form is a key of its class; debug builds check
+/// this.
 #[derive(Debug, Clone)]
 pub struct EGraph {
     ndim: usize,
     bounding: HyperRect,
     uf: Vec<u32>,
     classes: Vec<EClass>,
-    memo: HashMap<ENode, EClassId>,
+    /// Every e-node ever stored, by slot; class lists hold slots.
+    slots: Vec<ENode>,
+    /// False once rebuild has dropped a slot's node as a duplicate.
+    live: Vec<bool>,
+    /// Hash-cons table. It stays on std's keyed `RandomState`: kernels reach
+    /// the optimizer from the socket, and an unkeyed hash would let a client
+    /// pick nodes that collide and make every lookup linear.
+    memo: HashMap<ENode, MemoEntry>,
     dirty: Vec<EClassId>,
     n_enodes: usize,
     node_class: Vec<EClassId>, // original tDFG NodeId -> class
@@ -51,6 +80,8 @@ impl EGraph {
             bounding: g.bounding().clone(),
             uf: Vec::new(),
             classes: Vec::new(),
+            slots: Vec::new(),
+            live: Vec::new(),
             memo: HashMap::new(),
             dirty: Vec::new(),
             n_enodes: 0,
@@ -169,27 +200,38 @@ impl EGraph {
     /// (allocates; the rule engine's hot path uses
     /// [`class_nodes`](Self::class_nodes) instead).
     pub fn nodes(&self, id: EClassId) -> Vec<ENode> {
-        let c = &self.classes[self.find(id).0 as usize];
-        let mut nodes: Vec<ENode> = c
-            .nodes
-            .iter()
-            .map(|n| n.map_children(|x| self.find(x)))
+        let mut stale = false;
+        let mut nodes: Vec<ENode> = self
+            .class_nodes(id)
+            .map(|n| {
+                let mut n = n.clone();
+                stale |= n.canonicalize(|x| self.find(x));
+                n
+            })
             .collect();
-        dedup_in_order(&mut nodes);
+        // Stored nodes are distinct, so only canonicalization can repeat one.
+        if stale {
+            dedup_in_order(&mut nodes);
+        }
         nodes
     }
 
     /// The stored e-nodes of a class, borrowed without cloning.
     ///
     /// Immediately after [`rebuild`](Self::rebuild) the stored nodes are
-    /// canonical and deduplicated. Between rebuilds (i.e. while rules in the
-    /// same saturation iteration are mutating the graph), child ids may be
+    /// distinct and canonical, but for a rare half-canonical copy of a node
+    /// that is also stored in canonical form. Between rebuilds (i.e. while
+    /// rules in the same saturation iteration are mutating the graph), child
+    /// ids may be
     /// stale — they still resolve to the right class through
     /// [`find`](Self::find), and [`add`](Self::add)/[`union`](Self::union)
-    /// re-canonicalize, so pattern scans over this slice stay sound; at worst
+    /// re-canonicalize, so pattern scans over these nodes stay sound; at worst
     /// a stale id hides an equality until the next iteration's rebuild.
-    pub fn class_nodes(&self, id: EClassId) -> &[ENode] {
-        &self.classes[self.find(id).0 as usize].nodes
+    pub fn class_nodes(&self, id: EClassId) -> impl Iterator<Item = &ENode> + '_ {
+        self.classes[self.find(id).0 as usize]
+            .nodes
+            .iter()
+            .map(|&s| &self.slots[s as usize])
     }
 
     /// Iterates over canonical class ids without allocating.
@@ -217,7 +259,7 @@ impl EGraph {
             ENode::ConstVal { .. } | ENode::Param { .. } => Ok(None),
             ENode::Compute { inputs, .. } => {
                 let mut acc: Option<HyperRect> = None;
-                for c in inputs {
+                for c in inputs.iter() {
                     if let Some(d) = dom_of(c) {
                         acc = Some(match acc {
                             Some(a) => a.intersect(&d).map_err(|_| ())?.ok_or(())?,
@@ -273,25 +315,27 @@ impl EGraph {
 
     /// Adds an e-node (hash-consed), returning its class, or `None` if the node
     /// is ill-formed (see [`compute_domain`](Self::compute_domain)).
-    pub fn add(&mut self, n: ENode) -> Option<EClassId> {
-        let canon = n.map_children(|x| self.find(x));
-        if let Some(&id) = self.memo.get(&canon) {
-            return Some(self.find(id));
+    pub fn add(&mut self, mut n: ENode) -> Option<EClassId> {
+        n.canonicalize(|x| self.find(x));
+        if let Some(e) = self.memo.get(&n) {
+            return Some(self.find(e.class));
         }
-        let domain = self.compute_domain(&canon).ok()?;
+        let domain = self.compute_domain(&n).ok()?;
         let id = EClassId(self.uf.len() as u32);
+        let slot = self.slots.len() as Slot;
         self.uf.push(id.0);
         self.classes.push(EClass {
-            nodes: vec![canon.clone()],
+            nodes: vec![slot],
             domain,
             parents: Vec::new(),
         });
         self.n_enodes += 1;
-        for c in canon.children() {
-            let c = self.find(c);
-            self.classes[c.0 as usize].parents.push((canon.clone(), id));
+        for &c in n.children() {
+            self.classes[c.0 as usize].parents.push((n.clone(), id));
         }
-        self.memo.insert(canon, id);
+        self.memo.insert(n.clone(), MemoEntry { class: id, slot });
+        self.slots.push(n);
+        self.live.push(true);
         Some(id)
     }
 
@@ -313,13 +357,10 @@ impl EGraph {
         // Keep the smaller id canonical for determinism.
         let (keep, merge) = if a < b { (a, b) } else { (b, a) };
         self.uf[merge.0 as usize] = keep.0;
+        // Under the memo invariant neither class stores a node the other
+        // does; the check after every rebuild asserts it.
         let merged = std::mem::take(&mut self.classes[merge.0 as usize]);
         let kc = &mut self.classes[keep.0 as usize];
-        // The memo invariant: neither class stores a node the other does.
-        debug_assert!(
-            merged.nodes.iter().all(|n| !kc.nodes.contains(n)),
-            "classes {keep} and {merge} store an equal e-node"
-        );
         kc.nodes.extend(merged.nodes);
         kc.parents.extend(merged.parents);
         self.dirty.push(keep);
@@ -344,6 +385,8 @@ impl EGraph {
         let (mut classes, mut parents) = (0usize, 0usize);
         // The push count at which each class's latest repair began.
         let mut repaired_at = vec![usize::MAX; self.uf.len()];
+        // Classes that lost a node to a duplicate, compacted at the end.
+        let mut shrunk = Vec::new();
         while let Some(c) = self.dirty.pop() {
             let c = self.find_mut(c);
             if repaired_at[c.0 as usize] == pushes {
@@ -352,53 +395,129 @@ impl EGraph {
             repaired_at[c.0 as usize] = pushes;
             let queued = self.dirty.len();
             classes += 1;
-            parents += self.repair(c);
+            parents += self.repair(c, &mut shrunk);
             pushes += self.dirty.len() - queued;
         }
+        self.compact(shrunk);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
         span.arg("pushes", pushes);
         span.arg("classes", classes);
         span.arg("parents", parents);
     }
 
     /// Re-canonicalizes the parent list of canonical dirty class `c`, unioning
-    /// congruent parents. Returns the number of parent entries processed.
-    fn repair(&mut self, c: EClassId) -> usize {
+    /// congruent parents. Returns the number of parent entries processed;
+    /// pushes onto `shrunk` each class that holds a slot this repair killed.
+    fn repair(&mut self, c: EClassId, shrunk: &mut Vec<EClassId>) -> usize {
         let parents = std::mem::take(&mut self.classes[c.0 as usize].parents);
         let count = parents.len();
         let mut new_parents: Vec<(ENode, EClassId)> = Vec::with_capacity(count);
-        for (pnode, pclass) in parents {
-            self.memo.remove(&pnode);
-            let canon = pnode.map_children(|x| self.find(x));
+        for (mut node, pclass) in parents {
+            // Under the memo invariant the entry names the slot storing the
+            // stale node, if it is still stored.
+            let stale = self.memo.remove(&node).map_or(NO_SLOT, |e| e.slot);
+            debug_assert!(stale == NO_SLOT || self.slots[stale as usize] == node);
+            let changed = node.canonicalize(|x| self.find(x));
             let pclass = self.find_mut(pclass);
-            if let Some(&existing) = self.memo.get(&canon) {
-                let existing = self.find_mut(existing);
+            let existing = self.memo.get(&node).copied();
+            if let Some(e) = existing {
+                let existing = self.find_mut(e.class);
                 if existing != pclass {
                     self.union(existing, pclass);
                 }
             }
             let pclass = self.find_mut(pclass);
-            // Keep the stored node list canonical too: swap the stale copy
-            // of `pnode` inside its owning class for `canon` (or drop it if
-            // `canon` is already stored), so borrowed `class_nodes` slices
-            // see canonical, deduplicated nodes after every rebuild.
-            if canon != pnode {
-                let nodes = &mut self.classes[pclass.0 as usize].nodes;
-                if let Some(pos) = nodes.iter().position(|n| *n == pnode) {
-                    if nodes.contains(&canon) {
-                        nodes.remove(pos);
-                        self.n_enodes -= 1;
-                    } else {
-                        nodes[pos] = canon.clone();
-                    }
+            // Keep the stored nodes canonical too: rewrite the stale copy in
+            // its slot, or drop it if the canonical node is stored already
+            // (the union above put it in this class), so `class_nodes` sees
+            // canonical, distinct nodes after the rebuild.
+            let stored = existing.map_or(NO_SLOT, |e| e.slot);
+            let slot = match (changed, stale, stored) {
+                (false, ..) => stale,
+                (true, NO_SLOT, _) => stored,
+                (true, _, NO_SLOT) => {
+                    self.slots[stale as usize] = node.clone();
+                    stale
                 }
-            }
-            self.memo.insert(canon.clone(), pclass);
-            new_parents.push((canon, pclass));
+                (true, _, _) => {
+                    self.live[stale as usize] = false;
+                    self.n_enodes -= 1;
+                    shrunk.push(pclass);
+                    stored
+                }
+            };
+            self.memo.insert(
+                node.clone(),
+                MemoEntry {
+                    class: pclass,
+                    slot,
+                },
+            );
+            new_parents.push((node, pclass));
         }
         dedup_in_order(&mut new_parents);
         let c = self.find_mut(c);
         self.classes[c.0 as usize].parents.extend(new_parents);
         count
+    }
+
+    /// Leaves dead slots out of the node lists of the `shrunk` classes,
+    /// keeping the order of the rest.
+    fn compact(&mut self, mut shrunk: Vec<EClassId>) {
+        for c in &mut shrunk {
+            *c = self.find_mut(*c);
+        }
+        shrunk.sort_unstable();
+        shrunk.dedup();
+        for c in shrunk {
+            let live = &self.live;
+            self.classes[c.0 as usize]
+                .nodes
+                .retain(|&s| live[s as usize]);
+        }
+    }
+
+    /// Asserts the memo invariant as a rebuild leaves it: every listed slot
+    /// is live and `n_enodes` counts them; every stored node is a memo key
+    /// naming its own slot and class, so no value is stored twice; the memo
+    /// has no other keys; and every stored node's canonical form is a key of
+    /// its own class.
+    ///
+    /// The last clause is weaker than "every stored node is canonical",
+    /// which does not hold. A node with two children has a parent entry on
+    /// each child's list. When the children merge in different repairs of
+    /// one rebuild, the first repair rewrites the stored node, and the second
+    /// meets an entry whose stored copy it can no longer find. If that
+    /// entry's canonical form is stored already, the copy the first repair
+    /// wrote stays behind, half canonical. It hides no equality, and
+    /// [`nodes`](Self::nodes) drops it.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self) {
+        let mut stored = 0;
+        for c in self.classes_iter() {
+            for &s in &self.classes[c.0 as usize].nodes {
+                let n = &self.slots[s as usize];
+                assert!(self.live[s as usize], "{c} lists dead slot {s}");
+                let e = self
+                    .memo
+                    .get(n)
+                    .unwrap_or_else(|| panic!("{n:?} is no memo key"));
+                assert_eq!(e.slot, s, "{n:?} is stored twice or keyed elsewhere");
+                assert_eq!(self.find(e.class), c, "{n:?} is keyed to another class");
+                let canon = n.map_children(|x| self.find(x));
+                let e = self.memo.get(&canon);
+                assert_eq!(
+                    e.map(|e| self.find(e.class)),
+                    Some(c),
+                    "the canonical form of {n:?} is not keyed to {c}"
+                );
+                stored += 1;
+            }
+        }
+        assert_eq!(self.memo.len(), stored, "the memo has keys no class stores");
+        assert_eq!(self.live.iter().filter(|&&l| l).count(), stored);
+        assert_eq!(self.n_enodes, stored);
     }
 }
 
@@ -503,7 +622,7 @@ mod tests {
         let c = eg
             .add(ENode::Compute {
                 op: ComputeOp::Copy,
-                inputs: vec![moved],
+                inputs: [moved].into(),
             })
             .unwrap();
         // Same domain [1,8): union succeeds.
@@ -522,13 +641,13 @@ mod tests {
         let cp1 = eg
             .add(ENode::Compute {
                 op: ComputeOp::Copy,
-                inputs: vec![x],
+                inputs: [x].into(),
             })
             .unwrap();
         let cp2 = eg
             .add(ENode::Compute {
                 op: ComputeOp::Copy,
-                inputs: vec![cp1],
+                inputs: [cp1].into(),
             })
             .unwrap();
         assert_ne!(eg.find(cp1), eg.find(cp2));
@@ -549,7 +668,7 @@ mod tests {
         let cp = eg
             .add(ENode::Compute {
                 op: ComputeOp::Copy,
-                inputs: vec![x],
+                inputs: [x].into(),
             })
             .unwrap();
         eg.union(cp, x);

@@ -43,12 +43,7 @@ pub fn extract(eg: &EGraph, orig: &Tdfg, params: &CostParams) -> Result<Tdfg, Td
         .map(|nodes| {
             nodes
                 .iter()
-                .map(|nd| {
-                    nd.children()
-                        .into_iter()
-                        .map(|c| index[&eg.find(c)])
-                        .collect()
-                })
+                .map(|nd| nd.children().iter().map(|&c| index[&eg.find(c)]).collect())
                 .collect()
         })
         .collect();

@@ -79,7 +79,7 @@ mod rules;
 
 pub use cost::CostParams;
 pub use egraph::{EClassId, EGraph};
-pub use enode::ENode;
+pub use enode::{ENode, Operands};
 pub use extract::extract;
 pub use rules::{all_rules, Rewrite};
 

@@ -75,7 +75,7 @@ impl Rewrite for Commutativity {
                         id,
                         ENode::Compute {
                             op: *op,
-                            inputs: vec![inputs[1], inputs[0]],
+                            inputs: [inputs[1], inputs[0]].into(),
                         },
                     ));
                 }
@@ -134,14 +134,14 @@ impl Rewrite for Associativity {
             // f(f(a,b), c) -> f(a, f(b,c))
             if let Some(bc) = eg.add(ENode::Compute {
                 op,
-                inputs: vec![bb, c],
+                inputs: [bb, c].into(),
             }) {
                 unions += add_union(
                     eg,
                     id,
                     ENode::Compute {
                         op,
-                        inputs: vec![a, bc],
+                        inputs: [a, bc].into(),
                     },
                 );
             }
@@ -150,14 +150,14 @@ impl Rewrite for Associativity {
             // f(a, f(b,c)) -> f(f(a,b), c)
             if let Some(ab) = eg.add(ENode::Compute {
                 op,
-                inputs: vec![a, bb],
+                inputs: [a, bb].into(),
             }) {
                 unions += add_union(
                     eg,
                     id,
                     ENode::Compute {
                         op,
-                        inputs: vec![ab, c],
+                        inputs: [ab, c].into(),
                     },
                 );
             }
@@ -185,7 +185,6 @@ impl Rewrite for Factor {
                     // Find Mul children sharing a factor (in any operand slot).
                     let muls_of = |c: EClassId| -> Vec<(EClassId, EClassId)> {
                         eg.class_nodes(c)
-                            .iter()
                             .filter_map(|m| match m {
                                 ENode::Compute {
                                     op: Mul,
@@ -196,7 +195,7 @@ impl Rewrite for Factor {
                                 } if mi.len() == 2 => Some((eg.find(mi[0]), eg.find(mi[1]))),
                                 _ => None,
                             })
-                            .flat_map(|(x, k)| vec![(x, k), (k, x)])
+                            .flat_map(|(x, k)| [(x, k), (k, x)])
                             .collect()
                     };
                     for (a, k1) in muls_of(inputs[0]) {
@@ -228,14 +227,14 @@ impl Rewrite for Factor {
         for (id, a, b, k) in factors {
             if let Some(sum) = eg.add(ENode::Compute {
                 op: Add,
-                inputs: vec![a, b],
+                inputs: [a, b].into(),
             }) {
                 unions += add_union(
                     eg,
                     id,
                     ENode::Compute {
                         op: Mul,
-                        inputs: vec![sum, k],
+                        inputs: [sum, k].into(),
                     },
                 );
             }
@@ -243,11 +242,11 @@ impl Rewrite for Factor {
         for (id, a, b, k) in distributes {
             let ma = eg.add(ENode::Compute {
                 op: Mul,
-                inputs: vec![a, k],
+                inputs: [a, k].into(),
             });
             let mb = eg.add(ENode::Compute {
                 op: Mul,
-                inputs: vec![b, k],
+                inputs: [b, k].into(),
             });
             if let (Some(ma), Some(mb)) = (ma, mb) {
                 unions += add_union(
@@ -255,7 +254,7 @@ impl Rewrite for Factor {
                     id,
                     ENode::Compute {
                         op: Add,
-                        inputs: vec![ma, mb],
+                        inputs: [ma, mb].into(),
                     },
                 );
             }
@@ -282,7 +281,7 @@ impl Rewrite for MvComputeExchange {
                 ENode::Mv { input, dim, dist } => {
                     for inner in eg.class_nodes(*input) {
                         if let ENode::Compute { op, inputs } = inner {
-                            pushes.push((id, *op, inputs.clone(), *dim, *dist));
+                            pushes.push((id, *op, *inputs, *dim, *dist));
                         }
                     }
                 }
@@ -299,16 +298,15 @@ impl Rewrite for MvComputeExchange {
                     }
                     let cands: Vec<(usize, i64)> = eg
                         .class_nodes(inputs[finite[0]])
-                        .iter()
                         .filter_map(|m| match m {
                             ENode::Mv { dim, dist, .. } if *dist != 0 => Some((*dim, *dist)),
                             _ => None,
                         })
                         .collect();
                     'cand: for (dim, dist) in cands {
-                        let mut sources = inputs.clone();
+                        let mut sources = *inputs;
                         for &fi in &finite {
-                            let src = eg.class_nodes(inputs[fi]).iter().find_map(|m| match m {
+                            let src = eg.class_nodes(inputs[fi]).find_map(|m| match m {
                                 ENode::Mv {
                                     input: s,
                                     dim: d2,
@@ -328,28 +326,25 @@ impl Rewrite for MvComputeExchange {
             }
         });
         let mut unions = 0;
-        for (id, op, inputs, dim, dist) in pushes {
-            let mut moved = Vec::with_capacity(inputs.len());
+        for (id, op, mut inputs, dim, dist) in pushes {
             let mut ok = true;
-            for c in inputs {
-                if eg.domain(c).is_some() {
+            for c in inputs.iter_mut() {
+                if eg.domain(*c).is_some() {
                     match eg.add(ENode::Mv {
-                        input: c,
+                        input: *c,
                         dim,
                         dist,
                     }) {
-                        Some(m) => moved.push(m),
+                        Some(m) => *c = m,
                         None => {
                             ok = false;
                             break;
                         }
                     }
-                } else {
-                    moved.push(c);
                 }
             }
             if ok {
-                unions += add_union(eg, id, ENode::Compute { op, inputs: moved });
+                unions += add_union(eg, id, ENode::Compute { op, inputs });
             }
         }
         for (id, op, sources, dim, dist) in hoists {
@@ -393,7 +388,7 @@ impl Rewrite for BcComputeExchange {
             } => {
                 for inner in eg.class_nodes(*input) {
                     if let ENode::Compute { op, inputs } = inner {
-                        pushes.push((id, *op, inputs.clone(), *dim, *dist, *count));
+                        pushes.push((id, *op, *inputs, *dim, *dist, *count));
                     }
                 }
             }
@@ -409,7 +404,6 @@ impl Rewrite for BcComputeExchange {
                 }
                 let cands: Vec<(usize, i64, u64)> = eg
                     .class_nodes(inputs[finite[0]])
-                    .iter()
                     .filter_map(|m| match m {
                         ENode::Bc {
                             dim, dist, count, ..
@@ -418,9 +412,9 @@ impl Rewrite for BcComputeExchange {
                     })
                     .collect();
                 'cand: for (dim, dist, count) in cands {
-                    let mut sources = inputs.clone();
+                    let mut sources = *inputs;
                     for &fi in &finite {
-                        let src = eg.class_nodes(inputs[fi]).iter().find_map(|m| match m {
+                        let src = eg.class_nodes(inputs[fi]).find_map(|m| match m {
                             ENode::Bc {
                                 input: s,
                                 dim: d2,
@@ -440,29 +434,26 @@ impl Rewrite for BcComputeExchange {
             _ => {}
         });
         let mut unions = 0;
-        for (id, op, inputs, dim, dist, count) in pushes {
-            let mut spread = Vec::with_capacity(inputs.len());
+        for (id, op, mut inputs, dim, dist, count) in pushes {
             let mut ok = true;
-            for c in inputs {
-                if eg.domain(c).is_some() {
+            for c in inputs.iter_mut() {
+                if eg.domain(*c).is_some() {
                     match eg.add(ENode::Bc {
-                        input: c,
+                        input: *c,
                         dim,
                         dist,
                         count,
                     }) {
-                        Some(m) => spread.push(m),
+                        Some(m) => *c = m,
                         None => {
                             ok = false;
                             break;
                         }
                     }
-                } else {
-                    spread.push(c);
                 }
             }
             if ok {
-                unions += add_union(eg, id, ENode::Compute { op, inputs: spread });
+                unions += add_union(eg, id, ENode::Compute { op, inputs });
             }
         }
         for (id, op, sources, dim, dist, count) in hoists {
@@ -578,7 +569,7 @@ impl Rewrite for ShrinkThroughCompute {
                             q,
                         } = inner
                         {
-                            let mut new_inputs = inputs.clone();
+                            let mut new_inputs = *inputs;
                             new_inputs[slot] = *src;
                             matches.push((id, *op, new_inputs, *dim, *p, *q));
                         }

@@ -80,9 +80,9 @@ fn a_class_dirtied_by_many_unions_is_repaired_once() {
     let parent_entries = eg
         .class_ids()
         .into_iter()
-        .flat_map(|c| eg.class_nodes(c).to_vec())
+        .flat_map(|c| eg.class_nodes(c))
         .flat_map(|n| n.children())
-        .filter(|c| dirty.contains(&eg.find(*c)))
+        .filter(|&&c| dirty.contains(&eg.find(c)))
         .count() as u64;
 
     let session = infs_trace::exclusive();

@@ -43,6 +43,25 @@ pub enum ComputeOp {
 }
 
 impl ComputeOp {
+    /// Every operation, in declaration order.
+    pub const ALL: [ComputeOp; 15] = [
+        ComputeOp::Add,
+        ComputeOp::Sub,
+        ComputeOp::Mul,
+        ComputeOp::Div,
+        ComputeOp::Min,
+        ComputeOp::Max,
+        ComputeOp::Neg,
+        ComputeOp::Abs,
+        ComputeOp::Sqrt,
+        ComputeOp::Relu,
+        ComputeOp::CmpLt,
+        ComputeOp::CmpLe,
+        ComputeOp::CmpEq,
+        ComputeOp::Select,
+        ComputeOp::Copy,
+    ];
+
     /// Number of input tensors the operation consumes.
     pub fn arity(self) -> usize {
         match self {
@@ -186,10 +205,30 @@ mod tests {
 
     #[test]
     fn arity_covers_all_ops() {
-        assert_eq!(ComputeOp::Add.arity(), 2);
-        assert_eq!(ComputeOp::Neg.arity(), 1);
-        assert_eq!(ComputeOp::Select.arity(), 3);
-        assert_eq!(ComputeOp::Copy.arity(), 1);
+        // `ALL` lists the operations in declaration order, each once. The
+        // match has no wildcard, so a new operation does not compile until
+        // it is given an arity here, and a new one is appended to `ALL`.
+        for (i, &op) in ComputeOp::ALL.iter().enumerate() {
+            assert_eq!(op as usize, i, "{op} is out of place in ComputeOp::ALL");
+            let arity = match op {
+                ComputeOp::Neg
+                | ComputeOp::Abs
+                | ComputeOp::Sqrt
+                | ComputeOp::Relu
+                | ComputeOp::Copy => 1,
+                ComputeOp::Add
+                | ComputeOp::Sub
+                | ComputeOp::Mul
+                | ComputeOp::Div
+                | ComputeOp::Min
+                | ComputeOp::Max
+                | ComputeOp::CmpLt
+                | ComputeOp::CmpLe
+                | ComputeOp::CmpEq => 2,
+                ComputeOp::Select => 3,
+            };
+            assert_eq!(op.arity(), arity, "{op}");
+        }
     }
 
     #[test]

@@ -210,24 +210,6 @@ impl Rng {
     }
 }
 
-const ALL_OPS: [ComputeOp; 15] = [
-    ComputeOp::Add,
-    ComputeOp::Sub,
-    ComputeOp::Mul,
-    ComputeOp::Div,
-    ComputeOp::Min,
-    ComputeOp::Max,
-    ComputeOp::Neg,
-    ComputeOp::Abs,
-    ComputeOp::Sqrt,
-    ComputeOp::Relu,
-    ComputeOp::CmpLt,
-    ComputeOp::CmpLe,
-    ComputeOp::CmpEq,
-    ComputeOp::Select,
-    ComputeOp::Copy,
-];
-
 /// What a generated case exercised, summed over the campaign so the test can
 /// insist that no node kind was silently never drawn.
 #[derive(Default)]
@@ -342,7 +324,7 @@ fn random_case(seed: u64, cov: &mut Coverage) -> Option<Case> {
                 (t.reduce(x, dim, op).unwrap(), false)
             }
             _ => {
-                let op = r.pick(&ALL_OPS);
+                let op = r.pick(&ComputeOp::ALL);
                 let all_constant = r.range(0, 12) == 0;
                 let inputs: Vec<NodeId> = (0..op.arity())
                     .map(|k| match (all_constant, k == 0 || r.range(0, 4) > 0) {
@@ -351,7 +333,7 @@ fn random_case(seed: u64, cov: &mut Coverage) -> Option<Case> {
                     })
                     .collect();
                 let n_uniform = inputs.iter().filter(|x| uniforms.contains(x)).count();
-                cov.ops[ALL_OPS.iter().position(|&o| o == op).unwrap()] += 1;
+                cov.ops[ComputeOp::ALL.iter().position(|&o| o == op).unwrap()] += 1;
                 cov.uniform_operand += (n_uniform > 0 && !all_constant) as u32;
                 cov.all_constant += all_constant as u32;
                 (t.compute(op, &inputs).unwrap(), all_constant)
