@@ -1,4 +1,5 @@
 use crate::{ArrayDecl, ArrayId, SdfgError};
+use std::sync::OnceLock;
 
 /// Functional memory backing a set of declared arrays.
 ///
@@ -7,32 +8,43 @@ use crate::{ArrayDecl, ArrayId, SdfgError};
 /// and in-memory — can be checked against a scalar reference for end-to-end
 /// correctness. Linearization is dimension-0-fastest, matching the lattice-space
 /// convention of `infs-geom`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Each array's storage is allocated, zeroed, on first access. A timing-only
+/// simulation never reads or writes array data, so its memory costs nothing;
+/// zeroing it eagerly cost up to 16 MB of `memset` per paper-scale array, or
+/// nothing, depending on whether the allocator reused heap pages or mapped
+/// fresh ones.
+#[derive(Debug, Clone)]
 pub struct Memory {
     decls: Vec<ArrayDecl>,
-    data: Vec<Vec<f32>>,
+    data: Vec<OnceLock<Vec<f32>>>,
 }
 
 impl Memory {
-    /// Allocates zero-initialized storage for the given declarations, indexed by
-    /// their position (i.e. by [`ArrayId`]).
+    /// Zero-initialized storage for the given declarations, indexed by their
+    /// position (i.e. by [`ArrayId`]).
     pub fn for_arrays(decls: &[ArrayDecl]) -> Self {
-        let data = decls
-            .iter()
-            .map(|d| vec![0.0; d.num_elements() as usize])
-            .collect();
         Memory {
             decls: decls.to_vec(),
-            data,
+            data: decls.iter().map(|_| OnceLock::new()).collect(),
         }
     }
 
     /// Zeroes every array in place (the state [`for_arrays`](Self::for_arrays)
     /// returns, without reallocating).
     pub fn zero(&mut self) {
-        for a in &mut self.data {
+        for a in self.data.iter_mut().filter_map(OnceLock::get_mut) {
             a.fill(0.0);
         }
+    }
+
+    fn storage(&self, array: usize) -> &Vec<f32> {
+        self.data[array].get_or_init(|| vec![0.0; self.decls[array].num_elements() as usize])
+    }
+
+    fn storage_mut(&mut self, array: usize) -> &mut Vec<f32> {
+        self.storage(array);
+        self.data[array].get_mut().expect("initialized above")
     }
 
     /// The declarations this memory was built for.
@@ -87,7 +99,7 @@ impl Memory {
     /// See [`linear`](Self::linear).
     pub fn read(&self, array: ArrayId, coords: &[i64]) -> Result<f32, SdfgError> {
         let idx = self.linear(array, coords)?;
-        Ok(self.data[array.0 as usize][idx])
+        Ok(self.storage(array.0 as usize)[idx])
     }
 
     /// Writes one element.
@@ -97,7 +109,7 @@ impl Memory {
     /// See [`linear`](Self::linear).
     pub fn write(&mut self, array: ArrayId, coords: &[i64], value: f32) -> Result<(), SdfgError> {
         let idx = self.linear(array, coords)?;
-        self.data[array.0 as usize][idx] = value;
+        self.storage_mut(array.0 as usize)[idx] = value;
         Ok(())
     }
 
@@ -107,7 +119,7 @@ impl Memory {
     ///
     /// Panics if the array id is unknown.
     pub fn array(&self, array: ArrayId) -> &[f32] {
-        &self.data[array.0 as usize]
+        self.storage(array.0 as usize)
     }
 
     /// Mutably borrows the full backing slice of an array.
@@ -116,7 +128,7 @@ impl Memory {
     ///
     /// Panics if the array id is unknown.
     pub fn array_mut(&mut self, array: ArrayId) -> &mut [f32] {
-        &mut self.data[array.0 as usize]
+        self.storage_mut(array.0 as usize)
     }
 
     /// Overwrites an array's contents from a slice.
@@ -125,7 +137,7 @@ impl Memory {
     ///
     /// Panics if the array id is unknown or `values` has the wrong length.
     pub fn write_array(&mut self, array: ArrayId, values: &[f32]) {
-        let dst = &mut self.data[array.0 as usize];
+        let dst = self.storage_mut(array.0 as usize);
         assert_eq!(
             dst.len(),
             values.len(),
@@ -134,6 +146,23 @@ impl Memory {
             values.len()
         );
         dst.copy_from_slice(values);
+    }
+}
+
+/// Arrays compare by contents; one never accessed reads as zeros.
+impl PartialEq for Memory {
+    fn eq(&self, other: &Self) -> bool {
+        let zeros = |a: &[f32]| a.iter().all(|&x| x == 0.0);
+        self.decls == other.decls
+            && self
+                .data
+                .iter()
+                .zip(&other.data)
+                .all(|(a, b)| match (a.get(), b.get()) {
+                    (Some(a), Some(b)) => a == b,
+                    (Some(a), None) | (None, Some(a)) => zeros(a),
+                    (None, None) => true,
+                })
     }
 }
 
@@ -184,6 +213,15 @@ mod tests {
             m.read(ArrayId(9), &[0]),
             Err(SdfgError::UnknownArray(_))
         ));
+    }
+
+    #[test]
+    fn arrays_are_allocated_on_first_access() {
+        let mut m = mem();
+        assert!(m.data.iter().all(|a| a.get().is_none()));
+        m.write(ArrayId(1), &[2], 1.0).unwrap();
+        assert!(m.data[0].get().is_none());
+        assert_eq!(m.array(ArrayId(1)), [0.0, 0.0, 1.0]);
     }
 
     #[test]
