@@ -5,10 +5,13 @@
 //! FNV-1a fold over the regions the paper-scale stencil and convolution
 //! workloads compile; and one over the optimized instances of the first 200
 //! kernels of the `0xC0FFEE` fuzz campaign (the seed CI's `fuzz_hunt` runs).
+//! A last fold pins region entry away from the compiled binding: the
+//! instances the symbolic regions of the matmul, k-means, gather-MLP and
+//! PointNet workloads build at a spread of other bindings.
 
 use infs_isa::{Compiler, FatBinary, Fnv1a};
 use infs_serve::demo;
-use infs_workloads::{by_name, Scale};
+use infs_workloads::{by_name, Benchmark, PointNet, PointNetVariant, Scale};
 
 /// (kernel, `FatBinary::content_hash`), optimizer on. The first three were
 /// computed at commit 9840e35, before the rebuild was made linear; the last
@@ -32,6 +35,22 @@ const FOLDED_WORKLOADS: [&str; 4] = ["stencil2d", "stencil3d", "conv2d", "dwt2d"
 const CAMPAIGN_FOLD: u64 = 0xc5f1_be88_443d_7b6e;
 const CAMPAIGN_SEED: u64 = 0xC0FFEE;
 const CAMPAIGN_KERNELS: usize = 200;
+
+/// FNV-1a over every symbolic region of these paper-scale workloads entered
+/// at each of `BINDINGS`; computed at 359cecb, before region entry at a new
+/// binding could replay the compiled optimization.
+const BINDING_FOLD: u64 = 0x14b7_5fa0_ca44_b1fa;
+const BINDING_WORKLOADS: [&str; 6] = [
+    "mm/in",
+    "mm/out",
+    "kmeans/in",
+    "kmeans/out",
+    "gather_mlp/in",
+    "gather_mlp/out",
+];
+/// Every region here is compiled at `[0]`; a binding past a region's range
+/// folds as an error marker.
+const BINDINGS: [i64; 9] = [1, 2, 3, 7, 31, 64, 127, 1000, 2047];
 
 #[test]
 fn demo_binaries_match_the_goldens() {
@@ -77,4 +96,36 @@ fn campaign_instances_match_the_golden_fold() {
     }
     let got = fold.finish();
     assert_eq!(got, CAMPAIGN_FOLD, "campaign fold moved ({got:#018x})");
+}
+
+#[test]
+fn workload_regions_entered_at_other_bindings_match_the_golden_fold() {
+    let mut benches: Vec<Box<dyn Benchmark>> = BINDING_WORKLOADS
+        .iter()
+        .map(|name| by_name(name, Scale::Paper).expect("a Table 3 workload"))
+        .collect();
+    benches.push(Box::new(PointNet::new(Scale::Paper, PointNetVariant::Ssg)));
+    let mut fold = Fnv1a::new();
+    let mut entered = 0;
+    for bench in &benches {
+        let symbolic = bench.regions().into_iter().filter(|r| {
+            r.representative
+                .as_ref()
+                .is_some_and(|rep| !rep.syms.is_empty())
+        });
+        for region in symbolic {
+            for s in BINDINGS {
+                match region.instantiate(&[s]) {
+                    Ok(instance) => {
+                        serde_json::to_writer(&mut fold, &*instance).expect("instances serialize");
+                        entered += 1;
+                    }
+                    Err(_) => fold.write(b"error"),
+                }
+            }
+        }
+    }
+    assert!(entered > 100, "only {entered} entries built an instance");
+    let got = fold.finish();
+    assert_eq!(got, BINDING_FOLD, "binding fold moved ({got:#018x})");
 }

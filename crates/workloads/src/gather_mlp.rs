@@ -281,6 +281,22 @@ impl Benchmark for GatherMlp {
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![A_OUT]
     }
+
+    fn regions(&self) -> Vec<&CompiledRegion> {
+        let mut regions: Vec<&CompiledRegion> = vec![&self.gather, &self.relu];
+        regions.extend(
+            [
+                &self.copy_g,
+                &self.copy_w,
+                &self.step,
+                &self.copy_wcol,
+                &self.col,
+            ]
+            .into_iter()
+            .flatten(),
+        );
+        regions
+    }
 }
 
 #[cfg(test)]

@@ -502,6 +502,23 @@ impl Benchmark for Kmeans {
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![A_CENT, A_ASSIGN]
     }
+
+    fn regions(&self) -> Vec<&CompiledRegion> {
+        let mut regions: Vec<&CompiledRegion> = vec![&self.finalize];
+        regions.extend(
+            [
+                &self.copy_p,
+                &self.copy_c,
+                &self.dist_acc,
+                &self.mind,
+                &self.copy_ccol,
+                &self.dist_col,
+            ]
+            .into_iter()
+            .flatten(),
+        );
+        regions
+    }
 }
 
 #[cfg(test)]

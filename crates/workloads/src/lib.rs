@@ -44,7 +44,7 @@ pub use pointnet::{PointNet, PointNetVariant};
 pub use stencil::{Dwt2d, Stencil1d, Stencil2d, Stencil3d};
 pub use util::Dataflow;
 
-use infs_isa::RegionInstance;
+use infs_isa::{CompiledRegion, RegionInstance};
 use infs_sdfg::{ArrayDecl, Memory};
 use infs_sim::{ExecMode, Machine, RunPlan, RunStats, SimError, SystemConfig};
 
@@ -90,6 +90,13 @@ pub trait Benchmark: Send + Sync {
     /// Empty for benchmarks that keep region templates and instantiate them
     /// per entry instead.
     fn instances(&self) -> Vec<&RegionInstance> {
+        Vec::new()
+    }
+
+    /// The region templates compiled at construction, in build order: what
+    /// the driver instantiates per entry, at the compiled binding or another.
+    /// Empty for benchmarks that keep only instances.
+    fn regions(&self) -> Vec<&CompiledRegion> {
         Vec::new()
     }
 }

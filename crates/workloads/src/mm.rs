@@ -246,6 +246,19 @@ impl Benchmark for MatMul {
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![ArrayId(2)]
     }
+
+    fn regions(&self) -> Vec<&CompiledRegion> {
+        [
+            &self.copy_a,
+            &self.copy_b,
+            &self.step,
+            &self.copy_acol,
+            &self.row,
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
 }
 
 #[cfg(test)]

@@ -1155,6 +1155,26 @@ impl Benchmark for PointNet {
     fn output_arrays(&self) -> Vec<ArrayId> {
         vec![*self.fc_out.last().expect("fc layers exist")]
     }
+
+    fn regions(&self) -> Vec<&CompiledRegion> {
+        let mut regions = Vec::new();
+        for st in &self.stages {
+            regions.extend([&st.mind_init, &st.fs_dist, &st.fs_max, &st.ballq]);
+            regions.extend(&st.gathers);
+            for l in 0..3 {
+                regions.extend([
+                    &st.copy_g[l],
+                    &st.copy_w[l],
+                    &st.step[l],
+                    &st.relu[l],
+                    &st.mlp_inner[l],
+                ]);
+            }
+            regions.push(&st.aggregate);
+        }
+        regions.extend(&self.fc_regions);
+        regions
+    }
 }
 
 #[cfg(test)]
