@@ -7,7 +7,8 @@ use std::hint::black_box;
 
 /// The three costs of a compiled region: the compile (one saturation), region
 /// entry at the compiled binding (borrows the embedded instance), and region
-/// entry at any other binding (the static stages again).
+/// entry at any other binding (the static stages again, here with the
+/// optimizer run in full).
 fn bench_compile_once(c: &mut Criterion) {
     let compiler = Compiler::default();
     let mut group = c.benchmark_group("compile_once");
@@ -24,7 +25,8 @@ fn bench_compile_once(c: &mut Criterion) {
             b.iter(|| black_box(region.instantiate(black_box(&[])).expect("instantiates")))
         });
         // The demo kernels bind no symbols, so "another binding" is the same
-        // one entered through a region that carries no embedded instance.
+        // one entered through a region that carries no embedded instance,
+        // which also leaves no optimized graph to replay.
         let mut bare = region.clone();
         bare.representative = None;
         group.bench_function(format!("instantiate@other binding/{name}"), |b| {

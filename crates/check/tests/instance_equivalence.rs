@@ -5,11 +5,14 @@
 //! → `optimize` → `Schedule::compute` — compared as serialized bytes, with
 //! the optimizer on and off; and that a symbolic kernel entered at a binding
 //! it was not compiled for still builds an instance of the same structure
-//! over different domains.
+//! over different domains. Entry at another binding replays the compiled
+//! optimization when the binding cannot change it; the last tests pin when
+//! it does, when it must not, and that either way the bytes are the
+//! oracle's.
 
 use infs_check::{campaign_seed, generate};
 use infs_frontend::{FrontendError, Idx, Kernel, KernelBuilder, ScalarExpr};
-use infs_isa::{Compiler, RegionInstance, Schedule};
+use infs_isa::{CompiledRegion, Compiler, FatBinary, RegionInstance, Schedule};
 use infs_sdfg::{ArrayId, DataType, ReduceOp};
 use infs_serve::demo;
 use infs_tdfg::ComputeOp;
@@ -247,4 +250,129 @@ fn other_bindings_build_and_differ_only_in_domains() {
             );
         }
     }
+}
+
+/// `C[m][·] = Σ_k buf[k] · B[k][·]`, `m` symbolic: `mm/in`'s row. Only the
+/// output row moves with `m`.
+fn row_kernel() -> Kernel {
+    let mut kb = KernelBuilder::new("row", DataType::F32);
+    let b = kb.array("B", vec![32, 32]);
+    let c = kb.array("C", vec![32, 32]);
+    let buf = kb.array("buf", vec![32, 1]);
+    let m = kb.sym("m");
+    let k = kb.parallel_loop("k", 0, 32);
+    let n = kb.parallel_loop("n", 0, 32);
+    let prod = ScalarExpr::mul(
+        ScalarExpr::load(buf, vec![Idx::var(k), Idx::constant(0)]),
+        ScalarExpr::load(b, vec![Idx::var(k), Idx::var(n)]),
+    );
+    kb.assign_reduced(
+        c,
+        vec![Idx::sym(m), Idx::var(n)],
+        prod,
+        vec![(k, ReduceOp::Sum)],
+    );
+    kb.build().expect("row builds")
+}
+
+/// A 3-point stencil over `A[0, 64)` stored to `B[i + s]`, `s` symbolic:
+/// the nodes never move, but `B`'s lattice box, and with it the bounding
+/// box, slides left as `s` grows. The taps' moves clip against its edges.
+fn shifted_stencil() -> Kernel {
+    let mut k = KernelBuilder::new("shifted_stencil", DataType::F32);
+    let s = k.sym("s");
+    let a = k.array("A", vec![64]);
+    let b = k.array("B", vec![80]);
+    let i = k.parallel_loop("i", 1, 63);
+    let tap = |d: i64| ScalarExpr::load(a, vec![Idx::var_plus(i, d)]);
+    k.assign(
+        b,
+        vec![Idx::var(i).plus_sym(s, 1)],
+        ScalarExpr::add(ScalarExpr::add(tap(-1), tap(0)), tap(1)),
+    );
+    k.build().expect("shifted stencil builds")
+}
+
+/// Enters `region` at each binding of `entries` and holds every instance to
+/// the oracle's bytes and every optimize stage to the expected outcome
+/// (`reused` or `ran`, read off the `isa.instantiate` span).
+fn assert_entries(kernel: &Kernel, region: &CompiledRegion, entries: &[(i64, &str)]) {
+    let c = Compiler::default();
+    let _session = infs_trace::exclusive();
+    for &(s, want) in entries {
+        infs_trace::clear();
+        let inst = region.instantiate(&[s]).expect("instantiates");
+        let snap = infs_trace::snapshot();
+        let how: Vec<&infs_trace::ArgValue> = snap
+            .events
+            .iter()
+            .filter(|e| e.name == "isa.instantiate")
+            .flat_map(|e| e.args.iter().filter(|(k, _)| *k == "optimize"))
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(
+            how,
+            [&infs_trace::ArgValue::Str(want.into())],
+            "{} at [{s}]",
+            kernel.name()
+        );
+        assert_eq!(
+            json(&inst),
+            json(&staged(kernel, &[s], &c)),
+            "{} at [{s}] ({want}): entry differs from the staged build",
+            kernel.name()
+        );
+    }
+}
+
+/// A row-selecting region replays its compiled optimization at every other
+/// row, and every replay is the full optimizer's graph byte for byte.
+#[test]
+fn a_row_selecting_region_replays_its_optimization() {
+    let kernel = row_kernel();
+    let region = Compiler::default()
+        .compile(kernel.clone(), &[0])
+        .expect("compiles");
+    let entries: Vec<(i64, &str)> = [1, 5, 17, 31].map(|m| (m, "reused")).to_vec();
+    assert_entries(&kernel, &region, &entries);
+}
+
+/// Where the bounding box clips a move differently from the compiled
+/// binding, the replay is refused and the optimizer runs in full; where it
+/// clips the same, the replay is taken.
+#[test]
+fn a_binding_that_moves_a_clip_is_optimized_in_full() {
+    let kernel = shifted_stencil();
+    let region = Compiler::default()
+        .compile(kernel.clone(), &[4])
+        .expect("compiles");
+    // At `s = 0` the bounding box starts at 0 and cuts a left-moved cover;
+    // at `s = 16` it ends at 64 and cuts a right-moved one.
+    assert_entries(
+        &kernel,
+        &region,
+        &[(2, "reused"), (8, "reused"), (0, "ran"), (16, "ran")],
+    );
+}
+
+/// The optimization record is not part of the fat binary: a region read back
+/// from JSON optimizes every other binding in full, to the same bytes.
+#[test]
+fn a_region_read_from_json_optimizes_in_full() {
+    let kernel = row_kernel();
+    let mut fb = FatBinary::new();
+    fb.push(
+        Compiler::default()
+            .compile(kernel.clone(), &[0])
+            .expect("compiles"),
+    );
+    let json_bytes = fb.to_json().expect("serializes");
+    let back = FatBinary::from_json(&json_bytes).expect("parses");
+    assert_eq!(back.to_json().expect("serializes"), json_bytes);
+    assert_eq!(
+        back.content_hash().expect("hashes"),
+        fb.content_hash().expect("hashes")
+    );
+    let entries: Vec<(i64, &str)> = [1, 5, 31].map(|m| (m, "ran")).to_vec();
+    assert_entries(&kernel, &back.regions[0], &entries);
 }

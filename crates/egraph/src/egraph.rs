@@ -70,6 +70,17 @@ pub struct EGraph {
     dirty: Vec<EClassId>,
     n_enodes: usize,
     node_class: Vec<EClassId>, // original tDFG NodeId -> class
+    /// Per-dimension hull of every rectangle [`add`](Self::add) clipped to
+    /// the bounding box; empty until the first clip.
+    clip_hull: Vec<(i64, i64)>,
+}
+
+/// A node's domain before the bounding-box clip.
+enum Unclipped {
+    /// The domain as it stands.
+    Final(Option<HyperRect>),
+    /// A moved or broadcast rectangle, still to be clipped.
+    Clip(HyperRect),
 }
 
 impl EGraph {
@@ -86,6 +97,7 @@ impl EGraph {
             dirty: Vec::new(),
             n_enodes: 0,
             node_class: Vec::new(),
+            clip_hull: Vec::new(),
         };
         for (i, n) in g.nodes().iter().enumerate() {
             let map = |x: &NodeId| eg.node_class[x.0 as usize];
@@ -160,6 +172,16 @@ impl EGraph {
     /// The global bounding hyperrectangle inherited from the source graph.
     pub fn bounding(&self) -> &HyperRect {
         &self.bounding
+    }
+
+    /// The hull of every rectangle this e-graph has clipped to
+    /// [`bounding`](Self::bounding) while adding nodes, or `None` if it has
+    /// clipped none. Every clip an `add` made answers the same under any
+    /// bounding box `B` with `hull ∩ B == hull ∩ bounding()`, since each
+    /// clipped rectangle lies inside the hull.
+    pub fn clip_hull(&self) -> Option<HyperRect> {
+        (!self.clip_hull.is_empty())
+            .then(|| HyperRect::new(self.clip_hull.clone()).expect("a hull of rectangles"))
     }
 
     /// Total e-nodes currently stored (across all classes).
@@ -253,10 +275,27 @@ impl EGraph {
     /// "skip this rewrite".
     #[allow(clippy::result_unit_err)]
     pub fn compute_domain(&self, n: &ENode) -> Result<Option<HyperRect>, ()> {
+        match self.unclipped_domain(n)? {
+            Unclipped::Final(d) => Ok(d),
+            Unclipped::Clip(r) => self.clip(&r),
+        }
+    }
+
+    /// `r` clipped to the bounding box; `Err(())` when nothing is left.
+    fn clip(&self, r: &HyperRect) -> Result<Option<HyperRect>, ()> {
+        Ok(Some(
+            r.intersect(&self.bounding).map_err(|_| ())?.ok_or(())?,
+        ))
+    }
+
+    /// [`compute_domain`](Self::compute_domain) up to the bounding-box clip.
+    fn unclipped_domain(&self, n: &ENode) -> Result<Unclipped, ()> {
         let dom_of = |c: &EClassId| self.domain(*c).cloned();
-        match n {
-            ENode::Input { rect, .. } | ENode::StreamIn { rect, .. } => Ok(Some(rect.clone())),
-            ENode::ConstVal { .. } | ENode::Param { .. } => Ok(None),
+        Ok(match n {
+            ENode::Input { rect, .. } | ENode::StreamIn { rect, .. } => {
+                Unclipped::Final(Some(rect.clone()))
+            }
+            ENode::ConstVal { .. } | ENode::Param { .. } => Unclipped::Final(None),
             ENode::Compute { inputs, .. } => {
                 let mut acc: Option<HyperRect> = None;
                 for c in inputs.iter() {
@@ -267,14 +306,11 @@ impl EGraph {
                         });
                     }
                 }
-                Ok(acc)
+                Unclipped::Final(acc)
             }
             ENode::Mv { input, dim, dist } => {
                 let d = dom_of(input).ok_or(())?;
-                let moved = d.translated(*dim, *dist).map_err(|_| ())?;
-                Ok(Some(
-                    moved.intersect(&self.bounding).map_err(|_| ())?.ok_or(())?,
-                ))
+                Unclipped::Clip(d.translated(*dim, *dist).map_err(|_| ())?)
             }
             ENode::Bc {
                 input,
@@ -286,15 +322,8 @@ impl EGraph {
                 if d.extent(*dim) != 1 {
                     return Err(());
                 }
-                let spread = d
-                    .with_interval(*dim, *dist, *dist + *count as i64)
-                    .map_err(|_| ())?;
-                Ok(Some(
-                    spread
-                        .intersect(&self.bounding)
-                        .map_err(|_| ())?
-                        .ok_or(())?,
-                ))
+                let spread = d.with_interval(*dim, *dist, *dist + *count as i64);
+                Unclipped::Clip(spread.map_err(|_| ())?)
             }
             ENode::Shrink { input, dim, p, q } => {
                 let d = dom_of(input).ok_or(())?;
@@ -303,13 +332,24 @@ impl EGraph {
                 if np >= nq {
                     return Err(());
                 }
-                Ok(Some(d.with_interval(*dim, np, nq).map_err(|_| ())?))
+                Unclipped::Final(Some(d.with_interval(*dim, np, nq).map_err(|_| ())?))
             }
             ENode::Reduce { input, dim, .. } => {
                 let d = dom_of(input).ok_or(())?;
                 let s = d.start(*dim);
-                Ok(Some(d.with_interval(*dim, s, s + 1).map_err(|_| ())?))
+                Unclipped::Final(Some(d.with_interval(*dim, s, s + 1).map_err(|_| ())?))
             }
+        })
+    }
+
+    /// Widens the clip hull, in place, to cover `r`.
+    fn widen_clip_hull(&mut self, r: &HyperRect) {
+        if self.clip_hull.is_empty() {
+            self.clip_hull.extend_from_slice(r.intervals());
+            return;
+        }
+        for (h, &(p, q)) in self.clip_hull.iter_mut().zip(r.intervals()) {
+            *h = (h.0.min(p), h.1.max(q));
         }
     }
 
@@ -320,7 +360,13 @@ impl EGraph {
         if let Some(e) = self.memo.get(&n) {
             return Some(self.find(e.class));
         }
-        let domain = self.compute_domain(&n).ok()?;
+        let domain = match self.unclipped_domain(&n).ok()? {
+            Unclipped::Final(d) => d,
+            Unclipped::Clip(r) => {
+                self.widen_clip_hull(&r);
+                self.clip(&r).ok()?
+            }
+        };
         let id = EClassId(self.uf.len() as u32);
         let slot = self.slots.len() as Slot;
         self.uf.push(id.0);

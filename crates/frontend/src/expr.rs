@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Loop terms reference the kernel's parallel loops; symbol terms reference the
 /// integer symbols bound at instantiation time (sequential host loops, sizes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Idx {
     /// Constant offset.
     pub offset: i64,

@@ -10,14 +10,105 @@ use infs_sdfg::{
 };
 use infs_tdfg::ComputeOp;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::mem::discriminant;
 
 struct Ctx<'k> {
     kernel: &'k Kernel,
     syms: Vec<i64>,
     lows: Vec<i64>,
     g: Sdfg,
-    load_memo: HashMap<String, StreamId>,
-    expr_memo: HashMap<String, ExprId>,
+    load_memo: HashMap<AccessFn, StreamId>,
+    expr_memo: HashMap<ExprKey<'k>, ExprId>,
+    /// The constant `1.0` that `<=` lowers through, made once.
+    one: Option<ExprId>,
+}
+
+/// A memo key for a kernel expression: two keys are equal when the
+/// expressions are structurally equal with `f32` constants compared by bits,
+/// except that every NaN is one constant (as their `Debug` text is one).
+#[derive(Clone, Copy)]
+struct ExprKey<'k>(&'k ScalarExpr);
+
+/// The bits a constant is keyed by: its own, or one NaN for every NaN.
+fn const_key(v: f32) -> u32 {
+    if v.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+fn same_expr(a: &ScalarExpr, b: &ScalarExpr) -> bool {
+    match (a, b) {
+        (ScalarExpr::Const(x), ScalarExpr::Const(y)) => const_key(*x) == const_key(*y),
+        (
+            ScalarExpr::LoadIndirect {
+                array,
+                dim,
+                index,
+                rest,
+            },
+            ScalarExpr::LoadIndirect {
+                array: array2,
+                dim: dim2,
+                index: index2,
+                rest: rest2,
+            },
+        ) => array == array2 && dim == dim2 && rest == rest2 && same_expr(index, index2),
+        (
+            ScalarExpr::Op { op, args },
+            ScalarExpr::Op {
+                op: op2,
+                args: args2,
+            },
+        ) => {
+            op == op2
+                && args.len() == args2.len()
+                && args.iter().zip(args2).all(|(x, y)| same_expr(x, y))
+        }
+        // The other variants hold no float.
+        _ => a == b,
+    }
+}
+
+fn hash_expr<H: Hasher>(e: &ScalarExpr, h: &mut H) {
+    discriminant(e).hash(h);
+    match e {
+        ScalarExpr::Load { array, idx } => (array, idx).hash(h),
+        ScalarExpr::LoadIndirect {
+            array,
+            dim,
+            index,
+            rest,
+        } => {
+            (array, dim, rest).hash(h);
+            hash_expr(index, h);
+        }
+        ScalarExpr::Const(v) => const_key(*v).hash(h),
+        ScalarExpr::Param(i) => i.hash(h),
+        ScalarExpr::LoopVal(v) => v.hash(h),
+        ScalarExpr::Op { op, args } => {
+            (op, args.len()).hash(h);
+            for a in args {
+                hash_expr(a, h);
+            }
+        }
+    }
+}
+
+impl PartialEq for ExprKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        same_expr(self.0, other.0)
+    }
+}
+
+impl Eq for ExprKey<'_> {}
+
+impl Hash for ExprKey<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        hash_expr(self.0, h);
+    }
 }
 
 impl Kernel {
@@ -42,6 +133,7 @@ impl Kernel {
             g,
             load_memo: HashMap::new(),
             expr_memo: HashMap::new(),
+            one: None,
         };
         for stmt in self.stmts() {
             ctx.lower_stmt(stmt)?;
@@ -52,7 +144,7 @@ impl Kernel {
     }
 }
 
-impl Ctx<'_> {
+impl<'k> Ctx<'k> {
     /// Folds an index list into an affine map over 0-based loop ivs.
     fn affine_map(&self, array: ArrayId, idx: &[Idx]) -> Result<AffineMap, FrontendError> {
         let nloops = self.kernel.loops().len();
@@ -77,26 +169,16 @@ impl Ctx<'_> {
     }
 
     fn load_stream(&mut self, access: AccessFn) -> StreamId {
-        let key = format!("{access:?}");
-        if let Some(&s) = self.load_memo.get(&key) {
+        if let Some(&s) = self.load_memo.get(&access) {
             return s;
         }
-        let s = self.g.load(access);
-        self.load_memo.insert(key, s);
+        let s = self.g.load(access.clone());
+        self.load_memo.insert(access, s);
         s
     }
 
-    fn memo_expr(&mut self, key: String, e: StreamExpr) -> ExprId {
-        if let Some(&id) = self.expr_memo.get(&key) {
-            return id;
-        }
-        let id = self.g.expr(e);
-        self.expr_memo.insert(key, id);
-        id
-    }
-
-    fn lower_expr(&mut self, e: &ScalarExpr) -> Result<ExprId, FrontendError> {
-        let key = format!("{e:?}");
+    fn lower_expr(&mut self, e: &'k ScalarExpr) -> Result<ExprId, FrontendError> {
+        let key = ExprKey(e);
         if let Some(&id) = self.expr_memo.get(&key) {
             return Ok(id);
         }
@@ -170,7 +252,9 @@ impl Ctx<'_> {
             ComputeOp::CmpLe => {
                 // a <= b  ==  1 - (b < a)
                 let lt = bin(&mut self.g, BinOp::Lt, ids[1], ids[0]);
-                let one = self.memo_expr("##one".into(), StreamExpr::Const(1.0));
+                let one = *self
+                    .one
+                    .get_or_insert_with(|| self.g.expr(StreamExpr::Const(1.0)));
                 bin(&mut self.g, BinOp::Sub, one, lt)
             }
             ComputeOp::CmpEq => {
@@ -202,7 +286,7 @@ impl Ctx<'_> {
         Ok(AccessFn::Affine(self.affine_map(array, idx)?))
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), FrontendError> {
+    fn lower_stmt(&mut self, stmt: &'k Stmt) -> Result<(), FrontendError> {
         match stmt {
             Stmt::Assign {
                 array,
@@ -275,9 +359,56 @@ pub fn indirect_update(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Idx, KernelBuilder, ScalarExpr};
-    use infs_sdfg::{DataType, Memory, ReduceOp};
+    use super::ExprKey;
+    use crate::{Idx, KernelBuilder, LoopVar, ScalarExpr};
+    use infs_sdfg::{ArrayId, DataType, Memory, ReduceOp};
     use infs_tdfg::ComputeOp;
+    use std::hash::BuildHasher;
+
+    /// The structural memo key identifies expressions exactly as their
+    /// `Debug` text does: signed zeros apart, every NaN together.
+    #[test]
+    fn expr_keys_agree_with_debug_text() {
+        let load = |d: i64| ScalarExpr::load(ArrayId(0), vec![Idx::var_plus(LoopVar(0), d)]);
+        let exprs = [
+            ScalarExpr::Const(0.0),
+            ScalarExpr::Const(-0.0),
+            ScalarExpr::Const(f32::NAN),
+            ScalarExpr::Const(-f32::NAN),
+            ScalarExpr::Const(f32::from_bits(0x7fc0_0001)),
+            ScalarExpr::Const(1.0),
+            ScalarExpr::Param(0),
+            ScalarExpr::LoopVal(LoopVar(0)),
+            load(0),
+            load(1),
+            ScalarExpr::add(load(0), ScalarExpr::Const(f32::NAN)),
+            ScalarExpr::add(load(0), ScalarExpr::Const(-f32::NAN)),
+            ScalarExpr::add(load(0), ScalarExpr::Const(-0.0)),
+            ScalarExpr::mul(load(0), ScalarExpr::Const(-0.0)),
+            ScalarExpr::LoadIndirect {
+                array: ArrayId(1),
+                dim: 0,
+                index: Box::new(load(0)),
+                rest: vec![Idx::constant(0)],
+            },
+            ScalarExpr::LoadIndirect {
+                array: ArrayId(1),
+                dim: 0,
+                index: Box::new(load(1)),
+                rest: vec![Idx::constant(0)],
+            },
+        ];
+        let state = std::collections::hash_map::RandomState::new();
+        for a in &exprs {
+            for b in &exprs {
+                let same = format!("{a:?}") == format!("{b:?}");
+                assert_eq!(ExprKey(a) == ExprKey(b), same, "{a:?} vs {b:?}");
+                if same {
+                    assert_eq!(state.hash_one(ExprKey(a)), state.hash_one(ExprKey(b)));
+                }
+            }
+        }
+    }
 
     #[test]
     fn vec_add_streams_match_reference() {

@@ -1,5 +1,5 @@
 use crate::{IsaError, Schedule, SramGeometry};
-use infs_egraph::CostParams;
+use infs_egraph::{CostParams, OptimizeRecord};
 use infs_faults::Fnv1a;
 use infs_frontend::{FrontendError, Kernel};
 use infs_geom::layout::LayoutHints;
@@ -36,7 +36,9 @@ impl Compiler {
     /// instantiations; only domain extents vary.
     ///
     /// Each static stage runs once: the graph and schedules that decide
-    /// tensorizability are embedded as [`CompiledRegion::representative`].
+    /// tensorizability are embedded as [`CompiledRegion::representative`],
+    /// and the optimizer's record is kept so that entry at another binding
+    /// can reuse its result (see [`CompiledRegion::instantiate`]).
     ///
     /// Kernels that cannot be unrolled (indirect accesses, unsupported index
     /// forms) still compile, flagged near-memory-only.
@@ -83,10 +85,17 @@ impl Compiler {
         // Probe the in-memory path; what the probe builds *is* the
         // representative instance, so every stage runs exactly once.
         check(CompileStage::Tensorize)?;
+        let mut replay = None;
         let in_memory = match kernel.tensorize(representative_syms) {
             Ok(g) => {
                 check(CompileStage::Optimize)?;
-                let g = maybe_optimize(g, self.optimize, &self.cost)?;
+                let g = if self.optimize {
+                    let (optimized, record) = infs_egraph::optimize_recorded(&g, &self.cost)?;
+                    replay = Some(record);
+                    optimized
+                } else {
+                    g
+                };
                 // At least one geometry must accommodate the region.
                 check(CompileStage::Schedule)?;
                 schedule_all(g, &self.geometries)
@@ -96,6 +105,9 @@ impl Compiler {
         };
         let tensorizable = in_memory.is_some();
         span.arg("tensorizable", tensorizable);
+        // A replay rebuilds the representative's optimized graph, which only
+        // a region some geometry schedules keeps.
+        let replay = replay.filter(|_| tensorizable);
         check(CompileStage::Instantiate)?;
         let representative =
             RegionInstance::assemble(kernel.name(), representative_syms, sdfg, in_memory);
@@ -106,15 +118,8 @@ impl Compiler {
             cost: self.cost,
             tensorizable,
             representative: Some(representative),
+            replay,
         })
-    }
-}
-
-fn maybe_optimize(g: Tdfg, optimize: bool, cost: &CostParams) -> Result<Tdfg, IsaError> {
-    if optimize {
-        infs_egraph::optimize(&g, cost).map_err(IsaError::from)
-    } else {
-        Ok(g)
     }
 }
 
@@ -176,6 +181,12 @@ pub struct CompiledRegion {
     /// serialized tDFG configurations of the fat binary); region entry at its
     /// binding reuses it.
     pub representative: Option<RegionInstance>,
+    /// The record of the optimization that built the representative's tDFG,
+    /// which entry at another binding replays when the binding cannot change
+    /// its result. Not part of the fat binary: a region read back from JSON
+    /// has none and optimizes every other binding in full.
+    #[serde(skip)]
+    replay: Option<OptimizeRecord>,
 }
 
 impl CompiledRegion {
@@ -194,7 +205,10 @@ impl CompiledRegion {
     ///
     /// At the binding the region was compiled for this borrows the instance
     /// the static compiler embedded in the fat binary; only a different
-    /// binding runs the static pipeline again.
+    /// binding runs the static pipeline again. Its optimize stage replays
+    /// the representative's optimization when the binding cannot change the
+    /// result (see [`OptimizeRecord::replay`]); the span's `optimize` arg
+    /// says `reused`, `ran` or `off`.
     ///
     /// # Errors
     ///
@@ -209,9 +223,11 @@ impl CompiledRegion {
         }
         let sdfg = self.kernel.streamize(syms)?;
         let in_memory = if self.tensorizable {
-            let g = maybe_optimize(self.kernel.tensorize(syms)?, self.optimize, &self.cost)?;
+            let (g, how) = self.optimize_at(self.kernel.tensorize(syms)?)?;
+            span.arg("optimize", how);
             schedule_all(g, &self.geometries)
         } else {
+            span.arg("optimize", "off");
             None
         };
         Ok(Cow::Owned(RegionInstance::assemble(
@@ -222,6 +238,21 @@ impl CompiledRegion {
         )))
     }
 
+    /// The optimized `g`, and how it was made: `reused` from the
+    /// representative's optimization, `ran` in full, or `off`.
+    fn optimize_at(&self, g: Tdfg) -> Result<(Tdfg, &'static str), IsaError> {
+        if !self.optimize {
+            return Ok((g, "off"));
+        }
+        let optimized = self.representative.as_ref().and_then(|r| r.tdfg.as_ref());
+        if let (Some(record), Some(optimized)) = (&self.replay, optimized) {
+            if let Some(replayed) = record.replay(&g, &self.cost, optimized) {
+                return Ok((replayed?, "reused"));
+            }
+        }
+        Ok((infs_egraph::optimize(&g, &self.cost)?, "ran"))
+    }
+
     /// [`CompiledRegion::instantiate`] for a caller that keeps only the
     /// instance: at the compiled binding the embedded instance is moved out
     /// rather than cloned.
@@ -230,9 +261,9 @@ impl CompiledRegion {
     ///
     /// Same as [`CompiledRegion::instantiate`].
     pub fn into_instance(mut self, syms: &[i64]) -> Result<RegionInstance, IsaError> {
-        match self.representative.take() {
-            Some(rep) if rep.syms == syms => Ok(rep),
-            _ => self.instantiate(syms).map(Cow::into_owned),
+        match self.representative.take_if(|rep| rep.syms == syms) {
+            Some(rep) => Ok(rep),
+            None => self.instantiate(syms).map(Cow::into_owned),
         }
     }
 }

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// This is the paper's supported affine access form — "up to three dimensions
 /// for affine access" (§3.3, Fig 5) — generalized to arbitrary constant
 /// coefficients so strided and transposed walks are expressible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AffineMap {
     /// Array being addressed.
     pub array: ArrayId,
@@ -90,7 +90,7 @@ impl AffineMap {
 }
 
 /// How a stream produces addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AccessFn {
     /// Affine access over the graph's loop domain.
     Affine(AffineMap),

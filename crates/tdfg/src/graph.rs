@@ -129,6 +129,24 @@ impl Tdfg {
         &self.bounding
     }
 
+    /// This graph's nodes with other outputs, validated afresh by
+    /// [`TdfgBuilder::build`] (domains and the bounding box follow the new
+    /// outputs' targets).
+    ///
+    /// # Errors
+    ///
+    /// See [`TdfgBuilder::build`].
+    pub fn with_outputs(&self, outputs: Vec<Output>) -> Result<Tdfg, TdfgError> {
+        TdfgBuilder {
+            ndim: self.ndim,
+            dtype: self.dtype,
+            arrays: self.arrays.clone(),
+            nodes: self.nodes.clone(),
+            outputs,
+        }
+        .build()
+    }
+
     /// Number of runtime parameters the graph references (max index + 1).
     pub fn param_count(&self) -> u32 {
         self.nodes
