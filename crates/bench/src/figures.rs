@@ -976,7 +976,9 @@ pub fn chaos(ctx: &Ctx) {
 ///   could not have produced);
 /// * **differential fuzzing** — a fixed-seed campaign of generated kernels,
 ///   each run through the interpreter oracle plus four machine
-///   configurations, must agree bit-for-bit.
+///   configurations, must agree bit-for-bit. Its row also sums the cycles
+///   of the Inf-S and In-L3 runs at the 256-row geometry, so an optimizer
+///   change that moves a campaign cycle shows in this file.
 ///
 /// Acceptance always runs at [`Scale::Test`]: functional interpretation at
 /// paper scale takes hours and proves nothing extra about the validator.
@@ -1028,8 +1030,13 @@ pub fn check(ctx: &Ctx) {
     );
     t.row(vec![
         format!(
-            "differential fuzz ({} kernels, {} tDFG nodes, {} template-patched)",
-            report.run, report.total_nodes, report.template_patched_runs
+            "differential fuzz ({} kernels, {} tDFG nodes, {} template-patched, \
+             {} Inf-S cycles, {} In-L3 cycles)",
+            report.run,
+            report.total_nodes,
+            report.template_patched_runs,
+            report.infs_cycles,
+            report.inl3_cycles
         ),
         report.machine_runs.to_string(),
         report.in_memory_runs.to_string(),

@@ -35,12 +35,15 @@ fn main() {
         .unwrap_or(200);
     let report = infs_check::fuzz_many(base_seed, count);
     println!(
-        "{} kernels ({} tDFG nodes), {} machine runs, {} in-memory, {} divergences",
+        "{} kernels ({} tDFG nodes), {} machine runs, {} in-memory, {} divergences; \
+         cycles: {} Inf-S, {} In-L3",
         report.run,
         report.total_nodes,
         report.machine_runs,
         report.in_memory_runs,
-        report.failures.len()
+        report.failures.len(),
+        report.infs_cycles,
+        report.inl3_cycles
     );
     for f in &report.failures {
         println!(

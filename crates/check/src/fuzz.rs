@@ -373,6 +373,10 @@ pub struct DiffOutcome {
     /// Runs served by the shape-polymorphic JIT's copy-and-patch path (a
     /// template hit against a rotted concrete cache level).
     pub template_patched_runs: u32,
+    /// Cycles of the `infs-opt-256` run (Inf-S, 256-row geometry).
+    pub infs_cycles: u64,
+    /// Cycles of the `inl3-opt-256` run (In-L3, 256-row geometry).
+    pub inl3_cycles: u64,
 }
 
 /// Runs one spec through all four configurations and compares outputs bitwise.
@@ -482,6 +486,11 @@ pub fn run_differential(spec: &FuzzKernel) -> Result<DiffOutcome, Divergence> {
             .run_region(inst, &[], mode)
             .map_err(|e| diverge(name, e.to_string()))?;
         outcome.machine_runs += 1;
+        match name {
+            "infs-opt-256" => outcome.infs_cycles = report.cycles,
+            "inl3-opt-256" => outcome.inl3_cycles = report.cycles,
+            _ => {}
+        }
         if report.executed == Executed::InMemory {
             outcome.in_memory_runs += 1;
         }
@@ -691,6 +700,10 @@ pub struct FuzzReport {
     pub template_patched_runs: u32,
     /// Total tDFG nodes across optimized instances.
     pub total_nodes: usize,
+    /// Sum of [`DiffOutcome::infs_cycles`] over the agreeing kernels.
+    pub infs_cycles: u64,
+    /// Sum of [`DiffOutcome::inl3_cycles`] over the agreeing kernels.
+    pub inl3_cycles: u64,
     /// Divergences, each minimized and dumped.
     pub failures: Vec<FuzzFailure>,
 }
@@ -722,6 +735,8 @@ pub fn fuzz_many(base_seed: u64, count: usize) -> FuzzReport {
                 report.in_memory_runs += o.in_memory_runs;
                 report.template_patched_runs += o.template_patched_runs;
                 report.total_nodes += o.nodes;
+                report.infs_cycles += o.infs_cycles;
+                report.inl3_cycles += o.inl3_cycles;
             }
             Err(_) => {
                 let minimized = minimize(&spec);
