@@ -9,7 +9,7 @@
 //! domains, the costs are the same, and extraction makes the same choices, so
 //! the recorded result is the new graph's result up to its output targets.
 
-use crate::{run, CostParams, SaturationLimits};
+use crate::{all_rules, run, CostParams, SaturationLimits};
 use infs_geom::HyperRect;
 use infs_tdfg::{Node, Output, Tdfg, TdfgError};
 
@@ -33,7 +33,7 @@ pub fn optimize_recorded(
     g: &Tdfg,
     params: &CostParams,
 ) -> Result<(Tdfg, OptimizeRecord), TdfgError> {
-    let (optimized, clip_hull) = run(g, params, SaturationLimits::default())?;
+    let (optimized, clip_hull) = run(g, params, SaturationLimits::default(), &all_rules())?;
     let record = OptimizeRecord {
         input: g.clone(),
         params: *params,
