@@ -83,14 +83,6 @@ impl ComputeOp {
         )
     }
 
-    /// True if `op(a,b) == op(b,a)`.
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            ComputeOp::Add | ComputeOp::Mul | ComputeOp::Min | ComputeOp::Max | ComputeOp::CmpEq
-        )
-    }
-
     /// Applies the operation to the given operands.
     ///
     /// # Panics
@@ -264,9 +256,7 @@ mod tests {
     #[test]
     fn algebraic_properties() {
         assert!(ComputeOp::Add.is_associative());
-        assert!(ComputeOp::Add.is_commutative());
         assert!(!ComputeOp::Sub.is_associative());
-        assert!(!ComputeOp::Div.is_commutative());
         assert!(ComputeOp::Min.is_associative());
     }
 
