@@ -135,7 +135,7 @@ pub fn extract(eg: &EGraph, orig: &Tdfg, params: &CostParams) -> Result<Tdfg, Td
 
     // Rebuild the tDFG from the selection.
     let mut b = TdfgBuilder::new(orig.ndim(), dtype);
-    b.set_arrays(orig.arrays().to_vec());
+    b.set_arrays(orig.shared_arrays().clone());
     let mut memo: Vec<Option<NodeId>> = vec![None; n];
     for &r in &roots {
         build_class(r, &mut b, &mut memo, &chosen, &class_nodes, &children)?;

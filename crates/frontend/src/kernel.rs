@@ -1,6 +1,7 @@
 use crate::{FrontendError, Idx, ScalarExpr, Stmt};
 use infs_sdfg::{ArrayDecl, ArrayId, DataType, ReduceOp};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Handle to a parallel loop of a kernel. The loop's position doubles as its
 /// lattice dimension: loop 0 is lattice dimension 0 (innermost / contiguous).
@@ -29,7 +30,9 @@ pub struct LoopDef {
 pub struct Kernel {
     name: String,
     dtype: DataType,
-    arrays: Vec<ArrayDecl>,
+    /// Shared with every graph the kernel lowers to, so entering a region
+    /// does not copy the table.
+    arrays: Arc<[ArrayDecl]>,
     loops: Vec<LoopDef>,
     syms: Vec<String>,
     stmts: Vec<Stmt>,
@@ -48,6 +51,12 @@ impl Kernel {
 
     /// Declared arrays, indexable by [`ArrayId`].
     pub fn arrays(&self) -> &[ArrayDecl] {
+        &self.arrays
+    }
+
+    /// The declared arrays as a shared table: cloning it is a reference
+    /// count, not a copy.
+    pub fn shared_arrays(&self) -> &Arc<[ArrayDecl]> {
         &self.arrays
     }
 
@@ -249,7 +258,7 @@ impl KernelBuilder {
         let k = Kernel {
             name: self.name,
             dtype: self.dtype,
-            arrays: self.arrays,
+            arrays: self.arrays.into(),
             loops: self.loops,
             syms: self.syms,
             stmts: self.stmts,

@@ -125,7 +125,7 @@ impl Kernel {
         let bounds = self.loop_bounds(syms)?;
         let trips: Vec<u64> = bounds.iter().map(|&(lo, hi)| (hi - lo) as u64).collect();
         let mut g = Sdfg::new(trips);
-        g.set_arrays(self.arrays().to_vec());
+        g.set_arrays(self.shared_arrays().clone());
         let mut ctx = Ctx {
             kernel: self,
             syms: syms.to_vec(),

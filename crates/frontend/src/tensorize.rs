@@ -55,7 +55,7 @@ impl Kernel {
         let _span = infs_trace::span!("frontend.tensorize", kernel = self.name());
         let bounds = self.loop_bounds(syms)?;
         let mut builder = TdfgBuilder::new(self.loops().len(), self.dtype());
-        builder.set_arrays(self.arrays().to_vec());
+        builder.set_arrays(self.shared_arrays().clone());
         let mut ctx = Ctx {
             kernel: self,
             syms: syms.to_vec(),

@@ -165,6 +165,12 @@ impl TileGrid {
         self.num_banks
     }
 
+    /// Compute SRAM arrays per bank (the paper's `W`): the length of a bank's
+    /// run of consecutive tiles.
+    pub fn arrays_per_bank(&self) -> u32 {
+        self.arrays_per_bank
+    }
+
     /// Tile coordinate of a lattice point (which tile the point falls in).
     ///
     /// Returns `None` if the point lies outside the array bounds.
@@ -320,9 +326,8 @@ impl TileGrid {
     /// `∏ (q - p)` elements.
     ///
     /// Tiles are visited in ascending linear index (dimension 0 fastest). The
-    /// order is part of the contract: the JIT emitter accumulates per-bank
-    /// loads and de-duplicates multicast copies in visiting order, and its
-    /// command streams must stay bitwise reproducible.
+    /// order is part of the contract: `tiles_overlapping` returns it, and
+    /// [`for_each_run`](Self::for_each_run) expands to exactly this sequence.
     ///
     /// A rectangle of the wrong dimensionality, an empty one, or one entirely
     /// outside the array visits nothing.
@@ -330,6 +335,49 @@ impl TileGrid {
         &self,
         rect: &HyperRect,
         mut visit: impl FnMut(u64, &[u64], &[(i64, i64)]),
+    ) {
+        self.walk(rect, false, &mut |tile, _, coord, inter| {
+            visit(tile, coord, inter)
+        });
+    }
+
+    /// Visits the tiles overlapping `rect` (clipped to the array) in *runs*:
+    /// `visit(first_tile, n, coord, intersection)` stands for the tiles
+    /// `first_tile .. first_tile + n`, which sit in one L3 bank and overlap
+    /// `rect` identically relative to their tile. `coord` and
+    /// `intersection` are those of the first tile; tile `first_tile + k`
+    /// has coordinate `coord[r] + k` along the run dimension `r` and its
+    /// intersection is shifted by `k` tiles along it.
+    ///
+    /// The run dimension is the lowest one with more than one tile in the
+    /// grid, so its linear-index stride is 1. Along it, a partial first
+    /// tile, a partial last tile and an array-edge tile are each a run of
+    /// one; the tiles between form one run, split wherever the index
+    /// crosses a multiple of `arrays_per_bank` (a bank boundary). Runs come
+    /// in ascending index, and expanding them tile by tile gives exactly
+    /// [`for_each_overlap`](Self::for_each_overlap)'s sequence.
+    pub fn for_each_run(
+        &self,
+        rect: &HyperRect,
+        mut visit: impl FnMut(u64, u64, &[u64], &[(i64, i64)]),
+    ) {
+        self.walk(rect, true, &mut visit);
+    }
+
+    /// The dimension [`for_each_run`](Self::for_each_run) runs along: the
+    /// lowest one with more than one tile (0 for a grid of one tile). Every
+    /// dimension below it has a single tile, so its stride is 1.
+    pub fn run_dim(&self) -> usize {
+        self.tiles_per_dim.iter().position(|&n| n > 1).unwrap_or(0)
+    }
+
+    /// Allocates the walk's scratch (on the stack up to [`INLINE_DIMS`]
+    /// dimensions) and runs the odometer, in runs or tile by tile.
+    fn walk(
+        &self,
+        rect: &HyperRect,
+        runs: bool,
+        visit: &mut impl FnMut(u64, u64, &[u64], &[(i64, i64)]),
     ) {
         let n = self.tile.ndim();
         if rect.ndim() != n {
@@ -339,34 +387,41 @@ impl TileGrid {
             let mut axes = [Axis::default(); INLINE_DIMS];
             let mut coord = [0u64; INLINE_DIMS];
             let mut inter = [(0i64, 0i64); INLINE_DIMS];
-            self.walk_overlap(
+            self.odometer(
                 rect,
+                runs,
                 &mut axes[..n],
                 &mut coord[..n],
                 &mut inter[..n],
-                &mut visit,
+                visit,
             );
         } else {
-            self.walk_overlap(
+            self.odometer(
                 rect,
+                runs,
                 &mut vec![Axis::default(); n],
                 &mut vec![0; n],
                 &mut vec![(0, 0); n],
-                &mut visit,
+                visit,
             );
         }
     }
 
-    /// The odometer behind [`for_each_overlap`](Self::for_each_overlap), over
-    /// caller-provided scratch (one slot per dimension).
-    fn walk_overlap(
+    /// The odometer behind both visitors, over caller-provided scratch (one
+    /// slot per dimension): the run dimension is walked innermost, in runs
+    /// (`runs`) or one tile at a time, and the dimensions above it advance
+    /// like an odometer, the lowest fastest. Dimensions below the run
+    /// dimension hold one tile each and never move.
+    fn odometer(
         &self,
         rect: &HyperRect,
+        runs: bool,
         axes: &mut [Axis],
         coord: &mut [u64],
         inter: &mut [(i64, i64)],
-        visit: &mut impl FnMut(u64, &[u64], &[(i64, i64)]),
+        visit: &mut impl FnMut(u64, u64, &[u64], &[(i64, i64)]),
     ) {
+        // Linear index of the tile at `coord`, with `coord[r]` at its low end.
         let mut index = 0u64;
         let mut stride = 1u64;
         for (d, axis) in axes.iter_mut().enumerate() {
@@ -390,11 +445,32 @@ impl TileGrid {
             index += axis.lo * stride;
             stride *= self.tiles_per_dim[d];
         }
+        let r = self.run_dim();
+        let run = axes[r];
+        // Tiles `[full_lo, full_hi)` along the run dimension overlap `rect`
+        // over their whole extent; only the first and last can fall short.
+        let full = |c: u64| run.clip(c) == (c as i64 * run.t, (c as i64 + 1) * run.t);
+        let full_lo = if full(run.lo) { run.lo } else { run.lo + 1 };
+        let full_hi = if full(run.hi - 1) { run.hi } else { run.hi - 1 };
+        let w = self.arrays_per_bank as u64;
         loop {
-            visit(index, coord, inter);
-            // Advance the tile coordinate, dimension 0 fastest; a dimension
-            // that runs off its range rewinds and carries into the next.
-            let mut d = 0;
+            let mut c = run.lo;
+            while c < run.hi {
+                let tile = index + (c - run.lo);
+                let n = if runs && full_lo <= c && c < full_hi {
+                    (full_hi - c).min(w - tile % w)
+                } else {
+                    1
+                };
+                coord[r] = c;
+                inter[r] = run.clip(c);
+                visit(tile, n, coord, inter);
+                c += n;
+            }
+            // Advance the coordinate above the run dimension, the lowest
+            // fastest; a dimension that runs off its range rewinds and
+            // carries into the next.
+            let mut d = r + 1;
             loop {
                 let Some(axis) = axes.get(d) else {
                     return;

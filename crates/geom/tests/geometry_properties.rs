@@ -94,6 +94,84 @@ proptest! {
         }
     }
 
+    /// `for_each_run` expanded tile by tile is `for_each_overlap`'s
+    /// sequence — same tiles, order, coordinates and intersections — over
+    /// the same space of grids and rectangles, plus grids whose dimension 0
+    /// holds one tile (the run dimension is then a higher one). Every run
+    /// sits in one bank, and two adjacent runs of whole tiles in one row are
+    /// split only at a bank boundary.
+    #[test]
+    fn prop_for_each_run_expands_to_for_each_overlap(
+        ndim in 1usize..5,
+        axes in proptest::collection::vec((1u64..6, 1u64..10, -6i64..14, 0i64..12), 4),
+        bank_pick in 0usize..5,
+        arrays_per_bank in 1u32..9,
+        rect_dims in 0usize..12,
+        dim0_one_tile in proptest::bool::ANY,
+    ) {
+        let mut axes = axes[..ndim].to_vec();
+        if dim0_one_tile {
+            axes[0].0 = axes[0].1; // a tile as wide as the array
+        }
+        let g = TileGrid::new(
+            TileShape::new(axes.iter().map(|a| a.0).collect()).unwrap(),
+            axes.iter().map(|a| a.1).collect(),
+            [1, 2, 7, 61, 64][bank_pick],
+            arrays_per_bank,
+        ).unwrap();
+        let rect_ndim = match rect_dims {
+            0 => ndim - 1,
+            1 => ndim + 1,
+            _ => ndim,
+        };
+        let rect = HyperRect::new(
+            (0..rect_ndim)
+                .map(|d| {
+                    let (_, _, p, len) = axes[d % ndim];
+                    (p, p + len)
+                })
+                .collect(),
+        ).unwrap();
+
+        let r = g.run_dim();
+        prop_assert!(g.tiles_per_dim()[..r].iter().all(|&n| n == 1));
+        let t = g.tile().dim(r) as i64;
+        let mut runs = Vec::new();
+        g.for_each_run(&rect, |tile, n, coord, inter| {
+            runs.push((tile, n, coord.to_vec(), inter.to_vec()));
+        });
+        let mut expanded = Vec::new();
+        for (tile, n, coord, inter) in &runs {
+            prop_assert!(*n >= 1);
+            prop_assert_eq!(g.bank_of_tile(*tile), g.bank_of_tile(tile + n - 1));
+            for k in 0..*n {
+                let mut coord = coord.clone();
+                let mut inter = inter.clone();
+                coord[r] += k;
+                inter[r] = (inter[r].0 + k as i64 * t, inter[r].1 + k as i64 * t);
+                expanded.push((tile + k, coord, inter));
+            }
+        }
+        let mut visited = Vec::new();
+        g.for_each_overlap(&rect, |tile, coord, inter| {
+            visited.push((tile, coord.to_vec(), inter.to_vec()));
+        });
+        prop_assert_eq!(expanded, visited);
+
+        // Maximality: a split between adjacent whole-tile runs of one row
+        // falls on a bank boundary.
+        let whole = |coord: &[u64], inter: &[(i64, i64)]| {
+            inter[r].1 - inter[r].0 == t && inter[r].0 == coord[r] as i64 * t
+        };
+        for pair in runs.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            let same_row = (0..ndim).all(|d| d == r || a.2[d] == b.2[d]);
+            if same_row && a.0 + a.1 == b.0 && whole(&a.2, &a.3) && whole(&b.2, &b.3) {
+                prop_assert_eq!(b.0 % u64::from(arrays_per_bank), 0);
+            }
+        }
+    }
+
     /// Intersection is commutative, contained in both, and idempotent.
     #[test]
     fn prop_intersection_algebra(a in arb_rect(2, 12), b in arb_rect(2, 12)) {

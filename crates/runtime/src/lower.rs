@@ -17,12 +17,12 @@
 //! it).
 //!
 //! Emission is the host-side critical path of a JIT hit: every command folds
-//! each tile it touches into per-bank loads. The fold allocates nothing per
-//! tile — [`infs_geom::TileGrid::for_each_overlap`] hands out tile index,
-//! coordinate and intersection from the stack, and loads accumulate in
-//! vectors indexed by bank (`DESIGN.md` §12, "Emission cost"). The per-tile
-//! emitter this replaced lives on in the test-only `reference` module, and
-//! streams must stay `==` to it.
+//! the tiles it touches into per-bank loads. The fold takes one step per
+//! *run* — consecutive tiles in one bank that overlap the rectangle alike,
+//! handed out by [`infs_geom::TileGrid::for_each_run`] from the stack — and
+//! loads accumulate in vectors indexed by bank (`DESIGN.md` §12, "Emission
+//! cost"). The per-tile emitter this replaced lives on in the test-only
+//! `reference` module, and streams must stay `==` to it.
 
 use crate::template::{CommandTemplate, TemplateOp};
 use crate::{HwConfig, JitOutcome, RuntimeError, TransposedLayout};
@@ -206,7 +206,7 @@ fn class_of(cmd: &InfCommand) -> CmdClass {
 }
 
 /// Elements in a per-dimension intersection handed out by
-/// [`infs_geom::TileGrid::for_each_overlap`].
+/// [`infs_geom::TileGrid::for_each_run`].
 fn volume(inter: &[(i64, i64)]) -> u64 {
     inter.iter().map(|&(p, q)| (q - p) as u64).product()
 }
@@ -227,10 +227,11 @@ impl BankAcc {
         }
     }
 
-    /// Counts one tile with `elems` participating elements at `bank`.
-    fn add(&mut self, bank: u32, elems: u64) {
+    /// Counts `tiles` tiles with `elems` participating elements between
+    /// them at `bank`.
+    fn add_run(&mut self, bank: u32, tiles: u64, elems: u64) {
         let load = &mut self.loads[bank as usize];
-        load.0 += 1;
+        load.0 += tiles;
         load.1 += elems;
         self.elems += elems;
     }
@@ -245,10 +246,11 @@ impl BankAcc {
     }
 }
 
-/// Cross-bank payloads of one command. Tiles are visited in linear order and
+/// Cross-bank payloads of one command. Runs are visited in linear order and
 /// banks own runs of consecutive tiles, so successive payloads mostly repeat
 /// the previous (source, destination) pair: merge into it, and sort and fold
-/// the few remaining repeats once at the end.
+/// the few remaining repeats once at the end. The result is one sum per
+/// pair, so it does not depend on how the tiles were grouped or ordered.
 #[derive(Default)]
 struct RemoteAcc(Vec<RemoteTransfer>);
 
@@ -289,6 +291,23 @@ struct Emitter<'a> {
     pending_sync: bool,
     elem_bytes: u64,
     seen: HashSet<CmdClass>,
+    /// Runs visited and the tiles they cover, for the `runtime.instantiate`
+    /// span.
+    walk: RunCount,
+}
+
+/// Runs an emitter visited and the tiles they covered.
+#[derive(Clone, Copy, Default)]
+struct RunCount {
+    runs: u64,
+    tiles: u64,
+}
+
+impl RunCount {
+    fn add(&mut self, tiles: u64) {
+        self.runs += 1;
+        self.tiles += tiles;
+    }
 }
 
 /// JIT-lowers a scheduled tDFG into a command stream for the given layout:
@@ -400,8 +419,11 @@ pub fn instantiate(
             }
         }
     }
+    let walk = em.walk;
     let cs = em.finish(hw);
     span.arg("cmds", cs.stats.n_cmds);
+    span.arg("tiles", walk.tiles);
+    span.arg("runs", walk.runs);
     Ok(cs)
 }
 
@@ -414,6 +436,7 @@ impl<'a> Emitter<'a> {
             pending_sync: false,
             elem_bytes,
             seen: HashSet::new(),
+            walk: RunCount::default(),
         }
     }
 
@@ -454,13 +477,16 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Per-bank (tiles, elems) of a rectangle.
-    fn bank_loads(&self, rect: &HyperRect) -> Vec<BankLoad> {
+    /// Per-bank (tiles, elems) of a rectangle: every tile of a run sits in
+    /// one bank and overlaps the rectangle by the same volume.
+    fn bank_loads(&mut self, rect: &HyperRect) -> Vec<BankLoad> {
         infs_trace::counter!("runtime.bank_maps", 1u64);
         let grid = self.layout.grid();
         let mut banks = BankAcc::new(grid.num_banks());
-        grid.for_each_overlap(rect, |tile, _, inter| {
-            banks.add(grid.bank_of_tile(tile), volume(inter));
+        let walk = &mut self.walk;
+        grid.for_each_run(rect, |tile, n, _, inter| {
+            walk.add(n);
+            banks.add_run(grid.bank_of_tile(tile), n, n * volume(inter));
         });
         banks.finish()
     }
@@ -578,13 +604,18 @@ impl<'a> Emitter<'a> {
         let elem_bytes = self.elem_bytes;
         let t = self.layout.tile().dim(dim) as i64;
         let tiles_along = grid.tiles_per_dim()[dim] as i64;
+        let w = grid.arrays_per_bank() as i64;
+        let along_run = dim == grid.run_dim();
         // A tile `inter` tiles further along `dim` is this far in linear index.
         let hop = inter * grid.tiles_per_dim()[..dim].iter().product::<u64>() as i64;
         let mut banks = BankAcc::new(grid.num_banks());
         let mut remote = RemoteAcc::default();
         let mut local_inter = 0u64;
-        grid.for_each_overlap(sub, |tile, coord, part| {
-            // Elements whose intra-tile coordinate along `dim` is in the mask.
+        let walk = &mut self.walk;
+        grid.for_each_run(sub, |tile, n, coord, part| {
+            walk.add(n);
+            // Elements whose intra-tile coordinate along `dim` is in the mask;
+            // every tile of the run overlaps the subtensor alike.
             let (plo, phi) = part[dim];
             let tile_base = coord[dim] as i64 * t;
             let ilo = (plo - tile_base).max(mask_lo);
@@ -595,18 +626,33 @@ impl<'a> Emitter<'a> {
             // The overlap's cross-section off `dim` times the masked run.
             let elems = volume(part) / (phi - plo) as u64 * (ihi - ilo) as u64;
             let src_bank = grid.bank_of_tile(tile);
-            banks.add(src_bank, elems);
-            if inter != 0 {
-                let dest = coord[dim] as i64 + inter;
-                if dest < 0 || dest >= tiles_along {
-                    return; // destination clipped at the lattice edge
-                }
-                let dst_bank = grid.bank_of_tile((tile as i64 + hop) as u64);
+            banks.add_run(src_bank, n, n * elems);
+            if inter == 0 {
+                return;
+            }
+            // The run's tiles `k0..k1` whose destination survives the clip at
+            // the lattice edge: along the run dimension the destination
+            // coordinate moves with `k`, off it the whole run shares one.
+            let dest = coord[dim] as i64 + inter;
+            let (mut k, k1) = if along_run {
+                ((-dest).max(0), (tiles_along - dest).min(n as i64))
+            } else if (0..tiles_along).contains(&dest) {
+                (0, n as i64)
+            } else {
+                return;
+            };
+            // The destinations `tile + hop + k` may straddle a bank boundary.
+            while k < k1 {
+                let dst = tile as i64 + hop + k;
+                let m = (k1 - k).min(w - dst % w);
+                let dst_bank = grid.bank_of_tile(dst as u64);
+                let moved = m as u64 * elems;
                 if dst_bank == src_bank {
-                    local_inter += elems;
+                    local_inter += moved;
                 } else {
-                    remote.add(src_bank, dst_bank, elems * elem_bytes);
+                    remote.add(src_bank, dst_bank, moved * elem_bytes);
                 }
+                k += m;
             }
         });
         let total = banks.elems;
@@ -1115,6 +1161,62 @@ mod tests {
         let direct = lower(&g2, &schedule2, &layout, &hw).unwrap();
         let stamped = instantiate(&t1, &slots2, &layout, &hw).unwrap();
         assert_eq!(direct, stamped);
+    }
+
+    /// `out[..] = a[..]` shifted by `dist` along `dim` over an
+    /// `n0 × n1` array.
+    fn shift_graph(n0: u64, n1: u64, dim: usize, dist: i64) -> Tdfg {
+        let mut b = infs_tdfg::TdfgBuilder::new(2, DataType::F32);
+        let a = b.declare_array(infs_sdfg::ArrayDecl::new("A", vec![n0, n1], DataType::F32));
+        let o = b.declare_array(infs_sdfg::ArrayDecl::new("O", vec![n0, n1], DataType::F32));
+        let full = HyperRect::new(vec![(0, n0 as i64), (0, n1 as i64)]).unwrap();
+        let x = b.input(a, full.clone()).unwrap();
+        let m = b.mv(x, dim, dist).unwrap();
+        let out = full.with_interval(dim, dist, full.end(dim)).unwrap();
+        b.output(m, OutputTarget::array(o, out));
+        b.build().unwrap()
+    }
+
+    /// A shift along the run dimension that meets every split the run walk
+    /// makes: source rows cross bank boundaries (`arrays_per_bank` = 5), the
+    /// two pieces hop 3 and 4 tiles so their destinations straddle bank
+    /// boundaries too, and on a layout planned for 48 of the graph's 64 rows
+    /// the last destinations of each row fall off the lattice. Emission must
+    /// still equal the per-tile reference.
+    #[test]
+    fn shift_runs_split_at_bank_boundaries_and_the_lattice_edge() {
+        let hw = HwConfig {
+            n_banks: 8,
+            arrays_per_bank: 5,
+            geometry: infs_isa::SramGeometry {
+                wordlines: 256,
+                bitlines: 16,
+            },
+            line_bytes: 4,
+            ..Default::default()
+        };
+        let g = shift_graph(64, 8, 0, 13); // 13 = 3 tiles of 4, plus 1
+        let tile = TileShape::new(vec![4, 4]).unwrap();
+        let layout =
+            TransposedLayout::plan_with_tile(&shift_graph(48, 8, 0, 13), tile, &hw).unwrap();
+        assert_eq!(layout.grid().run_dim(), 0);
+        let schedule = Schedule::compute(&g, hw.geometry).unwrap();
+        let (template, slots) = crate::distill(&g, &schedule, &hw).unwrap();
+        let want = reference::instantiate(&template, &slots, &layout, &hw).unwrap();
+        let got = instantiate(&template, &slots, &layout, &hw).unwrap();
+        assert_eq!(got, want);
+        // Every split is exercised: moves stay in a bank and leave it, and
+        // fewer elements land than the source tiles send.
+        let sent: u64 = got
+            .cmds
+            .iter()
+            .filter(|c| matches!(c, InfCommand::InterShift { .. }))
+            .flat_map(|c| c.banks())
+            .map(|b| b.elems)
+            .sum();
+        let landed = got.stats.inter_local_elems + got.stats.inter_remote_bytes / 4;
+        assert!(got.stats.inter_local_elems > 0 && got.stats.inter_remote_bytes > 0);
+        assert!(landed < sent, "landed {landed} of {sent}");
     }
 
     #[test]

@@ -701,6 +701,43 @@ mod tests {
         assert_instance_matches(&inst, "stencil2d 2048");
     }
 
+    /// `kmeans/in`'s distance column `DIST[c][p] = Σ_d (P[d][p] − bufC[d][0])²`
+    /// at 128 × 32k: its `[128, 2]` tiles leave dimension 0 a single tile, so
+    /// the emitter runs along dimension 1.
+    #[test]
+    fn kmeans_dist_col_matches_reference_at_paper_size() {
+        let (d, np) = (128u64, 32 * 1024u64);
+        let mut k = KernelBuilder::new("kmeans_dist_col", DataType::F32);
+        let p = k.array("P", vec![d, np]);
+        let dist = k.array("DIST", vec![d, np]);
+        let bufc = k.array("bufC", vec![d, 1]);
+        let cs = k.sym("c");
+        let dd = k.parallel_loop("d", 0, d as i64);
+        let pp = k.parallel_loop("p", 0, np as i64);
+        let diff = ScalarExpr::sub(
+            ScalarExpr::load(p, vec![Idx::var(dd), Idx::var(pp)]),
+            ScalarExpr::load(bufc, vec![Idx::var(dd), Idx::constant(0)]),
+        );
+        k.assign_reduced(
+            dist,
+            vec![Idx::sym(cs), Idx::var(pp)],
+            ScalarExpr::mul(diff.clone(), diff),
+            vec![(dd, ReduceOp::Sum)],
+        );
+        let region = Compiler::default()
+            .compile(k.build().expect("builds"), &[0])
+            .expect("compiles");
+        for c in [0, 1, 127] {
+            let inst = region.instantiate(&[c]).expect("instantiates");
+            let hw = HwConfig::default();
+            let g = inst.tdfg.as_ref().expect("tensorizes");
+            let layout = TransposedLayout::plan(g, &inst.hints, &hw).expect("plans");
+            assert_eq!(layout.grid().tiles_per_dim(), [1, 16 * 1024]);
+            assert_eq!(layout.grid().run_dim(), 1);
+            assert_instance_matches(&inst, &format!("kmeans_dist_col c={c}"));
+        }
+    }
+
     /// One matmul inner-product row `C[m][n] = Σ_k buf[k]·B[k][n]`: broadcast,
     /// multiply, in-tile reduction rounds and the near-memory final reduce.
     #[test]

@@ -1,6 +1,7 @@
 use crate::{AccessFn, ArrayDecl, ArrayId, ExprId, ReduceOp, SdfgError, StreamExpr};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a stream within one [`Sdfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -88,7 +89,8 @@ pub struct SdfgProfile {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sdfg {
     loop_trip: Vec<u64>,
-    arrays: Vec<ArrayDecl>,
+    /// Shared with the kernel and the other graphs lowered from it.
+    arrays: Arc<[ArrayDecl]>,
     streams: Vec<Stream>,
     exprs: Vec<StreamExpr>,
 }
@@ -99,7 +101,7 @@ impl Sdfg {
     pub fn new(loop_trip: Vec<u64>) -> Self {
         Sdfg {
             loop_trip,
-            arrays: Vec::new(),
+            arrays: Arc::new([]),
             streams: Vec::new(),
             exprs: Vec::new(),
         }
@@ -107,13 +109,16 @@ impl Sdfg {
 
     /// Declares an array and returns its id.
     pub fn declare_array(&mut self, decl: ArrayDecl) -> ArrayId {
-        self.arrays.push(decl);
+        let mut arrays = self.arrays.to_vec();
+        arrays.push(decl);
+        self.arrays = arrays.into();
         ArrayId(self.arrays.len() as u32 - 1)
     }
 
-    /// Adopts existing array declarations (shared with a tDFG region) wholesale.
-    pub fn set_arrays(&mut self, decls: Vec<ArrayDecl>) {
-        self.arrays = decls;
+    /// Adopts existing array declarations (shared with a tDFG region)
+    /// wholesale; a shared table is adopted without a copy.
+    pub fn set_arrays(&mut self, decls: impl Into<Arc<[ArrayDecl]>>) {
+        self.arrays = decls.into();
     }
 
     /// Adds an expression to the pool and returns its id.

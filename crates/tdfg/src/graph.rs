@@ -3,6 +3,7 @@ use infs_geom::HyperRect;
 use infs_sdfg::{ArrayDecl, ArrayId, DataType, ReduceOp, StreamId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Where an output tensor (or scalar) of a region goes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,7 +73,8 @@ pub struct Output {
 pub struct Tdfg {
     ndim: usize,
     dtype: DataType,
-    arrays: Vec<ArrayDecl>,
+    /// Shared with the kernel and the other graphs lowered from it.
+    arrays: Arc<[ArrayDecl]>,
     nodes: Vec<Node>,
     domains: Vec<Option<HyperRect>>,
     outputs: Vec<Output>,
@@ -92,6 +94,12 @@ impl Tdfg {
 
     /// Arrays declared for the region, indexable by [`ArrayId`].
     pub fn arrays(&self) -> &[ArrayDecl] {
+        &self.arrays
+    }
+
+    /// The declared arrays as a shared table: cloning it is a reference
+    /// count, not a copy.
+    pub fn shared_arrays(&self) -> &Arc<[ArrayDecl]> {
         &self.arrays
     }
 
@@ -324,7 +332,7 @@ impl fmt::Display for Tdfg {
 pub struct TdfgBuilder {
     ndim: usize,
     dtype: DataType,
-    arrays: Vec<ArrayDecl>,
+    arrays: Arc<[ArrayDecl]>,
     nodes: Vec<Node>,
     outputs: Vec<Output>,
 }
@@ -335,7 +343,7 @@ impl TdfgBuilder {
         TdfgBuilder {
             ndim,
             dtype,
-            arrays: Vec::new(),
+            arrays: Arc::new([]),
             nodes: Vec::new(),
             outputs: Vec::new(),
         }
@@ -343,13 +351,16 @@ impl TdfgBuilder {
 
     /// Declares an array and returns its id.
     pub fn declare_array(&mut self, decl: ArrayDecl) -> ArrayId {
-        self.arrays.push(decl);
+        let mut arrays = self.arrays.to_vec();
+        arrays.push(decl);
+        self.arrays = arrays.into();
         ArrayId(self.arrays.len() as u32 - 1)
     }
 
-    /// Adopts shared array declarations wholesale (ids are positions).
-    pub fn set_arrays(&mut self, decls: Vec<ArrayDecl>) {
-        self.arrays = decls;
+    /// Adopts shared array declarations wholesale (ids are positions); a
+    /// shared table is adopted without a copy.
+    pub fn set_arrays(&mut self, decls: impl Into<Arc<[ArrayDecl]>>) {
+        self.arrays = decls.into();
     }
 
     fn push(&mut self, node: Node) -> NodeId {
