@@ -12,17 +12,19 @@ use infs_sim::{ExecMode, Machine, RunPlan, StageReport, SystemConfig};
 use infs_workloads::{ArraySum, Benchmark, MlpStack, PointNet, PointNetVariant, Scale, VecAdd};
 use rayon::prelude::*;
 
-/// Steady-state cycles of one benchmark run (second invocation on a warmed
-/// machine — the Fig 2 microbenchmark setting: data in L3, transposed, JIT
-/// memoized).
-fn steady_cycles(b: &dyn Benchmark, mode: ExecMode, cfg: &SystemConfig) -> u64 {
-    let arrays = b.arrays();
-    let mut m = Machine::new(cfg.clone(), &arrays);
+/// Steady-state cycles of `enter` on a timing-only machine over `arrays`: the
+/// first entry warms the machine and the second is timed — the Fig 2
+/// microbenchmark setting: data in L3, transposed, JIT memoized.
+fn steady_cycles(
+    cfg: &SystemConfig,
+    arrays: &[infs_sdfg::ArrayDecl],
+    mut enter: impl FnMut(&mut Machine),
+) -> u64 {
+    let mut m = Machine::new(cfg.clone(), arrays);
     m.set_functional(false);
-    m.set_assume_transposed(true);
-    b.run(&mut m, mode).expect("benchmark runs");
+    enter(&mut m);
     let warm = m.stats().cycles;
-    b.run(&mut m, mode).expect("benchmark runs");
+    enter(&mut m);
     m.finish().cycles - warm
 }
 
@@ -129,7 +131,11 @@ pub fn fig2(ctx: &Ctx) {
             };
             let cycles: Vec<u64> = configs
                 .iter()
-                .map(|c| steady_cycles(bench.as_ref(), c.mode(), &ctx.cfg))
+                .map(|c| {
+                    steady_cycles(&ctx.cfg, &bench.arrays(), |m| {
+                        bench.run(m, c.mode()).expect("benchmark runs");
+                    })
+                })
                 .collect();
             let base1 = cycles[0] as f64;
             let mut row = vec![format!("{micro}/{label}")];
@@ -709,7 +715,8 @@ pub fn area(ctx: &Ctx) {
 }
 
 /// Ablation: the e-graph optimizer's effect on conv2d (the Fig 6 showcase) —
-/// compute-command count and Inf-S cycles with the optimizer on vs off.
+/// compute-command count and steady-state Inf-S cycles with the optimizer on
+/// vs off.
 pub fn ablate(ctx: &Ctx) {
     use infs_isa::Compiler;
     let n: u64 = if ctx.quick { 256 } else { 2048 };
@@ -718,8 +725,8 @@ pub fn ablate(ctx: &Ctx) {
         &["variant", "tDFG computes", "Inf-S cycles"],
     );
     for (label, optimize) in [("optimized", true), ("unoptimized", false)] {
-        // The conv2d workload hard-codes optimize=true: rebuild its kernel
-        // with the chosen compiler setting.
+        // The conv2d workload always optimizes: rebuild its kernel with the
+        // chosen compiler setting.
         let mut k = infs_frontend::KernelBuilder::new("conv2d", infs_sdfg::DataType::F32);
         let a = k.array("A", vec![n, n]);
         let b = k.array("B", vec![n, n]);
@@ -775,15 +782,10 @@ pub fn ablate(ctx: &Ctx) {
                     .count()
             })
             .unwrap_or(0);
-        let mut m = Machine::new(ctx.cfg.clone(), inst.sdfg.arrays());
-        m.set_functional(false);
-        m.set_assume_transposed(true);
-        m.run_region(&inst, &[], ExecMode::InfS).expect("runs");
-        t.row(vec![
-            label.into(),
-            computes.to_string(),
-            m.finish().cycles.to_string(),
-        ]);
+        let cycles = steady_cycles(&ctx.cfg, inst.sdfg.arrays(), |m| {
+            m.run_region(&inst, &[], ExecMode::InfS).expect("runs");
+        });
+        t.row(vec![label.into(), computes.to_string(), cycles.to_string()]);
     }
     ctx.table("ablate_egraph", &t);
 }
@@ -821,13 +823,9 @@ pub fn ablate_dtype(ctx: &Ctx) {
             .expect("compiles")
             .into_instance(&[])
             .expect("instantiates");
-        let mut m = Machine::new(ctx.cfg.clone(), region.sdfg.arrays());
-        m.set_functional(false);
-        m.set_assume_transposed(true);
-        m.run_region(&region, &[], ExecMode::InL3).expect("runs");
-        let warm = m.stats().cycles;
-        m.run_region(&region, &[], ExecMode::InL3).expect("runs");
-        let cycles = m.finish().cycles - warm;
+        let cycles = steady_cycles(&ctx.cfg, region.sdfg.arrays(), |m| {
+            m.run_region(&region, &[], ExecMode::InL3).expect("runs");
+        });
         if dtype == DataType::F32 {
             f32_cycles = cycles;
         }

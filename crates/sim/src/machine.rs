@@ -467,8 +467,7 @@ impl Machine {
     /// transposed/resident state), zeroed run stats (JIT counts included).
     /// The JIT cache handle and the planned-layout cache are kept — reuse of
     /// lowered commands across requests is the point of a resident machine.
-    /// What was fixed when the
-    /// machine was set up (`assume_transposed`, functional mode, the
+    /// What was fixed when the machine was set up (functional mode, the
     /// construction-time [`RunPlan`], the auditor) also persists; it
     /// describes the machine, not the request — a request's own placement
     /// travels in the plan it passes to [`Machine::run`] and leaves nothing
@@ -495,12 +494,6 @@ impl Machine {
     /// Immutable view of functional memory.
     pub fn memory_ref(&self) -> &Memory {
         &self.mem
-    }
-
-    /// Microbenchmark mode (Fig 2): data is assumed cached in L3 and already
-    /// transposed, skipping prepare charges.
-    pub fn set_assume_transposed(&mut self, yes: bool) {
-        self.residency.set_assume_transposed(yes);
     }
 
     /// Marks every array L3-resident (warm, untransposed) — the §6 assumption

@@ -65,9 +65,6 @@ pub(crate) struct Residency {
     entries: Vec<Entry>,
     capacity: u64,
     clock: u64,
-    /// Microbenchmark mode (Fig 2): every array counts as resident and
-    /// already transposed, so nothing is ever charged or moved.
-    assume_transposed: bool,
 }
 
 impl Residency {
@@ -77,22 +74,16 @@ impl Residency {
             entries: Vec::new(),
             capacity,
             clock: 0,
-            assume_transposed: false,
         };
         ledger.clear(sizes);
         ledger
     }
 
     /// Forgets all residency and re-targets the ledger at a table of arrays
-    /// of the given byte sizes (a fresh request on a resident machine); the
-    /// assume-transposed mode describes the machine and persists.
+    /// of the given byte sizes (a fresh request on a resident machine).
     pub fn clear(&mut self, sizes: impl IntoIterator<Item = u64>) {
-        let form = match self.assume_transposed {
-            true => Form::Warm,
-            false => Form::Cold,
-        };
         let entry = |bytes| Entry {
-            form: form.clone(),
+            form: Form::Cold,
             bytes,
             stamp: 0,
         };
@@ -106,21 +97,10 @@ impl Residency {
         }
     }
 
-    /// Switches the assume-transposed mode; on, everything is also warm.
-    pub fn set_assume_transposed(&mut self, yes: bool) {
-        self.assume_transposed = yes;
-        if yes {
-            self.warm_all();
-        }
-    }
-
     /// Brings `needed` into transposed form under `tile` for an in-memory
     /// entry that writes `written` (a subset of `needed`).
     pub fn admit(&mut self, needed: &[u32], written: &[u32], tile: &TileShape) -> Charge {
         let mut charge = Charge::default();
-        if self.assume_transposed {
-            return charge;
-        }
         self.clock += 1;
         let now = self.clock;
         for &a in needed {
@@ -415,16 +395,5 @@ mod tests {
             bound_seeds += u32::from(bound);
         }
         assert!(bound_seeds > 0, "no seed made the capacity bound bind");
-    }
-
-    #[test]
-    fn assume_transposed_moves_nothing_and_survives_clear() {
-        let (t1, _) = tiles();
-        let mut r = Residency::new([100], 0);
-        r.set_assume_transposed(true);
-        assert_eq!(r.admit(&[0], &[0], &t1), Charge::default());
-        assert!(!r.any_transposed());
-        r.clear([100]);
-        assert_eq!(r.touch(&[0], &[]), 0);
     }
 }

@@ -37,9 +37,7 @@ fn vec_add_region(n: u64) -> RegionInstance {
 }
 
 fn machine_for(region: &RegionInstance) -> Machine {
-    let mut m = Machine::new(SystemConfig::default(), region.sdfg.arrays());
-    m.set_assume_transposed(true);
-    m
+    Machine::new(SystemConfig::default(), region.sdfg.arrays())
 }
 
 fn load_inputs(m: &mut Machine, n: u64) {

@@ -271,7 +271,6 @@ fn bigger_arrays_shorten_command_streams() {
     let run = |cfg: SystemConfig| {
         let mut m = Machine::new(cfg, region.sdfg.arrays());
         m.set_functional(false);
-        m.set_assume_transposed(true);
         m.run_region(&region, &[], ExecMode::InL3).unwrap();
         m.run_region(&region, &[], ExecMode::InL3).unwrap().cycles
     };

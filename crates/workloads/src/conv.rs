@@ -146,7 +146,7 @@ impl Conv3d {
                 vec![Idx::constant(0), Idx::constant(0), Idx::var(co)],
                 ScalarExpr::load(wt, vec![Idx::var(co), Idx::sym(ci), Idx::sym(t)]),
             );
-            compile(k.build().expect("conv3d_wcopy builds"), &[0, 0], false)
+            compile(k.build().expect("conv3d_wcopy builds"), &[0, 0])
         };
         // Accumulation round: OUT += IN(ci plane, shifted) × WBUF (broadcast).
         let acc = {
@@ -173,7 +173,7 @@ impl Conv3d {
                 infs_sdfg::ReduceOp::Sum,
                 ScalarExpr::mul(in_tap, w),
             );
-            compile(k.build().expect("conv3d_acc builds"), &[0, 0, 0], false)
+            compile(k.build().expect("conv3d_acc builds"), &[0, 0, 0])
         };
         Conv3d {
             hw,

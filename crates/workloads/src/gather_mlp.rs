@@ -79,7 +79,7 @@ impl GatherMlp {
                 rest: vec![Idx::var(k), Idx::constant(0)],
             };
             kb.assign(A_G, vec![Idx::var(k), Idx::var(i)], v);
-            compile(kb.build().expect("gather builds"), &[], false)
+            compile(kb.build().expect("gather builds"), &[])
         };
         // Final activation, element-wise in-memory.
         let relu = {
@@ -99,7 +99,7 @@ impl GatherMlp {
                     ScalarExpr::load(A_OUT, vec![Idx::var(x), Idx::var(y)]),
                 ),
             );
-            compile(kb.build().expect("relu builds"), &[], true)
+            compile(kb.build().expect("relu builds"), &[])
         };
         let mut gm = GatherMlp {
             m,
@@ -126,7 +126,7 @@ impl GatherMlp {
                         vec![Idx::var(i)],
                         ScalarExpr::load(A_G, vec![Idx::sym(ks), Idx::var(i)]),
                     );
-                    compile(kb.build().expect("builds"), &[0], false)
+                    compile(kb.build().expect("builds"), &[0])
                 });
                 gm.copy_w = Some({
                     let mut kb = KernelBuilder::new("gmlp_copy_w", DataType::F32);
@@ -138,7 +138,7 @@ impl GatherMlp {
                         vec![Idx::constant(0), Idx::var(n)],
                         ScalarExpr::load(A_W, vec![Idx::var(n), Idx::sym(ks)]),
                     );
-                    compile(kb.build().expect("builds"), &[0], false)
+                    compile(kb.build().expect("builds"), &[0])
                 });
                 // OUT[i][n] += bufG[i] · bufW[0][n].
                 gm.step = Some({
@@ -151,7 +151,7 @@ impl GatherMlp {
                         ScalarExpr::load(A_BUF_W, vec![Idx::constant(0), Idx::var(n)]),
                     );
                     kb.accum(A_OUT, vec![Idx::var(i), Idx::var(n)], ReduceOp::Sum, prod);
-                    compile(kb.build().expect("builds"), &[], true)
+                    compile(kb.build().expect("builds"), &[])
                 });
             }
             Dataflow::Inner => {
@@ -165,7 +165,7 @@ impl GatherMlp {
                         vec![Idx::var(k), Idx::constant(0)],
                         ScalarExpr::load(A_W, vec![Idx::var(k), Idx::sym(ns)]),
                     );
-                    compile(kb.build().expect("builds"), &[0], false)
+                    compile(kb.build().expect("builds"), &[0])
                 });
                 // OUT[n][i] = Σ_k bufWcol[k] · G[k][i] — in-memory reduce.
                 gm.col = Some({
@@ -184,7 +184,7 @@ impl GatherMlp {
                         prod,
                         vec![(k, ReduceOp::Sum)],
                     );
-                    compile(kb.build().expect("builds"), &[0], true)
+                    compile(kb.build().expect("builds"), &[0])
                 });
             }
         }

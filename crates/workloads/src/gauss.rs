@@ -51,7 +51,7 @@ impl GaussElim {
                 ScalarExpr::Param(0),
             );
             kb.assign(marr, vec![Idx::constant(0), Idx::var(r)], v);
-            compile(kb.build().expect("gauss_m builds"), &[0], false)
+            compile(kb.build().expect("gauss_m builds"), &[0])
         };
         // A[r][c] -= M[k][c] · m[r] over the trailing submatrix: pivot row
         // broadcast down, multiplier column broadcast right (Fig 4c).
@@ -65,7 +65,7 @@ impl GaussElim {
             let mult = ScalarExpr::load(marr, vec![Idx::constant(0), Idx::var(r)]);
             let delta = ScalarExpr::un(ComputeOp::Neg, ScalarExpr::mul(pivot_row, mult));
             kb.accum(a, vec![Idx::var(c), Idx::var(r)], ReduceOp::Sum, delta);
-            compile(kb.build().expect("gauss_main builds"), &[0], false)
+            compile(kb.build().expect("gauss_main builds"), &[0])
         };
         // B[r] -= m[r] · B[k]: low parallelism, kept as a stream (Fig 7).
         let b_region = {
@@ -81,7 +81,7 @@ impl GaussElim {
                 ),
             );
             kb.accum(b, vec![Idx::var(r)], ReduceOp::Sum, delta);
-            compile(kb.build().expect("gauss_b builds"), &[0], false)
+            compile(kb.build().expect("gauss_b builds"), &[0])
         };
         GaussElim {
             n,

@@ -89,7 +89,7 @@ impl Kmeans {
                 count,
             );
             kb.assign(A_CENT, vec![Idx::var(dd), Idx::var(c)], v);
-            compile(kb.build().expect("kmeans finalize builds"), &[], true)
+            compile(kb.build().expect("kmeans finalize builds"), &[])
         };
         let mut km = Kmeans {
             np,
@@ -118,7 +118,7 @@ impl Kmeans {
                         vec![Idx::var(p)],
                         ScalarExpr::load(A_P, vec![Idx::sym(ds), Idx::var(p)]),
                     );
-                    compile(kb.build().expect("builds"), &[0], false)
+                    compile(kb.build().expect("builds"), &[0])
                 });
                 km.copy_c = Some({
                     let mut kb = KernelBuilder::new("kmeans_copy_c", DataType::F32);
@@ -130,7 +130,7 @@ impl Kmeans {
                         vec![Idx::constant(0), Idx::var(c)],
                         ScalarExpr::load(A_CENT, vec![Idx::sym(ds), Idx::var(c)]),
                     );
-                    compile(kb.build().expect("builds"), &[0], false)
+                    compile(kb.build().expect("builds"), &[0])
                 });
                 // DIST[p][c] += (bufP[p] - bufC[0][c])² — memoized in-memory round.
                 km.dist_acc = Some({
@@ -148,7 +148,7 @@ impl Kmeans {
                         ReduceOp::Sum,
                         ScalarExpr::mul(diff.clone(), diff),
                     );
-                    compile(kb.build().expect("builds"), &[], true)
+                    compile(kb.build().expect("builds"), &[])
                 });
                 // MIND[p] = min_c DIST[p][c] — in-memory reduction over c.
                 km.mind = Some({
@@ -162,7 +162,7 @@ impl Kmeans {
                         ScalarExpr::load(A_DIST, vec![Idx::var(p), Idx::var(c)]),
                         vec![(c, ReduceOp::Min)],
                     );
-                    compile(kb.build().expect("builds"), &[], true)
+                    compile(kb.build().expect("builds"), &[])
                 });
             }
             Dataflow::Inner => {
@@ -177,7 +177,7 @@ impl Kmeans {
                         vec![Idx::var(dd), Idx::constant(0)],
                         ScalarExpr::load(A_CENT, vec![Idx::var(dd), Idx::sym(cs)]),
                     );
-                    compile(kb.build().expect("builds"), &[0], false)
+                    compile(kb.build().expect("builds"), &[0])
                 });
                 // DIST[c][p] = Σ_d (P[d][p] - bufCcol[d])² — in-memory reduce.
                 km.dist_col = Some({
@@ -196,7 +196,7 @@ impl Kmeans {
                         ScalarExpr::mul(diff.clone(), diff),
                         vec![(dd, ReduceOp::Sum)],
                     );
-                    compile(kb.build().expect("builds"), &[0], true)
+                    compile(kb.build().expect("builds"), &[0])
                 });
             }
         }

@@ -82,7 +82,7 @@ impl MatMul {
                 vec![Idx::constant(0), Idx::var(m)],
                 ScalarExpr::load(a, vec![Idx::sym(kk), Idx::var(m)]),
             );
-            compile(kb.build().expect("mm copy_a builds"), &[0], false)
+            compile(kb.build().expect("mm copy_a builds"), &[0])
         });
         // bufB[n] = B[n][k].
         self.copy_b = Some({
@@ -95,7 +95,7 @@ impl MatMul {
                 vec![Idx::var(n)],
                 ScalarExpr::load(b, vec![Idx::var(n), Idx::sym(kk)]),
             );
-            compile(kb.build().expect("mm copy_b builds"), &[0], false)
+            compile(kb.build().expect("mm copy_b builds"), &[0])
         });
         // C[n][m] += bufB[n] · bufA[0][m] — the memoized in-memory round.
         self.step = Some({
@@ -108,7 +108,7 @@ impl MatMul {
                 ScalarExpr::load(buf_a, vec![Idx::constant(0), Idx::var(m)]),
             );
             kb.accum(c, vec![Idx::var(n), Idx::var(m)], ReduceOp::Sum, prod);
-            compile(kb.build().expect("mm step builds"), &[], true)
+            compile(kb.build().expect("mm step builds"), &[])
         });
     }
 
@@ -136,7 +136,7 @@ impl MatMul {
                 vec![Idx::var(k), Idx::constant(0)],
                 ScalarExpr::load(a, vec![Idx::var(k), Idx::sym(mm)]),
             );
-            compile(kb.build().expect("mm copy_acol builds"), &[0], false)
+            compile(kb.build().expect("mm copy_acol builds"), &[0])
         });
         // C[m][n] = Σ_k bufAcol[k] · B[k][n]: in-memory reduce over k.
         self.row = Some({
@@ -155,7 +155,7 @@ impl MatMul {
                 prod,
                 vec![(k, ReduceOp::Sum)],
             );
-            compile(kb.build().expect("mm row builds"), &[0], true)
+            compile(kb.build().expect("mm row builds"), &[0])
         });
     }
 }

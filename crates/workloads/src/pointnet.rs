@@ -82,6 +82,7 @@ impl FeatSrc {
     }
 }
 
+/// One set-abstraction stage's parameters and array layout.
 #[derive(Debug)]
 struct SaStage {
     label: String,
@@ -102,7 +103,12 @@ struct SaStage {
     bufw: [ArrayId; 3],
     weights: [ArrayId; 3],
     agg: ArrayId,
-    // Regions.
+}
+
+/// One set-abstraction stage's compiled regions, built by
+/// [`SaStage::build_kernels`] once the global array table exists.
+#[derive(Debug)]
+struct SaRegions {
     mind_init: CompiledRegion,
     fs_dist: CompiledRegion,
     fs_max: CompiledRegion,
@@ -242,6 +248,8 @@ pub struct PointNet {
     decls: Vec<ArrayDecl>,
     pts: ArrayId,
     stages: Vec<SaStage>,
+    /// Compiled regions of `stages`, index for index.
+    sa_regions: Vec<SaRegions>,
     #[allow(dead_code)]
     fc_dims: Vec<u64>,
     fc_w: Vec<ArrayId>,
@@ -471,15 +479,14 @@ impl PointNet {
                 din,
                 dout,
             );
-            fc_regions.push(compile(kernel, &[], false));
+            fc_regions.push(compile(kernel, &[]));
             din = dout;
         }
 
-        // Finish building stage kernels now that the table is complete.
+        // Stage kernels read the whole table, so they compile once it is
+        // complete.
         let decls = decls.decls().to_vec();
-        for st in &mut stages {
-            st.build_kernels(&decls);
-        }
+        let sa_regions = stages.iter().map(|st| st.build_kernels(&decls)).collect();
 
         PointNet {
             variant,
@@ -487,6 +494,7 @@ impl PointNet {
             decls,
             pts,
             stages,
+            sa_regions,
             fc_dims,
             fc_w,
             fc_out,
@@ -625,8 +633,8 @@ impl PointNet {
         mode: ExecMode,
     ) -> Result<Vec<StageReport>, SimError> {
         let mut reports = Vec::new();
-        for st in &self.stages {
-            st.run(m, mode, &mut reports)?;
+        for (st, regions) in self.stages.iter().zip(&self.sa_regions) {
+            st.run(regions, m, mode, &mut reports)?;
         }
         for (l, region) in self.fc_regions.iter().enumerate() {
             let r = m.run_region(&instantiate(region, &[]), &[], mode)?;
@@ -693,15 +701,6 @@ impl SaStage {
             ),
         ];
         let agg = decls.tensor_typed(format!("{label}_AGG"), vec![1, k, p.dims[2]], DataType::F32);
-        // Kernels are compiled in `build_kernels` once the global table exists;
-        // placeholders keep construction single-pass.
-        let placeholder = {
-            let mut kb = KernelBuilder::new("placeholder", DataType::F32);
-            let a = kb.array("x", vec![1]);
-            let i = kb.parallel_loop("i", 0, 1);
-            kb.assign(a, vec![Idx::var(i)], ScalarExpr::Const(0.0));
-            compile(kb.build().expect("placeholder builds"), &[], false)
-        };
         SaStage {
             label: label.to_string(),
             p,
@@ -720,52 +719,30 @@ impl SaStage {
             bufw,
             weights,
             agg,
-            mind_init: placeholder.clone(),
-            fs_dist: placeholder.clone(),
-            fs_max: placeholder.clone(),
-            ballq: placeholder.clone(),
-            gathers: Vec::new(),
-            copy_g: [
-                placeholder.clone(),
-                placeholder.clone(),
-                placeholder.clone(),
-            ],
-            copy_w: [
-                placeholder.clone(),
-                placeholder.clone(),
-                placeholder.clone(),
-            ],
-            step: [
-                placeholder.clone(),
-                placeholder.clone(),
-                placeholder.clone(),
-            ],
-            relu: [
-                placeholder.clone(),
-                placeholder.clone(),
-                placeholder.clone(),
-            ],
-            mlp_inner: [
-                placeholder.clone(),
-                placeholder.clone(),
-                placeholder.clone(),
-            ],
-            aggregate: placeholder,
         }
     }
 
-    fn build_kernels(&mut self, decls: &[ArrayDecl]) {
+    /// Width of MLP layer `l`'s input.
+    fn layer_din(&self, l: usize) -> u64 {
+        if l == 0 {
+            self.din
+        } else {
+            self.p.dims[l - 1]
+        }
+    }
+
+    fn build_kernels(&self, decls: &[ArrayDecl]) -> SaRegions {
         let (k, n, np_in) = (self.p.k, self.p.n, self.np_in);
         // MIND[p] = +inf.
-        self.mind_init = {
+        let mind_init = {
             let mut kb = KernelBuilder::new(format!("{}_mind_init", self.label), DataType::F32);
             declare_all(&mut kb, decls);
             let pl = kb.parallel_loop("p", 0, np_in as i64);
             kb.assign(self.mind, vec![Idx::var(pl)], ScalarExpr::Const(f32::MAX));
-            compile(kb.build().expect("builds"), &[], false)
+            compile(kb.build().expect("builds"), &[])
         };
         // MIND[p] = min(MIND[p], ||pts[p] - c||²), c in params.
-        self.fs_dist = {
+        let fs_dist = {
             let mut kb = KernelBuilder::new(format!("{}_fs_dist", self.label), DataType::F32);
             declare_all(&mut kb, decls);
             let pl = kb.parallel_loop("p", 0, np_in as i64);
@@ -787,10 +764,10 @@ impl SaStage {
                 ReduceOp::Min,
                 d2.expect("three coords"),
             );
-            compile(kb.build().expect("builds"), &[], false)
+            compile(kb.build().expect("builds"), &[])
         };
         // maxd = max_p MIND[p].
-        self.fs_max = {
+        let fs_max = {
             let mut kb = KernelBuilder::new(format!("{}_fs_max", self.label), DataType::F32);
             declare_all(&mut kb, decls);
             let pl = kb.parallel_loop("p", 0, np_in as i64);
@@ -799,10 +776,10 @@ impl SaStage {
                 ReduceOp::Max,
                 ScalarExpr::load(self.mind, vec![Idx::var(pl)]),
             );
-            compile(kb.build().expect("builds"), &[], false)
+            compile(kb.build().expect("builds"), &[])
         };
         // MASK[p][c] = ||pts[p] - cpts[c]||² <= r².
-        self.ballq = {
+        let ballq = {
             let mut kb = KernelBuilder::new(format!("{}_ballq", self.label), DataType::F32);
             declare_all(&mut kb, decls);
             let pl = kb.parallel_loop("p", 0, np_in as i64);
@@ -830,10 +807,10 @@ impl SaStage {
                 ScalarExpr::Const(r2),
             );
             kb.assign(self.mask, vec![Idx::var(pl), Idx::var(cl)], within);
-            compile(kb.build().expect("builds"), &[], false)
+            compile(kb.build().expect("builds"), &[])
         };
         // Gathers: GF[j][c][dim+off] = src[..][NEIGH[j][c]] — indirect streams.
-        self.gathers = {
+        let gathers = {
             let mut out = Vec::new();
             let mut offset = 0i64;
             for (si, src) in self.feat_srcs.iter().enumerate() {
@@ -863,97 +840,88 @@ impl SaStage {
                     vec![Idx::var(j), Idx::var(c), Idx::var_plus(dm, offset)],
                     v,
                 );
-                out.push(compile(kb.build().expect("builds"), &[], false));
+                out.push(compile(kb.build().expect("builds"), &[]));
                 offset += src.dims() as i64;
             }
             out
         };
-        // MLP layers.
-        for l in 0..3 {
-            let (input, din_l) = if l == 0 {
-                (self.gf, self.din)
-            } else {
-                (self.louts[l - 1], self.p.dims[l - 1])
-            };
-            let dout = self.p.dims[l];
-            self.copy_g[l] = {
-                let mut kb = KernelBuilder::new(format!("{}_copyg{l}", self.label), DataType::F32);
-                declare_all(&mut kb, decls);
-                let kk = kb.sym("kk");
-                let j = kb.parallel_loop("j", 0, n as i64);
-                let c = kb.parallel_loop("c", 0, k as i64);
-                kb.assign(
-                    self.bufg,
-                    vec![Idx::var(j), Idx::var(c)],
-                    ScalarExpr::load(input, vec![Idx::var(j), Idx::var(c), Idx::sym(kk)]),
-                );
-                compile(kb.build().expect("builds"), &[0], false)
-            };
-            self.copy_w[l] = {
-                let mut kb = KernelBuilder::new(format!("{}_copyw{l}", self.label), DataType::F32);
-                declare_all(&mut kb, decls);
-                let kk = kb.sym("kk");
-                let o = kb.parallel_loop("o", 0, dout as i64);
-                kb.assign(
+        // MLP layers: layer `l` reads `input(l)`.
+        let input = |l: usize| if l == 0 { self.gf } else { self.louts[l - 1] };
+        let copy_g = std::array::from_fn(|l| {
+            let mut kb = KernelBuilder::new(format!("{}_copyg{l}", self.label), DataType::F32);
+            declare_all(&mut kb, decls);
+            let kk = kb.sym("kk");
+            let j = kb.parallel_loop("j", 0, n as i64);
+            let c = kb.parallel_loop("c", 0, k as i64);
+            kb.assign(
+                self.bufg,
+                vec![Idx::var(j), Idx::var(c)],
+                ScalarExpr::load(input(l), vec![Idx::var(j), Idx::var(c), Idx::sym(kk)]),
+            );
+            compile(kb.build().expect("builds"), &[0])
+        });
+        let copy_w = std::array::from_fn(|l| {
+            let mut kb = KernelBuilder::new(format!("{}_copyw{l}", self.label), DataType::F32);
+            declare_all(&mut kb, decls);
+            let kk = kb.sym("kk");
+            let o = kb.parallel_loop("o", 0, self.p.dims[l] as i64);
+            kb.assign(
+                self.bufw[l],
+                vec![Idx::constant(0), Idx::constant(0), Idx::var(o)],
+                ScalarExpr::load(self.weights[l], vec![Idx::var(o), Idx::sym(kk)]),
+            );
+            compile(kb.build().expect("builds"), &[0])
+        });
+        let step = std::array::from_fn(|l| {
+            let mut kb = KernelBuilder::new(format!("{}_step{l}", self.label), DataType::F32);
+            declare_all(&mut kb, decls);
+            let j = kb.parallel_loop("j", 0, n as i64);
+            let c = kb.parallel_loop("c", 0, k as i64);
+            let o = kb.parallel_loop("o", 0, self.p.dims[l] as i64);
+            let prod = ScalarExpr::mul(
+                ScalarExpr::load(self.bufg, vec![Idx::var(j), Idx::var(c)]),
+                ScalarExpr::load(
                     self.bufw[l],
                     vec![Idx::constant(0), Idx::constant(0), Idx::var(o)],
-                    ScalarExpr::load(self.weights[l], vec![Idx::var(o), Idx::sym(kk)]),
-                );
-                compile(kb.build().expect("builds"), &[0], false)
-            };
-            self.step[l] = {
-                let mut kb = KernelBuilder::new(format!("{}_step{l}", self.label), DataType::F32);
-                declare_all(&mut kb, decls);
-                let j = kb.parallel_loop("j", 0, n as i64);
-                let c = kb.parallel_loop("c", 0, k as i64);
-                let o = kb.parallel_loop("o", 0, dout as i64);
-                let prod = ScalarExpr::mul(
-                    ScalarExpr::load(self.bufg, vec![Idx::var(j), Idx::var(c)]),
-                    ScalarExpr::load(
-                        self.bufw[l],
-                        vec![Idx::constant(0), Idx::constant(0), Idx::var(o)],
-                    ),
-                );
-                kb.accum(
-                    self.louts[l],
-                    vec![Idx::var(j), Idx::var(c), Idx::var(o)],
-                    ReduceOp::Sum,
-                    prod,
-                );
-                compile(kb.build().expect("builds"), &[], true)
-            };
-            // Fused single-region layer for core/near execution: the Base
-            // implementation is a tiled inner-product GEMM, not staged
-            // outer-product rounds (Fig 8). Same constructor as the pipeline
-            // graph's tail stages, so both paths share one kernel definition.
-            self.mlp_inner[l] = compile(
-                dense_mlp_kernel(
-                    decls,
-                    format!("{}_mlpin{l}", self.label),
-                    input,
-                    self.weights[l],
-                    self.louts[l],
-                    n,
-                    k,
-                    din_l,
-                    dout,
                 ),
-                &[],
-                false,
             );
-            self.relu[l] = compile(
-                relu_kernel(
-                    decls,
-                    format!("{}_relu{l}", self.label),
-                    self.louts[l],
-                    self.louts[l],
-                ),
-                &[],
-                true,
+            kb.accum(
+                self.louts[l],
+                vec![Idx::var(j), Idx::var(c), Idx::var(o)],
+                ReduceOp::Sum,
+                prod,
             );
-        }
+            compile(kb.build().expect("builds"), &[])
+        });
+        // Fused single-region layer for core/near execution: the Base
+        // implementation is a tiled inner-product GEMM, not staged
+        // outer-product rounds (Fig 8). Same constructor as the pipeline
+        // graph's tail stages, so both paths share one kernel definition.
+        let mlp_inner = std::array::from_fn(|l| {
+            let kernel = dense_mlp_kernel(
+                decls,
+                format!("{}_mlpin{l}", self.label),
+                input(l),
+                self.weights[l],
+                self.louts[l],
+                n,
+                k,
+                self.layer_din(l),
+                self.p.dims[l],
+            );
+            compile(kernel, &[])
+        });
+        let relu = std::array::from_fn(|l| {
+            let kernel = relu_kernel(
+                decls,
+                format!("{}_relu{l}", self.label),
+                self.louts[l],
+                self.louts[l],
+            );
+            compile(kernel, &[])
+        });
         // AGG[0][c][o] = max_j L2[j][c][o].
-        self.aggregate = compile(
+        let aggregate = compile(
             agg_kernel(
                 decls,
                 format!("{}_agg", self.label),
@@ -964,12 +932,25 @@ impl SaStage {
                 self.p.dims[2],
             ),
             &[],
-            true,
         );
+        SaRegions {
+            mind_init,
+            fs_dist,
+            fs_max,
+            ballq,
+            gathers,
+            copy_g,
+            copy_w,
+            step,
+            relu,
+            mlp_inner,
+            aggregate,
+        }
     }
 
     fn run(
         &self,
+        regions: &SaRegions,
         m: &mut Machine,
         mode: ExecMode,
         reports: &mut Vec<StageReport>,
@@ -989,28 +970,28 @@ impl SaStage {
         if self.sample_here {
             let mut cycles = 0;
             let mut exec = Executed::NearMemory;
-            let r = m.run_region(&instantiate(&self.mind_init, &[]), &[], mode)?;
+            let r = m.run_region(&instantiate(&regions.mind_init, &[]), &[], mode)?;
             cycles += r.cycles;
             let mut cur = self.pick_point(m, 0);
             for round in 0..self.p.k {
                 self.write_centroid(m, round, cur);
-                let r = m.run_region(&instantiate(&self.fs_dist, &[]), &cur, mode)?;
+                let r = m.run_region(&instantiate(&regions.fs_dist, &[]), &cur, mode)?;
                 cycles += r.cycles;
                 exec = r.executed;
-                let r = m.run_region(&instantiate(&self.fs_max, &[]), &[], mode)?;
+                let r = m.run_region(&instantiate(&regions.fs_max, &[]), &[], mode)?;
                 cycles += r.cycles;
                 cur = self.argmax_point(m, round);
             }
             push("sample", cycles, exec, reports);
         }
         // 2. Ball query: radius mask (timed) + host compaction (functional).
-        let r = m.run_region(&instantiate(&self.ballq, &[]), &[], mode)?;
+        let r = m.run_region(&instantiate(&regions.ballq, &[]), &[], mode)?;
         self.build_neighbors(m);
         push("ballq", r.cycles, r.executed, reports);
         // 3. Gather.
         let mut gcycles = 0;
         let mut gexec = Executed::NearMemory;
-        for g in &self.gathers {
+        for g in &regions.gathers {
             let r = m.run_region(&instantiate(g, &[]), &[], mode)?;
             gcycles += r.cycles;
             gexec = r.executed;
@@ -1024,28 +1005,27 @@ impl SaStage {
         let staged = matches!(mode, ExecMode::InL3 | ExecMode::InfS | ExecMode::InfSNoJit);
         for l in 0..3 {
             if staged {
-                let din_l = if l == 0 { self.din } else { self.p.dims[l - 1] };
-                let step = instantiate(&self.step[l], &[]);
-                for kk in 0..din_l as i64 {
-                    let r = m.run_region(&instantiate(&self.copy_g[l], &[kk]), &[], mode)?;
+                let step = instantiate(&regions.step[l], &[]);
+                for kk in 0..self.layer_din(l) as i64 {
+                    let r = m.run_region(&instantiate(&regions.copy_g[l], &[kk]), &[], mode)?;
                     mcycles += r.cycles;
-                    let r = m.run_region(&instantiate(&self.copy_w[l], &[kk]), &[], mode)?;
+                    let r = m.run_region(&instantiate(&regions.copy_w[l], &[kk]), &[], mode)?;
                     mcycles += r.cycles;
                     let r = m.run_region(&step, &[], mode)?;
                     mcycles += r.cycles;
                     mexec = r.executed;
                 }
             } else {
-                let r = m.run_region(&instantiate(&self.mlp_inner[l], &[]), &[], mode)?;
+                let r = m.run_region(&instantiate(&regions.mlp_inner[l], &[]), &[], mode)?;
                 mcycles += r.cycles;
                 mexec = r.executed;
             }
-            let r = m.run_region(&instantiate(&self.relu[l], &[]), &[], mode)?;
+            let r = m.run_region(&instantiate(&regions.relu[l], &[]), &[], mode)?;
             mcycles += r.cycles;
         }
         push("mlp", mcycles, mexec, reports);
         // 5. Aggregate.
-        let r = m.run_region(&instantiate(&self.aggregate, &[]), &[], mode)?;
+        let r = m.run_region(&instantiate(&regions.aggregate, &[]), &[], mode)?;
         push("aggregate", r.cycles, r.executed, reports);
         Ok(())
     }
@@ -1158,7 +1138,7 @@ impl Benchmark for PointNet {
 
     fn regions(&self) -> Vec<&CompiledRegion> {
         let mut regions = Vec::new();
-        for st in &self.stages {
+        for st in &self.sa_regions {
             regions.extend([&st.mind_init, &st.fs_dist, &st.fs_max, &st.ballq]);
             regions.extend(&st.gathers);
             for l in 0..3 {

@@ -27,34 +27,28 @@ impl Dataflow {
     }
 }
 
-/// Compiles a kernel into a region template.
-///
-/// `optimize` disables the e-graph pass for kernels entered thousands of
-/// times at bindings other than `rep_syms`, with no reuse to discover
-/// (gauss_elim, conv3d rounds). Entering at `rep_syms` itself reuses the
-/// instance this compile embeds and never re-runs the pass.
+/// Compiles a kernel into a region template with the default compiler, the
+/// e-graph pass included. Entering at `rep_syms` reuses the instance this
+/// compile embeds and never re-runs the pass; entering at another binding
+/// replays or re-runs it there.
 ///
 /// # Panics
 ///
 /// Panics on compile errors — workload kernels are static test vectors.
-pub fn compile(kernel: Kernel, rep_syms: &[i64], optimize: bool) -> CompiledRegion {
-    let compiler = Compiler {
-        optimize,
-        ..Default::default()
-    };
-    compiler
+pub fn compile(kernel: Kernel, rep_syms: &[i64]) -> CompiledRegion {
+    Compiler::default()
         .compile(kernel, rep_syms)
         .expect("workload kernels compile")
 }
 
-/// Compiles (e-graph pass on) a kernel without symbols that is entered only
-/// as compiled, keeping just the instance the compile built.
+/// Compiles a kernel without symbols that is entered only as compiled,
+/// keeping just the instance the compile built.
 ///
 /// # Panics
 ///
 /// Panics on compile errors.
 pub fn compile_instance(kernel: Kernel) -> RegionInstance {
-    compile(kernel, &[], true)
+    compile(kernel, &[])
         .into_instance(&[])
         .expect("workload regions instantiate")
 }
