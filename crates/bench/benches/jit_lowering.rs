@@ -67,16 +67,16 @@ fn bench_memoization(c: &mut Criterion) {
     let cache = JitCache::new();
     let tile = layout.tile().dims();
     cache
-        .get_or_instantiate("stencil", &tpl, &slots, tile, |t| {
-            infs_runtime::instantiate(t, &slots, &layout, &hw)
+        .get_or_instantiate("stencil", tpl.signature, &slots, tile, || {
+            infs_runtime::instantiate(&tpl, &slots, &layout)
         })
         .expect("first lowering");
-    let not_cached = |_: &_| Err(infs_runtime::RuntimeError::NotInMemory);
+    let not_cached = || Err(infs_runtime::RuntimeError::NotInMemory);
     c.bench_function("jit_cache_hit", |b| {
         b.iter(|| {
             black_box(
                 cache
-                    .get_or_instantiate("stencil", &tpl, &slots, tile, not_cached)
+                    .get_or_instantiate("stencil", tpl.signature, &slots, tile, not_cached)
                     .expect("hit"),
             )
         })
@@ -216,11 +216,11 @@ fn conv3d_acc_instance(hw_n: u64, chans: u64, ci: i64, dx: i64, dy: i64) -> Regi
 
 /// JIT emission for one pair of shape-sibling instances.
 ///
-/// `seed` is the instance whose template is cached; `fresh` is the next
-/// invocation (shifted pivot / slid window). The measurement is what
+/// `seed` is the instance whose shape the cache recorded; `fresh` is the
+/// next invocation (shifted pivot / slid window). The measurement is what
 /// dispatching `fresh` costs on the host: distilling its slot table and
-/// stamping the cached skeleton out against it — the same walk a miss runs
-/// over the fresh skeleton.
+/// stamping a skeleton of its signature out against it — the walk a template
+/// hit and a miss both run.
 fn bench_patch_pair(c: &mut Criterion, name: &str, seed: &RegionInstance, fresh: &RegionInstance) {
     let hw = SystemConfig::default().hw();
     let g_seed = seed.tdfg.as_ref().expect("seed tensorizes");
@@ -230,8 +230,8 @@ fn bench_patch_pair(c: &mut Criterion, name: &str, seed: &RegionInstance, fresh:
     let layout = TransposedLayout::plan(g, &fresh.hints, &hw).expect("plans");
     let (tpl, _) = infs_runtime::distill(g_seed, s_seed, &hw).expect("seed distills");
     {
-        // The pair must actually share a template, or stamping the cached
-        // one below would be measuring an impossible hit.
+        // The pair must actually share a template, or stamping the seed's
+        // one below would not stand for stamping the fresh one's.
         let (tpl2, _) = infs_runtime::distill(g, s, &hw).expect("fresh distills");
         assert_eq!(
             tpl.signature, tpl2.signature,
@@ -243,7 +243,7 @@ fn bench_patch_pair(c: &mut Criterion, name: &str, seed: &RegionInstance, fresh:
     group.bench_function(BenchmarkId::new("distill_instantiate", name), |b| {
         b.iter(|| {
             let (_, slots) = infs_runtime::distill(black_box(g), s, &hw).expect("distills");
-            black_box(infs_runtime::instantiate(&tpl, &slots, &layout, &hw).expect("patches"))
+            black_box(infs_runtime::instantiate(&tpl, &slots, &layout).expect("patches"))
         })
     });
     group.finish();

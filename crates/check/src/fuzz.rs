@@ -19,8 +19,10 @@
 //! 4. the optimized binary again on the in-memory path, but served by the
 //!    **shape-polymorphic JIT's template path**: the shared cache is seeded,
 //!    its concrete level rotted ([`infs_runtime::JitCache::tamper_slots`]),
-//!    and the scored run must be stamped out by copy-and-patch — pinning the
-//!    patched-stream path against the oracle;
+//!    and the scored run must be a template hit — the cache's shape record
+//!    names the outcome, and the stream is stamped from the run's own
+//!    freshly distilled template — pinning the template-hit path against the
+//!    oracle;
 //! 5. the optimized binary on the JIT-lowered in-memory path (`InL3`) at both
 //!    256×256 and 512×512 geometries.
 //!
@@ -432,9 +434,9 @@ pub fn run_differential(spec: &FuzzKernel) -> Result<DiffOutcome, Divergence> {
     // Pin the shape-polymorphic JIT's patched-stream path: seed a shared
     // cache with this kernel's commands (timing-only run, `InL3` so the
     // in-memory path is taken whenever it is feasible at all), then rot the
-    // concrete level while leaving templates clean. The scored
-    // "inl3-patched-256" run below must then be served by copy-and-patch —
-    // and still match the oracle bit for bit.
+    // concrete level while leaving the shape records clean. The scored
+    // "inl3-patched-256" run below must then be a template hit — and still
+    // match the oracle bit for bit.
     let patched_jit = Arc::new(JitCache::new());
     {
         let mut m = Machine::with_jit(cfg256.clone(), kernel.arrays(), patched_jit.clone());

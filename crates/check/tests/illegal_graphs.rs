@@ -323,7 +323,6 @@ fn stream_sync_protocol_is_enforced() {
             },
             InfCommand::Sync,
         ],
-        jit_cycles: 0,
         stats: LoweredStats::default(),
     };
     assert!(matches!(

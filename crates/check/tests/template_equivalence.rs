@@ -1,14 +1,16 @@
 //! Bitwise equivalence of the template-patch path and full re-lowering.
 //!
-//! The shape-polymorphic JIT serves a cache hit by stamping a cached
-//! [`CommandTemplate`] out against the fresh instance's slot table instead of
-//! re-running layout planning and decomposition. That substitution is only
-//! sound if the patched stream is *bit-identical* to what full lowering would
-//! have produced. These tests pin that contract on the two families the
-//! concrete memo key starved: Gaussian elimination's shrinking trailing
-//! submatrix (a different pivot every dispatch) and a convolution's sliding
-//! taps (a different shift every dispatch). The auditor then re-validates the
-//! patched stream exactly as it would a cold-lowered one.
+//! The JIT cache keys its concrete streams by a [`CommandTemplate`]'s
+//! signature and slot table, never by region, and its shape level records
+//! only which signatures it has lowered: a hit on either stands for every
+//! region of that signature. That is only sound if equal signatures mean
+//! equal templates — if stamping one instance's template out against another
+//! instance's slot table is *bit-identical* to lowering the other instance.
+//! These tests pin that contract on the two families the region-keyed memo
+//! starved: Gaussian elimination's shrinking trailing submatrix (a different
+//! pivot every dispatch) and a convolution's sliding taps (a different shift
+//! every dispatch). The auditor then re-validates the patched stream exactly
+//! as it would a cold-lowered one.
 //!
 //! [`CommandTemplate`]: infs_runtime::CommandTemplate
 
@@ -82,7 +84,7 @@ fn conv3d_acc(hw_n: u64, chans: u64, ci: i64, dx: i64, dy: i64) -> RegionInstanc
 }
 
 /// Distills `seed`'s template, then for every `fresh` instance asserts that
-/// (a) the pair shares a signature, (b) patching the cached template with the
+/// (a) the pair shares a signature, (b) patching the seed template with the
 /// fresh slot table reproduces full re-lowering bit for bit, and (c) the
 /// stream validator accepts the patched stream against the fresh graph.
 fn assert_patched_equals_lowered(seed: &RegionInstance, fresh: &[RegionInstance]) {
@@ -101,7 +103,7 @@ fn assert_patched_equals_lowered(seed: &RegionInstance, fresh: &[RegionInstance]
         );
         let layout = TransposedLayout::plan(g, &inst.hints, &hw).expect("plans");
         let lowered = infs_runtime::lower(g, s, &layout, &hw).expect("lowers");
-        let patched = infs_runtime::instantiate(&tpl, &slots, &layout, &hw).expect("patches");
+        let patched = infs_runtime::instantiate(&tpl, &slots, &layout).expect("patches");
         assert_eq!(
             patched, lowered,
             "{}: template patch must be bit-identical to full re-lowering",

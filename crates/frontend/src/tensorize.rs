@@ -31,9 +31,7 @@ enum Key {
     Reduce(u32, usize, ReduceOp),
 }
 
-struct Ctx<'k> {
-    #[allow(dead_code)] // retained for diagnostics in later passes
-    kernel: &'k Kernel,
+struct Ctx {
     syms: Vec<i64>,
     bounds: Vec<(i64, i64)>,
     builder: TdfgBuilder,
@@ -57,7 +55,6 @@ impl Kernel {
         let mut builder = TdfgBuilder::new(self.loops().len(), self.dtype());
         builder.set_arrays(self.shared_arrays().clone());
         let mut ctx = Ctx {
-            kernel: self,
             syms: syms.to_vec(),
             bounds,
             builder,
@@ -78,7 +75,7 @@ enum DimIdx {
     Const(i64),
 }
 
-impl Ctx<'_> {
+impl Ctx {
     fn ndim(&self) -> usize {
         self.bounds.len()
     }

@@ -37,36 +37,10 @@ impl TransposedLayout {
     pub fn plan(tdfg: &Tdfg, hints: &LayoutHints, hw: &HwConfig) -> Result<Self, RuntimeError> {
         let mut span = infs_trace::span!("runtime.layout_plan", nodes = tdfg.nodes().len());
         let request = Self::request(tdfg, hints, hw)?;
-        let candidates = if request.array_is_line_aligned() {
-            valid_tilings(&request)
-        } else {
-            Vec::new()
-        };
-        span.arg("candidates", candidates.len());
-        if candidates.is_empty() {
-            // Reuse pick_tile_shape's diagnostics for the no-candidate cases
-            // (line misalignment / no admissible factorization).
-            return match pick_tile_shape(&request) {
-                Err(err) => Err(err.into()),
-                Ok(tile) => Self::with_tile_internal(tdfg, tile, hw),
-            };
-        }
-        // Score + feasibility for every candidate at once. Each feasibility
-        // probe builds the full TileGrid, so the search is the expensive part
-        // of planning; candidates are independent and evaluated in parallel.
-        let mut evaluated: Vec<(f64, Result<Self, RuntimeError>)> = candidates
-            .into_par_iter()
-            .map(|tile| {
-                let score = tile_score(&tile, &request);
-                (score, Self::with_tile_internal(tdfg, tile, hw))
-            })
-            .collect();
-        // Stable sort keeps enumeration order on score ties, matching the
-        // sequential pick_tile_shape choice exactly. total_cmp so a NaN score
-        // (degenerate request) cannot panic a serve worker mid-sort.
-        evaluated.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let ranked = Self::rank(tdfg, &request, hw);
+        span.arg("candidates", ranked.len());
         let mut first_err = None;
-        for (_, outcome) in evaluated {
+        for outcome in ranked {
             match outcome {
                 Ok(layout) => return Ok(layout),
                 Err(e) if first_err.is_none() => first_err = Some(e),
@@ -74,12 +48,16 @@ impl TransposedLayout {
             }
         }
         // All candidates infeasible: report the best-scored one's failure
-        // (e.g. CapacityExceeded when the region exceeds compute SRAM).
-        Err(first_err.unwrap_or(RuntimeError::NoLayout(
-            infs_geom::GeomError::NoValidTiling {
-                detail: "no feasible candidate tiling".to_string(),
-            },
-        )))
+        // (e.g. CapacityExceeded when the region exceeds compute SRAM). No
+        // candidate at all: pick_tile_shape's diagnostics say why (line
+        // misalignment / no admissible factorization).
+        Err(first_err
+            .or_else(|| pick_tile_shape(&request).err().map(Into::into))
+            .unwrap_or(RuntimeError::NoLayout(
+                infs_geom::GeomError::NoValidTiling {
+                    detail: "no feasible candidate tiling".to_string(),
+                },
+            )))
     }
 
     /// Plans the layout with an explicitly chosen tile shape — the oracle /
@@ -131,24 +109,36 @@ impl TransposedLayout {
         hw: &HwConfig,
     ) -> Result<Vec<TileShape>, RuntimeError> {
         let request = Self::request(tdfg, hints, hw)?;
+        Ok(Self::rank(tdfg, &request, hw)
+            .into_iter()
+            .filter_map(Result::ok)
+            .map(|layout| layout.tile)
+            .collect())
+    }
+
+    /// Every §4.1 candidate planned into a layout (or the reason it has
+    /// none), best-scored first: the one ranking `plan` and
+    /// `ranked_candidates` read. Candidates build their grids in parallel;
+    /// the stable sort keeps enumeration order on score ties (the
+    /// `pick_tile_shape` choice), and `total_cmp` keeps a NaN score from
+    /// panicking a serve worker.
+    fn rank(
+        tdfg: &Tdfg,
+        request: &TilingRequest,
+        hw: &HwConfig,
+    ) -> Vec<Result<Self, RuntimeError>> {
         if !request.array_is_line_aligned() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
-        let evaluated: Vec<(f64, bool, TileShape)> = valid_tilings(&request)
+        let mut evaluated: Vec<(f64, Result<Self, RuntimeError>)> = valid_tilings(request)
             .into_par_iter()
             .map(|tile| {
-                let feasible = Self::with_tile_internal(tdfg, tile.clone(), hw).is_ok();
-                (tile_score(&tile, &request), feasible, tile)
+                let score = tile_score(&tile, request);
+                (score, Self::with_tile_internal(tdfg, tile, hw))
             })
             .collect();
-        // Stable sort on the score, exactly like `plan` — so element 0 is
-        // the tile `plan` commits to, including its tie-breaking.
-        let mut feasible: Vec<(f64, TileShape)> = evaluated
-            .into_iter()
-            .filter_map(|(score, ok, tile)| ok.then_some((score, tile)))
-            .collect();
-        feasible.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Ok(feasible.into_iter().map(|(_, tile)| tile).collect())
+        evaluated.sort_by(|a, b| a.0.total_cmp(&b.0));
+        evaluated.into_iter().map(|(_, layout)| layout).collect()
     }
 
     /// All tile shapes the constraint solver admits for this region — what

@@ -15,11 +15,13 @@
 //!    (Algorithm 1, in `infs-geom`), moves become intra-/inter-tile shift
 //!    commands (Algorithm 2), commands are mapped to the L3 banks owning their
 //!    tiles, and `sync` barriers are inserted after inter-tile movement.
-//! 3. [`JitCache`] memoizes lowered command streams and templates —
-//!    re-executing the same region with the same parameters (iterative
-//!    stencils, matmul rounds) hits the cache and skips lowering, the paper's
-//!    key JIT-overhead optimization; a shape sibling re-stamps the cached
-//!    template. [`HwConfig::jit_cycles`] prices every outcome.
+//! 3. [`JitCache`] memoizes lowered command streams and records the shapes
+//!    it has lowered — re-executing the same region with the same parameters
+//!    (iterative stencils, matmul rounds) hits the cache and skips lowering,
+//!    the paper's key JIT-overhead optimization; a shape sibling stamps its
+//!    own freshly distilled template and pays the copy-and-patch rate. The
+//!    cache only names the outcome: [`HwConfig::jit_cycles`] prices every
+//!    outcome, and nothing else does.
 //! 4. [`place`] is the one placement decision: a region runs on the host
 //!    when no bank is live, on a forced tier clamped to what is feasible,
 //!    near-memory without an in-memory plan or a healthy-bank quorum, and
@@ -56,5 +58,5 @@ pub use layout::TransposedLayout;
 pub use lower::{
     instantiate, lower, BankLoad, CommandStream, InfCommand, LoweredStats, RemoteTransfer,
 };
-pub use memo::{JitCache, JitClass, JitOutcome};
+pub use memo::{JitCache, JitOutcome};
 pub use template::{distill, CommandTemplate, SlotRect, TemplateOp};

@@ -4,17 +4,16 @@
 //!
 //! It is the old code verbatim minus tracing and input validation (the tests
 //! feed it well-formed graphs). Only the template walk is kept — `lower` is
-//! `instantiate ∘ distill`, so one test helper pins the one emission path, and
-//! the old cost formula is read through [`HwConfig::jit_cycles`], the one
-//! cost table. An intentional change to the emission *rules* must be
-//! made here too; a change that only makes emission cheaper must not touch
-//! this file.
+//! `instantiate ∘ distill`, so one test helper pins the one emission path. It
+//! prices nothing: [`crate::HwConfig::jit_cycles`] is the one cost table. An
+//! intentional change to the emission *rules* must be made here too; a
+//! change that only makes emission cheaper must not touch this file.
 
 use super::{
     class_of, BankLoad, CmdClass, CommandStream, InfCommand, LoweredStats, RemoteTransfer,
 };
 use crate::template::{CommandTemplate, TemplateOp};
-use crate::{HwConfig, RuntimeError, TransposedLayout};
+use crate::{RuntimeError, TransposedLayout};
 use infs_geom::{decompose, HyperRect, TileGrid};
 use infs_tdfg::{ComputeOp, NodeId};
 use std::collections::{HashMap, HashSet};
@@ -68,7 +67,6 @@ pub fn instantiate(
     t: &CommandTemplate,
     slots: &[i64],
     layout: &TransposedLayout,
-    hw: &HwConfig,
 ) -> Result<CommandStream, RuntimeError> {
     let mut em = Emitter::new(layout, t.elem_bytes);
     for op in &t.ops {
@@ -124,7 +122,7 @@ pub fn instantiate(
             }
         }
     }
-    Ok(em.finish(hw))
+    Ok(em.finish())
 }
 
 impl<'a> Emitter<'a> {
@@ -148,19 +146,11 @@ impl<'a> Emitter<'a> {
         self.cmds.push(cmd);
     }
 
-    /// Seals the stream: counts commands and applies the templated JIT cycle
-    /// model (commands that reused an already-materialized emission class pay
-    /// the copy-and-patch rate).
-    fn finish(mut self, hw: &HwConfig) -> CommandStream {
+    /// Seals the stream: counts commands.
+    fn finish(mut self) -> CommandStream {
         self.stats.n_cmds = self.cmds.len() as u64;
-        let jit_cycles = hw.jit_cycles(
-            crate::JitOutcome::Miss,
-            self.stats.n_cmds,
-            self.stats.cmds_from_template,
-        );
         CommandStream {
             cmds: self.cmds,
-            jit_cycles,
             stats: self.stats,
         }
     }
@@ -585,7 +575,7 @@ mod tests {
         what: &str,
     ) {
         let (template, slots) = distill(g, schedule, hw).expect("distills");
-        let want = super::instantiate(&template, &slots, layout, hw).expect("reference emits");
+        let want = super::instantiate(&template, &slots, layout).expect("reference emits");
         assert!(!want.cmds.is_empty(), "{what}: nothing to compare");
         let lowered = lower(g, schedule, layout, hw).expect("lowers");
         assert!(lowered == want, "{what}: lower() left the reference stream");

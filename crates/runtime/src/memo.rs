@@ -1,4 +1,4 @@
-use crate::{CommandStream, CommandTemplate};
+use crate::CommandStream;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -25,13 +25,15 @@ struct Entry {
     checksum: u64,
 }
 
-/// One cached relocatable template (level B), keyed by `(signature, tile)`.
+/// One shape record (level B), keyed by `(signature, tile)`: the record that
+/// a region of this shape has been lowered under this tile. It holds no
+/// template — equal signatures distill equal templates, so a hit stamps the
+/// one the caller just distilled.
 #[derive(Debug)]
 struct TplEntry {
-    template: Arc<CommandTemplate>,
-    /// Command count of the stream it was distilled from (all instantiations
-    /// of one template emit the same command *classes*; the count feeds the
-    /// offload decision's expected-patch-cost estimate).
+    /// Command count of the stream the miss emitted (every instance of one
+    /// shape emits the same command *classes*; the count feeds the offload
+    /// decision's expected-patch-cost estimate).
     n_cmds: u64,
     last_hit: u64,
     checksum: u64,
@@ -44,8 +46,8 @@ pub enum JitOutcome {
     /// The exact stream (signature + slots + tile) was cached: no JIT work
     /// beyond the lookup.
     ConcreteHit,
-    /// A relocatable template was cached for the signature: the stream was
-    /// stamped out by an O(commands) copy-and-patch.
+    /// The shape (signature + tile) was recorded: the stream was stamped out
+    /// by an O(commands) copy-and-patch.
     TemplateHit,
     /// Nothing reusable: full lowering ran (and seeded both cache levels).
     Miss,
@@ -58,21 +60,11 @@ impl JitOutcome {
     }
 }
 
-/// What a non-mutating lookup ([`JitCache::classify`]) anticipates for a
-/// request — the offload decision model uses this to price the JIT step
-/// before committing to in-memory execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JitClass {
-    /// The exact stream is cached.
-    Concrete,
-    /// A template is cached; `n_cmds` is the command count of the stream it
-    /// was distilled from (what a patch would cost).
-    Template {
-        /// Commands the cached template stamps out.
-        n_cmds: u64,
-    },
-    /// Full lowering would run.
-    Miss,
+/// FNV-1a over a sequence of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, word| {
+        (h ^ word).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 /// Constant-time integrity digest over a cached stream's scalar summary *and
@@ -82,26 +74,29 @@ pub enum JitClass {
 /// re-hashed (hashing every command on every hit would erase the memoization
 /// win the cache exists for).
 fn integrity_digest(stream: &CommandStream, slots: &[i64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for word in [stream.jit_cycles, stream.cmds.len() as u64]
+    let s = &stream.stats;
+    let summary = [
+        s.n_cmds,
+        s.intra_elems,
+        s.inter_local_elems,
+        s.inter_remote_bytes,
+        s.syncs,
+        s.final_reduce_partials,
+        s.compute_cmds,
+        s.cmds_from_template,
+        stream.cmds.len() as u64,
+    ];
+    fnv(summary
         .into_iter()
-        .chain(slots.iter().map(|&s| s as u64))
-    {
-        h ^= word;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+        .chain(slots.iter().map(|&slot| slot as u64)))
 }
 
-/// Digest of a cached template (level B): signature, slot arity, op and
-/// command counts.
-fn template_digest(t: &CommandTemplate, n_cmds: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for word in [t.signature, t.n_slots as u64, t.ops.len() as u64, n_cmds] {
-        h ^= word;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// Digest of a shape record (level B): signature, tile and command count.
+fn shape_digest(signature: u64, tile: &[u64], n_cmds: u64) -> u64 {
+    fnv([signature]
+        .into_iter()
+        .chain(tile.iter().copied())
+        .chain([n_cmds]))
 }
 
 /// One lock stripe of the cache.
@@ -128,10 +123,10 @@ type Shard = Mutex<HashMap<MemoKey, Entry>>;
 #[derive(Debug)]
 pub struct JitCache {
     shards: Box<[Shard]>,
-    /// Relocatable templates, keyed by `(signature, tile)` (level B). One
-    /// map, not striped: there are as many templates as region *shapes*, a
-    /// handful, and the critical sections are pointer clones.
-    templates: Mutex<HashMap<(u64, Vec<u64>), TplEntry>>,
+    /// Shape records, keyed by `(signature, tile)` (level B). One map, not
+    /// striped: there are as many records as region *shapes*, a handful,
+    /// and the critical sections are a lookup.
+    shapes: Mutex<HashMap<(u64, Vec<u64>), TplEntry>>,
     /// Per-shard entry cap (`u64::MAX` = unbounded).
     per_shard_cap: usize,
     /// Logical clock for least-recently-hit eviction; ticks on every hit and
@@ -181,7 +176,7 @@ impl JitCache {
         }
         JitCache {
             shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            templates: Mutex::new(HashMap::new()),
+            shapes: Mutex::new(HashMap::new()),
             per_shard_cap: capacity.map_or(usize::MAX, |cap| (cap / n).max(1)),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -220,16 +215,16 @@ impl JitCache {
     ///
     /// 1. **Concrete hit** — `(signature, slots, tile)` holds a verified
     ///    stream: return it, zero JIT work.
-    /// 2. **Template hit** — `(signature, tile)` holds a verified relocatable
-    ///    template: `emit` the *cached* template (an O(commands)
-    ///    copy-and-patch), cache the patched stream under its concrete key
-    ///    (checksum covering the patched output and the slot table), and
-    ///    return it.
-    /// 3. **Miss** — `emit` the freshly distilled `template` (a full
-    ///    lowering), and seed both the concrete and the template level.
+    /// 2. **Template hit** — `(signature, tile)` holds a verified shape
+    ///    record: `emit` (an O(commands) copy-and-patch), cache the stream
+    ///    under its concrete key (checksum covering the stream's summary and
+    ///    the slot table), and return it.
+    /// 3. **Miss** — `emit` (a full lowering), and seed both the concrete
+    ///    and the shape level.
     ///
-    /// `emit` stamps whichever template it is handed against the request's
-    /// slot table ([`crate::instantiate`]), outside every lock. Racing
+    /// `emit` stamps the template the caller distilled for this request
+    /// against its slot table ([`crate::instantiate`]), outside every lock;
+    /// the two outcomes that run it differ in *modeled* cost only. Racing
     /// threads on one key may each do the work, but the first insert wins
     /// and all get usable streams. Corrupted entries at either level are
     /// dropped, counted, and treated as absent.
@@ -240,39 +235,39 @@ impl JitCache {
     pub fn get_or_instantiate<E>(
         &self,
         region: &str,
-        template: &CommandTemplate,
+        signature: u64,
         slots: &[i64],
         tile: &[u64],
-        emit: impl FnOnce(&CommandTemplate) -> Result<CommandStream, E>,
+        emit: impl FnOnce() -> Result<CommandStream, E>,
     ) -> Result<(Arc<CommandStream>, JitOutcome), E> {
-        let key = (template.signature, slots.to_vec(), tile.to_vec());
+        let key = (signature, slots.to_vec(), tile.to_vec());
         if let Some(found) = self.lookup_verified(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             infs_trace::counter!("jit.memo_hits", 1u64);
             return Ok((found, JitOutcome::ConcreteHit));
         }
-        let tpl_key = (template.signature, tile.to_vec());
-        let cached_tpl = {
-            let mut map = self.templates.lock();
-            match map.get_mut(&tpl_key) {
-                Some(e) if e.checksum == template_digest(&e.template, e.n_cmds) => {
+        let shape_key = (signature, tile.to_vec());
+        let recorded = {
+            let mut map = self.shapes.lock();
+            match map.get_mut(&shape_key) {
+                Some(e) if e.checksum == shape_digest(signature, tile, e.n_cmds) => {
                     e.last_hit = self.tick();
-                    Some(e.template.clone())
+                    true
                 }
                 Some(_) => {
-                    map.remove(&tpl_key);
+                    map.remove(&shape_key);
                     self.corruptions.fetch_add(1, Ordering::Relaxed);
                     infs_trace::counter!("jit.corruptions", 1u64);
-                    None
+                    false
                 }
-                None => None,
+                None => false,
             }
         };
-        if let Some(tpl) = cached_tpl {
+        if recorded {
             let t0 = std::time::Instant::now();
             let cs = {
                 let _span = infs_trace::span!("runtime.jit_patch", region = region);
-                Arc::new(emit(&tpl)?)
+                Arc::new(emit()?)
             };
             infs_trace::counter!("jit.patch_ns", t0.elapsed().as_nanos() as u64);
             infs_trace::counter!("jit.template_hits", 1u64);
@@ -283,14 +278,14 @@ impl JitCache {
         infs_trace::counter!("jit.memo_misses", 1u64);
         let cs = {
             let _span = infs_trace::span!("runtime.jit_lower", region = region);
-            Arc::new(emit(template)?)
+            Arc::new(emit()?)
         };
         let n_cmds = cs.cmds.len() as u64;
         let stored = self.insert_stream(key, cs);
         {
-            let mut map = self.templates.lock();
+            let mut map = self.shapes.lock();
             let cap = self.capacity().unwrap_or(usize::MAX);
-            if !map.contains_key(&tpl_key) && map.len() >= cap {
+            if !map.contains_key(&shape_key) && map.len() >= cap {
                 if let Some(victim) = map
                     .iter()
                     .min_by_key(|(_, e)| e.last_hit)
@@ -300,14 +295,10 @@ impl JitCache {
                 }
             }
             let stamp = self.tick();
-            map.entry(tpl_key).or_insert_with(|| {
-                let template = Arc::new(template.clone());
-                TplEntry {
-                    checksum: template_digest(&template, n_cmds),
-                    template,
-                    n_cmds,
-                    last_hit: stamp,
-                }
+            map.entry(shape_key).or_insert_with(|| TplEntry {
+                checksum: shape_digest(signature, tile, n_cmds),
+                n_cmds,
+                last_hit: stamp,
             });
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -317,24 +308,25 @@ impl JitCache {
     /// What [`JitCache::get_or_instantiate`] *would* do for this request,
     /// without mutating counters, recency, or either cache level — the
     /// offload decision prices the JIT step with this before committing to
-    /// in-memory execution.
-    pub fn classify(&self, signature: u64, slots: &[i64], tile: &[u64]) -> JitClass {
+    /// in-memory execution. The count is the recorded command count on a
+    /// template hit (what a patch would stamp) and 0 otherwise.
+    pub fn classify(&self, signature: u64, slots: &[i64], tile: &[u64]) -> (JitOutcome, u64) {
         let key = (signature, slots.to_vec(), tile.to_vec());
         {
             let map = self.shard_of(&key).lock();
             if let Some(e) = map.get(&key) {
                 if e.checksum == integrity_digest(&e.stream, &e.slots) {
-                    return JitClass::Concrete;
+                    return (JitOutcome::ConcreteHit, 0);
                 }
             }
         }
-        let map = self.templates.lock();
+        let map = self.shapes.lock();
         if let Some(e) = map.get(&(signature, tile.to_vec())) {
-            if e.checksum == template_digest(&e.template, e.n_cmds) {
-                return JitClass::Template { n_cmds: e.n_cmds };
+            if e.checksum == shape_digest(signature, tile, e.n_cmds) {
+                return (JitOutcome::TemplateHit, e.n_cmds);
             }
         }
-        JitClass::Miss
+        (JitOutcome::Miss, 0)
     }
 
     /// Verified lookup at the concrete level: returns the stream on a clean
@@ -399,9 +391,9 @@ impl JitCache {
         self.template_hits.load(Ordering::Relaxed)
     }
 
-    /// Relocatable templates currently cached (level B).
+    /// Shapes currently recorded (level B).
     pub fn template_count(&self) -> usize {
-        self.templates.lock().len()
+        self.shapes.lock().len()
     }
 
     /// Entries evicted by the capacity bound so far.
@@ -416,11 +408,11 @@ impl JitCache {
     }
 
     /// Fault injection: invalidate the stored checksum of every cached
-    /// entry — concrete streams *and* relocatable templates — so the next
-    /// lookup of each key detects corruption, discards the entry and
-    /// re-lowers from scratch. Returns how many entries were poisoned.
-    /// (Contrast [`JitCache::tamper_slots`], which rots only the concrete
-    /// level's patch tables and leaves templates able to heal the cache by
+    /// entry — concrete streams *and* shape records — so the next lookup of
+    /// each key detects corruption, discards the entry and re-lowers from
+    /// scratch. Returns how many entries were poisoned. (Contrast
+    /// [`JitCache::tamper_slots`], which rots only the concrete level's
+    /// patch tables and leaves the shape records able to heal the cache by
     /// re-patching.)
     pub fn corrupt_all(&self) -> usize {
         let mut n = 0;
@@ -430,7 +422,7 @@ impl JitCache {
                 n += 1;
             }
         }
-        for entry in self.templates.lock().values_mut() {
+        for entry in self.shapes.lock().values_mut() {
             entry.checksum ^= 1 << 63;
             n += 1;
         }
@@ -466,13 +458,13 @@ impl JitCache {
         self.len() == 0
     }
 
-    /// Drops all cached streams and templates (e.g. on a context switch that
+    /// Drops all cached streams and shape records (e.g. on a context switch that
     /// reclaims LLC).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             shard.lock().clear();
         }
-        self.templates.lock().clear();
+        self.shapes.lock().clear();
     }
 }
 
@@ -486,28 +478,22 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LoweredStats;
+    use crate::{InfCommand, LoweredStats};
 
+    /// An empty stream tagged `n` in its statistics, so a test can tell
+    /// which emission produced a cached stream.
     fn dummy(n: u64) -> CommandStream {
         CommandStream {
             cmds: Vec::new(),
-            jit_cycles: n,
-            stats: LoweredStats::default(),
-        }
-    }
-
-    fn tpl(signature: u64) -> CommandTemplate {
-        CommandTemplate {
-            ops: Vec::new(),
-            n_slots: 2,
-            ndim: 1,
-            elem_bytes: 4,
-            signature,
+            stats: LoweredStats {
+                intra_elems: n,
+                ..LoweredStats::default()
+            },
         }
     }
 
     /// One request for a region of signature `sig`, as `Machine` issues it:
-    /// whatever template the cache hands the emitter yields `dummy(n)`.
+    /// the emitter yields `dummy(n)`.
     fn request(
         cache: &JitCache,
         sig: u64,
@@ -516,14 +502,14 @@ mod tests {
         n: u64,
     ) -> (Arc<CommandStream>, JitOutcome) {
         cache
-            .get_or_instantiate::<()>("r", &tpl(sig), slots, tile, |_| Ok(dummy(n)))
+            .get_or_instantiate::<()>("r", sig, slots, tile, || Ok(dummy(n)))
             .unwrap()
     }
 
     /// [`request`] for a key that must already be cached.
     fn cached(cache: &JitCache, sig: u64, slots: &[i64], tile: &[u64]) -> Arc<CommandStream> {
         let (cs, out) = cache
-            .get_or_instantiate::<()>("r", &tpl(sig), slots, tile, |_| panic!("must not emit"))
+            .get_or_instantiate::<()>("r", sig, slots, tile, || panic!("must not emit"))
             .unwrap();
         assert_eq!(out, JitOutcome::ConcreteHit);
         cs
@@ -535,7 +521,7 @@ mod tests {
         let (a, out) = request(&cache, 1, &[1], &[16, 16], 7);
         assert_eq!(out, JitOutcome::Miss);
         let b = cached(&cache, 1, &[1], &[16, 16]);
-        assert_eq!(a.jit_cycles, b.jit_cycles);
+        assert_eq!(a.stats, b.stats);
         assert_eq!(cache.stats(), (1, 1));
     }
 
@@ -562,7 +548,7 @@ mod tests {
     #[test]
     fn lowering_errors_propagate() {
         let cache = JitCache::new();
-        let r = cache.get_or_instantiate::<&str>("r", &tpl(1), &[], &[], |_| Err("boom"));
+        let r = cache.get_or_instantiate::<&str>("r", 1, &[], &[], || Err("boom"));
         assert_eq!(r.unwrap_err(), "boom");
         assert_eq!(cache.stats(), (0, 0));
     }
@@ -599,7 +585,7 @@ mod tests {
     /// The cap holds under churn and the counters stay consistent with the
     /// operation count. Every key has its own signature, so a request the
     /// concrete level cannot serve is a lowering unless the (equally bounded)
-    /// template level still holds its skeleton.
+    /// shape level still holds its record.
     #[test]
     fn capacity_holds_under_churn() {
         let cap = 8;
@@ -632,7 +618,7 @@ mod tests {
             cached(&cache, 0, &[], &[]);
             request(&cache, 1, &[i], &[], 1);
         }
-        assert_eq!(cache.classify(0, &[], &[]), JitClass::Concrete);
+        assert_eq!(cache.classify(0, &[], &[]), (JitOutcome::ConcreteHit, 0));
         assert!(cache.len() <= 4);
     }
 
@@ -676,16 +662,20 @@ mod tests {
         let cache = JitCache::new();
         request(&cache, 42, &[1], &[16], 7);
         request(&cache, 42, &[2], &[16], 9);
-        // Two streams and the one template they share.
+        // Two streams and the one shape they share.
         assert_eq!(cache.corrupt_all(), 3);
-        // Stream and template both fail their checksums: a full re-lowering,
-        // which re-seeds the template.
+        // Stream and shape record both fail their checksums: a full
+        // re-lowering, which re-records the shape.
         let (a, out) = request(&cache, 42, &[1], &[16], 7);
         assert_eq!(out, JitOutcome::Miss, "corrupted entry must not be served");
-        assert_eq!(a.jit_cycles, 7);
+        assert_eq!(a.stats, dummy(7).stats);
         assert_eq!(cache.corruptions(), 2);
         let (_, out) = request(&cache, 42, &[2], &[16], 9);
-        assert_eq!(out, JitOutcome::TemplateHit, "healed template serves it");
+        assert_eq!(
+            out,
+            JitOutcome::TemplateHit,
+            "healed shape record serves it"
+        );
         assert_eq!(cache.corruptions(), 3);
         // The healed entries verify clean again.
         cached(&cache, 42, &[1], &[16]);
@@ -745,34 +735,24 @@ mod tests {
         assert!(misses + cache.template_hits() >= 50);
     }
 
-    /// The three-way resolution: a cold request misses (and seeds the
-    /// template), a second request with *different* slots is a template hit,
-    /// repeating either exact request is a concrete hit. A miss stamps the
-    /// template it was handed; a template hit stamps the *cached* one.
+    /// The three-way resolution: a cold request misses (and records the
+    /// shape), a second request with *different* slots is a template hit,
+    /// repeating either exact request is a concrete hit. Both emitting
+    /// outcomes run the caller's own emitter.
     #[test]
     fn template_hit_between_miss_and_concrete_hit() {
         let cache = JitCache::new();
-        let t = tpl(42);
-        let (_, out) = cache
-            .get_or_instantiate::<()>("r", &t, &[0, 8], &[16], |fresh| {
-                assert!(std::ptr::eq(fresh, &t), "a miss stamps the fresh template");
-                Ok(dummy(1))
-            })
-            .unwrap();
+        let (_, out) = request(&cache, 42, &[0, 8], &[16], 1);
         assert_eq!(out, JitOutcome::Miss);
         assert_eq!(cache.template_count(), 1);
         // Same shape, shifted geometry: served by patching, not re-lowering.
-        let sibling = CommandTemplate {
-            n_slots: 3,
-            ..tpl(42)
-        };
-        let (_, out) = cache
-            .get_or_instantiate::<()>("r", &sibling, &[4, 12], &[16], |stamped| {
-                assert_eq!(*stamped, t, "a template hit stamps the cached template");
-                Ok(dummy(2))
-            })
-            .unwrap();
+        let (cs, out) = request(&cache, 42, &[4, 12], &[16], 2);
         assert_eq!(out, JitOutcome::TemplateHit);
+        assert_eq!(
+            cs.stats,
+            dummy(2).stats,
+            "a hit stamps what the caller emits"
+        );
         assert_eq!(cache.template_hits(), 1);
         // Exact repeats of both requests: concrete hits, no JIT work at all.
         cached(&cache, 42, &[0, 8], &[16]);
@@ -782,27 +762,26 @@ mod tests {
         assert_eq!((hits, misses), (3, 1));
     }
 
-    /// The region name does not reach the template key: same-shape regions
-    /// over different arrays (ping-pong phases) share one template.
+    /// The region name does not reach the shape key: same-shape regions
+    /// over different arrays (ping-pong phases) share one record.
     #[test]
     fn template_sharing_ignores_region_names() {
         let cache = JitCache::new();
-        let t = tpl(7);
         cache
-            .get_or_instantiate::<()>("phase_a", &t, &[0, 8], &[16], |_| Ok(dummy(1)))
+            .get_or_instantiate::<()>("phase_a", 7, &[0, 8], &[16], || Ok(dummy(1)))
             .unwrap();
         let (_, out) = cache
-            .get_or_instantiate::<()>("phase_b", &t, &[1, 9], &[16], |_| Ok(dummy(2)))
+            .get_or_instantiate::<()>("phase_b", 7, &[1, 9], &[16], || Ok(dummy(2)))
             .unwrap();
         assert_eq!(
             out,
             JitOutcome::TemplateHit,
-            "phase_b reuses phase_a's template"
+            "phase_b reuses phase_a's shape"
         );
         assert_eq!(cache.template_count(), 1);
     }
 
-    /// A different tile shape is a different template: layout changes the
+    /// A different tile shape is a different shape record: layout changes the
     /// emitted commands, so patching across tiles would be wrong.
     #[test]
     fn different_tiles_do_not_share_templates() {
@@ -821,11 +800,11 @@ mod tests {
         let cache = JitCache::new();
         request(&cache, 42, &[3, 11], &[16], 5);
         assert_eq!(cache.tamper_slots(), 1);
-        // The concrete entry must NOT be served; the (clean) template level
+        // The concrete entry must NOT be served; the (clean) shape level
         // transparently re-materializes the stream.
         let (cs, out) = request(&cache, 42, &[3, 11], &[16], 5);
         assert_eq!(out, JitOutcome::TemplateHit);
-        assert_eq!(cs.jit_cycles, 5);
+        assert_eq!(cs.stats, dummy(5).stats);
         assert_eq!(cache.corruptions(), 1);
         // The healed entry verifies clean again.
         cached(&cache, 42, &[3, 11], &[16]);
@@ -836,18 +815,48 @@ mod tests {
     #[test]
     fn classify_predicts_without_mutating() {
         let cache = JitCache::new();
-        assert_eq!(cache.classify(42, &[0, 8], &[16]), JitClass::Miss);
+        let miss = (JitOutcome::Miss, 0);
+        assert_eq!(cache.classify(42, &[0, 8], &[16]), miss);
         request(&cache, 42, &[0, 8], &[16], 3);
-        assert_eq!(cache.classify(42, &[0, 8], &[16]), JitClass::Concrete);
+        assert_eq!(
+            cache.classify(42, &[0, 8], &[16]),
+            (JitOutcome::ConcreteHit, 0)
+        );
         assert_eq!(
             cache.classify(42, &[5, 13], &[16]),
-            JitClass::Template { n_cmds: 0 }
+            (JitOutcome::TemplateHit, 0)
         );
-        assert_eq!(cache.classify(42, &[5, 13], &[4, 4]), JitClass::Miss);
-        assert_eq!(cache.classify(99, &[0, 8], &[16]), JitClass::Miss);
+        assert_eq!(cache.classify(42, &[5, 13], &[4, 4]), miss);
+        assert_eq!(cache.classify(99, &[0, 8], &[16]), miss);
         // Pure peek: the stats are untouched.
         assert_eq!(cache.stats(), (0, 1));
         assert_eq!(cache.template_hits(), 0);
+    }
+
+    /// The count `classify` reports for a shape sibling is the command
+    /// count of the stream the miss emitted — what Eq 2 prices a patch at.
+    #[test]
+    fn classify_reports_the_recorded_command_count() {
+        let cache = JitCache::new();
+        let five = CommandStream {
+            cmds: vec![InfCommand::Sync; 5],
+            stats: LoweredStats {
+                n_cmds: 5,
+                syncs: 5,
+                ..LoweredStats::default()
+            },
+        };
+        let (_, out) = cache
+            .get_or_instantiate::<()>("r", 42, &[0, 8], &[16], || Ok(five))
+            .unwrap();
+        assert_eq!(out, JitOutcome::Miss);
+        assert_eq!(
+            cache.classify(42, &[5, 13], &[16]),
+            (JitOutcome::TemplateHit, 5)
+        );
+        // A poisoned record is a miss again, not a patch of a stale count.
+        cache.corrupt_all();
+        assert_eq!(cache.classify(42, &[5, 13], &[16]), (JitOutcome::Miss, 0));
     }
 
     /// Emission errors on either path — a miss or a template hit — propagate
@@ -855,15 +864,14 @@ mod tests {
     #[test]
     fn template_path_errors_propagate() {
         let cache = JitCache::new();
-        let t = tpl(1);
-        let r = cache.get_or_instantiate::<&str>("r", &t, &[], &[], |_| Err("cold boom"));
+        let r = cache.get_or_instantiate::<&str>("r", 1, &[], &[], || Err("cold boom"));
         assert_eq!(r.unwrap_err(), "cold boom");
         assert_eq!(cache.template_count(), 0);
         assert!(cache.is_empty());
         cache
-            .get_or_instantiate::<&str>("r", &t, &[], &[], |_| Ok(dummy(1)))
+            .get_or_instantiate::<&str>("r", 1, &[], &[], || Ok(dummy(1)))
             .unwrap();
-        let r = cache.get_or_instantiate::<&str>("r", &t, &[1], &[], |_| Err("patch boom"));
+        let r = cache.get_or_instantiate::<&str>("r", 1, &[1], &[], || Err("patch boom"));
         assert_eq!(r.unwrap_err(), "patch boom");
         assert_eq!(cache.len(), 1, "failed patch must not insert");
     }

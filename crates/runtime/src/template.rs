@@ -15,12 +15,13 @@
 //! - the slot table itself, a flat `Vec<i64>` of rect intervals, dimension
 //!   choices and shift distances ([`distill`] returns both).
 //!
-//! Every command stream is emitted by [`crate::instantiate`] from a template
-//! and a slot table: [`crate::lower`] stamps the template it just distilled,
-//! and a cache hit on `(signature, tile)` stamps the cached one with the
-//! fresh slot values — the modeled hardware cost is then an O(commands)
-//! copy-and-patch instead of full re-lowering through layout planning and
-//! decomposition ([`crate::HwConfig::jit_cycles`]).
+//! Every command stream is emitted by [`crate::instantiate`] from the
+//! template the caller just distilled and its slot table. The JIT cache
+//! stores no template: its level B records which `(signature, tile)` shapes
+//! have been lowered, and a request whose shape is recorded is priced as an
+//! O(commands) copy-and-patch instead of a full re-lowering through layout
+//! planning and decomposition. [`crate::HwConfig::jit_cycles`] is the one
+//! place either price is computed.
 //!
 //! Array and stream identities never reach the template: command emission is
 //! pure lattice-space, so ping-pong buffered phases and same-shape regions

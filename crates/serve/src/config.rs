@@ -20,7 +20,8 @@ pub struct ServeConfig {
     /// cache.
     pub artifact_capacity: usize,
     /// Entry cap of the shared JIT memoization cache (each of its two
-    /// levels, concrete streams and templates, holds at most this many).
+    /// levels, concrete streams and shape records, holds at most this many;
+    /// a shape record is a command count, not a template).
     pub jit_capacity: usize,
     /// The simulated machine configuration each worker's machine is built
     /// with.

@@ -267,8 +267,8 @@ pub struct MetricsReport {
     pub jit_hits: u64,
     /// JIT memoization cache misses since start.
     pub jit_misses: u64,
-    /// The subset of `jit_hits` served by patching a cached relocatable
-    /// template rather than returning an exact cached stream.
+    /// The subset of `jit_hits` served by copy-and-patch of a recorded
+    /// shape rather than returning an exact cached stream.
     pub jit_template_hits: u64,
     /// JIT cache evictions since start.
     pub jit_evictions: u64,

@@ -28,18 +28,9 @@ pub struct InMemOutcome {
 /// at L3 banks… except inter-tile shifts"); remote inter-tile payloads
 /// accumulate until the next sync, whose cost includes draining them through
 /// the mesh.
-#[cfg_attr(not(test), allow(dead_code))] // production callers thread a base cycle
-pub fn execute(
-    cs: &CommandStream,
-    cfg: &SystemConfig,
-    mesh: &Mesh,
-    e: &EnergyParams,
-) -> InMemOutcome {
-    execute_at(cs, cfg, mesh, e, 0)
-}
-
-/// [`execute`] with a base machine cycle for the observability timeline: when
-/// tracing is enabled, every per-bank command occupancy and every NoC drain is
+///
+/// `base_cycle` places the run on the observability timeline: when tracing
+/// is enabled, every per-bank command occupancy and every NoC drain is
 /// emitted as a simulated-time span starting at `base_cycle + bank-local
 /// time`, so consecutive regions line up on one global machine timeline.
 pub fn execute_at(
@@ -263,7 +254,6 @@ mod tests {
     fn cs(cmds: Vec<InfCommand>) -> CommandStream {
         CommandStream {
             cmds,
-            jit_cycles: 0,
             stats: LoweredStats::default(),
         }
     }
@@ -282,7 +272,7 @@ mod tests {
     fn parallel_banks_do_not_stack() {
         let (cfg, mesh, e) = setup();
         // The same compute on 1 bank vs 64 banks takes the same time.
-        let one = execute(
+        let one = execute_at(
             &cs(vec![InfCommand::Compute {
                 node: NodeId(0),
                 op: ComputeOp::Add,
@@ -293,8 +283,9 @@ mod tests {
             &cfg,
             &mesh,
             &e,
+            0,
         );
-        let many = execute(
+        let many = execute_at(
             &cs(vec![InfCommand::Compute {
                 node: NodeId(0),
                 op: ComputeOp::Add,
@@ -305,6 +296,7 @@ mod tests {
             &cfg,
             &mesh,
             &e,
+            0,
         );
         assert_eq!(one.cycles, many.cycles);
         assert!(many.in_mem_ops > one.in_mem_ops);
@@ -323,7 +315,7 @@ mod tests {
                     banks: vec![load(0, 1, 256)],
                 })
                 .collect();
-            execute(&cs(cmds), &cfg, &mesh, &e)
+            execute_at(&cs(cmds), &cfg, &mesh, &e, 0)
         };
         let t1 = one(1);
         let t4 = one(4);
@@ -346,12 +338,13 @@ mod tests {
                 bytes: 1 << 20,
             }],
         };
-        let no_sync = execute(&cs(vec![shift.clone()]), &cfg, &mesh, &e);
-        let with_sync = execute(
+        let no_sync = execute_at(&cs(vec![shift.clone()]), &cfg, &mesh, &e, 0);
+        let with_sync = execute_at(
             &cs(vec![shift.clone(), InfCommand::Sync, shift]),
             &cfg,
             &mesh,
             &e,
+            0,
         );
         assert!(no_sync.traffic.noc_inter_tile > 0.0);
         assert!(with_sync.cycles > no_sync.cycles);
@@ -361,7 +354,7 @@ mod tests {
     #[test]
     fn final_reduce_charges_near_memory() {
         let (cfg, mesh, e) = setup();
-        let out = execute(
+        let out = execute_at(
             &cs(vec![InfCommand::FinalReduce {
                 node: NodeId(0),
                 partials: 65536,
@@ -370,6 +363,7 @@ mod tests {
             &cfg,
             &mesh,
             &e,
+            0,
         );
         assert!(out.final_reduce_cycles > 0);
         assert!(out.energy.near_mem > 0.0);
@@ -379,7 +373,7 @@ mod tests {
     #[test]
     fn intra_shift_is_cheap_and_off_noc() {
         let (cfg, mesh, e) = setup();
-        let out = execute(
+        let out = execute_at(
             &cs(vec![InfCommand::IntraShift {
                 node: NodeId(0),
                 dim: 0,
@@ -389,6 +383,7 @@ mod tests {
             &cfg,
             &mesh,
             &e,
+            0,
         );
         assert!(out.traffic.intra_tile > 0.0);
         assert_eq!(out.traffic.noc_inter_tile, 0.0);

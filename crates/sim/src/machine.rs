@@ -7,8 +7,8 @@ use infs_geom::layout::LayoutHints;
 use infs_geom::TileShape;
 use infs_isa::RegionInstance;
 use infs_runtime::{
-    place, CommandTemplate, HwConfig, JitCache, JitClass, JitOutcome, Placement, RuntimeError,
-    Tier, TransposedLayout,
+    place, CommandTemplate, HwConfig, JitCache, JitOutcome, Placement, RuntimeError, Tier,
+    TransposedLayout,
 };
 use infs_sdfg::{Memory, SdfgError, StreamKind};
 use infs_tdfg::TdfgError;
@@ -817,8 +817,8 @@ impl Machine {
     /// the cores. Near-L3 and In-L3 each have one offload tier and fall back
     /// to the cores without it — no live bank, or no plan. Inf-S asks
     /// [`place`], pricing the plan's JIT step as the cache would resolve it
-    /// (nothing without JIT, and nothing for a forced tier, which skips
-    /// Eq 2).
+    /// — exact stream, template patch or full lowering — and at nothing
+    /// without JIT or for a forced tier, which skips Eq 2.
     fn tier(
         &self,
         region: &RegionInstance,
@@ -834,16 +834,23 @@ impl Machine {
             ExecMode::NearL3 | ExecMode::InL3 => Tier::Host.into(),
             ExecMode::InfS | ExecMode::InfSNoJit => {
                 let hw = self.cfg.hw();
-                let expected_jit = |plan| {
+                let expected_jit = |plan: &InMemoryPlan<'_>| {
                     if mode == ExecMode::InfSNoJit || forced.is_some() {
                         return 0;
                     }
-                    let (outcome, n_cmds) = match self.jit_class(plan) {
-                        JitClass::Concrete => (JitOutcome::ConcreteHit, 0),
-                        JitClass::Template { n_cmds } => (JitOutcome::TemplateHit, n_cmds),
-                        // Conservative pre-lowering estimate: a handful of
-                        // commands per node, none stamped from an earlier one.
-                        JitClass::Miss => (JitOutcome::Miss, region.profile.node_count * 4),
+                    let tile = plan.layout.tile().dims();
+                    let (outcome, recorded) = plan
+                        .jit
+                        .as_ref()
+                        .map_or((JitOutcome::Miss, 0), |(template, slots)| {
+                            self.jit.classify(template.signature, slots, tile)
+                        });
+                    // Conservative pre-lowering estimate of a miss: a handful
+                    // of commands per node, none stamped from an earlier one.
+                    let n_cmds = if outcome == JitOutcome::Miss {
+                        region.profile.node_count * 4
+                    } else {
+                        recorded
                     };
                     hw.jit_cycles(outcome, n_cmds, 0)
                 };
@@ -952,17 +959,6 @@ impl Machine {
         }
         layouts.insert(key, arc.clone());
         Ok(arc)
-    }
-
-    /// What the JIT cache would do with this region — exact stream, template
-    /// patch, or full lowering (consulted by the decision model; the paper's
-    /// hardware command cache).
-    fn jit_class(&self, plan: &InMemoryPlan<'_>) -> JitClass {
-        let Ok((template, slots)) = &plan.jit else {
-            return JitClass::Miss;
-        };
-        self.jit
-            .classify(template.signature, slots, plan.layout.tile().dims())
     }
 
     /// Arrays a region's streams walk (ascending), and those they store to
@@ -1087,19 +1083,19 @@ impl Machine {
 
         // 2. JIT: resolve the distilled template (O(nodes), done with the
         // plan) through the two-level cache — exact stream (concrete hit),
-        // the cached template stamped with this instance's slots (template
-        // hit), or the fresh template stamped (miss). The key is the
-        // template's canonical signature, never the region name, so
-        // shape-equal regions over different arrays — gauss_elim's per-pivot
-        // instances, conv's per-channel taps, ping-pong phase pairs — reuse
-        // each other's work.
+        // or the template stamped with this instance's slots, priced as a
+        // patch when the shape was lowered before (template hit) and as a
+        // full lowering otherwise (miss). The key is the template's
+        // canonical signature, never the region name, so shape-equal regions
+        // over different arrays — gauss_elim's per-pivot instances, conv's
+        // per-channel taps, ping-pong phase pairs — reuse each other's work.
         let (template, slots) = jit?;
         let (cs, outcome) = self.jit.get_or_instantiate(
             &region.name,
-            &template,
+            template.signature,
             &slots,
             layout.tile().dims(),
-            |tpl| infs_runtime::instantiate(tpl, &slots, &layout, &hw),
+            || infs_runtime::instantiate(&template, &slots, &layout),
         )?;
         let n_cmds = cs.cmds.len() as u64;
         let s = &mut self.stats;

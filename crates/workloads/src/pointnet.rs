@@ -243,21 +243,15 @@ fn fc_kernel(
 #[derive(Debug)]
 pub struct PointNet {
     variant: PointNetVariant,
-    #[allow(dead_code)] // retained for reporting
-    np: u64,
     decls: Vec<ArrayDecl>,
     pts: ArrayId,
     stages: Vec<SaStage>,
     /// Compiled regions of `stages`, index for index.
     sa_regions: Vec<SaRegions>,
-    #[allow(dead_code)]
     fc_dims: Vec<u64>,
     fc_w: Vec<ArrayId>,
     fc_out: Vec<ArrayId>,
     fc_regions: Vec<CompiledRegion>,
-    #[allow(dead_code)]
-    fc_in: ArrayId,
-    #[allow(dead_code)]
     fc_in_dim: u64,
     /// Dense-tail activation tensors (graph stages need one producer per
     /// tensor, so the pipeline's ReLUs write here instead of in place).
@@ -490,7 +484,6 @@ impl PointNet {
 
         PointNet {
             variant,
-            np,
             decls,
             pts,
             stages,
@@ -499,7 +492,6 @@ impl PointNet {
             fc_w,
             fc_out,
             fc_regions,
-            fc_in,
             fc_in_dim,
             tact,
             fc_act,
