@@ -25,6 +25,9 @@
 //! * [`RetuneTrigger`] — an edge detector over the machine's monotone
 //!   degradation counters; the serving layer's autotuner demotes an
 //!   artifact's incumbent variant when new events fire (`DESIGN.md` §15).
+//! * [`Lru`] — the bounded least-recently-used map every cache keeps, with
+//!   the §10 load-path rule (an entry failing its checksum is dropped and
+//!   reads as a miss) written once, in [`Lru::get_verified`].
 //!
 //! The crate is a dependency leaf (std + serde only): the runtime, simulator,
 //! serving layer and bench harness all pull it in without cycles.
@@ -43,12 +46,14 @@
 #![warn(missing_docs)]
 
 mod health;
+mod lru;
 mod plan;
 mod retry;
 mod retune;
 mod rng;
 
 pub use health::BankHealth;
+pub use lru::{Corrupt, Lru};
 pub use plan::{FaultConfig, FaultPlan, NocFault, ScheduledFault, SramFlip};
 pub use retry::RetryPolicy;
 pub use retune::RetuneTrigger;

@@ -41,16 +41,6 @@ impl Idx {
         }
     }
 
-    /// The index `v + s` (loop variable plus symbol): the shifted references of
-    /// Gaussian elimination (`A[i][k]` with sequential `k`) use this.
-    pub fn var_plus_sym(v: LoopVar, s: SymVar) -> Self {
-        Idx {
-            offset: 0,
-            loop_coeffs: vec![(v.0, 1)],
-            sym_coeffs: vec![(s.0, 1)],
-        }
-    }
-
     /// The index `s` for a symbol.
     pub fn sym(s: SymVar) -> Self {
         Idx::sym_plus(s, 0)

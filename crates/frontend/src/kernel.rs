@@ -222,24 +222,6 @@ impl KernelBuilder {
         });
     }
 
-    /// Adds `array[idx…] op= reduce(value over `reduce` loops)`.
-    pub fn accum_reduced(
-        &mut self,
-        array: ArrayId,
-        idx: Vec<Idx>,
-        op: ReduceOp,
-        value: ScalarExpr,
-        reduce: Vec<(LoopVar, ReduceOp)>,
-    ) {
-        self.stmts.push(Stmt::Accum {
-            array,
-            idx,
-            op,
-            value,
-            reduce,
-        });
-    }
-
     /// Adds a whole-iteration-space scalar reduction, `name op= value`.
     pub fn scalar_reduce(&mut self, name: impl Into<String>, op: ReduceOp, value: ScalarExpr) {
         self.stmts.push(Stmt::ScalarReduce {

@@ -1,9 +1,8 @@
 use crate::CommandStream;
+use infs_faults::{Corrupt, Lru};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -14,15 +13,19 @@ use std::sync::Arc;
 /// differently.
 type MemoKey = (u64, Vec<i64>, Vec<u64>);
 
-/// One cached stream plus the slot table it was built from, the logical time
-/// of its last hit (for eviction) and an integrity checksum verified on every
-/// hit (see `DESIGN.md` §10).
+/// One cached stream plus the slot table it was built from and an integrity
+/// checksum verified on every hit (see `DESIGN.md` §10).
 #[derive(Debug)]
 struct Entry {
     stream: Arc<CommandStream>,
     slots: Vec<i64>,
-    last_hit: u64,
     checksum: u64,
+}
+
+impl Entry {
+    fn intact(&self) -> bool {
+        self.checksum == integrity_digest(&self.stream, &self.slots)
+    }
 }
 
 /// One shape record (level B), keyed by `(signature, tile)`: the record that
@@ -35,7 +38,6 @@ struct TplEntry {
     /// shape emits the same command *classes*; the count feeds the offload
     /// decision's expected-patch-cost estimate).
     n_cmds: u64,
-    last_hit: u64,
     checksum: u64,
 }
 
@@ -99,9 +101,6 @@ fn shape_digest(signature: u64, tile: &[u64], n_cmds: u64) -> u64 {
         .chain([n_cmds]))
 }
 
-/// One lock stripe of the cache.
-type Shard = Mutex<HashMap<MemoKey, Entry>>;
-
 /// Memoization cache for JIT-lowered command streams (§4.2 "Reducing JIT
 /// Overheads").
 ///
@@ -110,28 +109,20 @@ type Shard = Mutex<HashMap<MemoKey, Entry>>;
 /// the paper combines a small hardware command cache with software memoization
 /// and credits these optimizations with a >1000× JIT-time reduction.
 ///
-/// The cache is lock-striped: keys hash to one of a power-of-two number of
-/// independently locked shards, so concurrent sessions (the parallel run
-/// matrix runs one simulation per worker thread) contend only when they touch
-/// the same shard. Hit/miss counters are lock-free atomics.
+/// Each level is one [`Lru`] behind one mutex. A machine built alone gets a
+/// private cache; the `infs-serve` server shares one bounded cache across
+/// its few workers via `Arc<JitCache>`, and their critical sections are a
+/// lookup or an insert. Hit/miss counters are lock-free atomics.
 ///
-/// A cache can be **bounded** ([`JitCache::bounded`]): each shard holds at
-/// most `capacity / shards` entries and evicts its least-recently-hit key on
-/// overflow. A long-lived process (the `infs-serve` server) shares one bounded
-/// cache across all sessions via `Arc<JitCache>`; batch sweeps keep the
-/// default unbounded behaviour.
+/// A cache can be **bounded** ([`JitCache::bounded`]): each level holds at
+/// most `capacity` entries and evicts its least-recently-hit one on overflow.
+/// Batch sweeps keep the default unbounded behaviour.
 #[derive(Debug)]
 pub struct JitCache {
-    shards: Box<[Shard]>,
-    /// Shape records, keyed by `(signature, tile)` (level B). One map, not
-    /// striped: there are as many records as region *shapes*, a handful,
-    /// and the critical sections are a lookup.
-    shapes: Mutex<HashMap<(u64, Vec<u64>), TplEntry>>,
-    /// Per-shard entry cap (`u64::MAX` = unbounded).
-    per_shard_cap: usize,
-    /// Logical clock for least-recently-hit eviction; ticks on every hit and
-    /// insert.
-    clock: AtomicU64,
+    /// Concrete streams (level A).
+    streams: Mutex<Lru<MemoKey, Entry>>,
+    /// Shape records, keyed by `(signature, tile)` (level B).
+    shapes: Mutex<Lru<(u64, Vec<u64>), TplEntry>>,
     hits: AtomicU64,
     template_hits: AtomicU64,
     misses: AtomicU64,
@@ -139,13 +130,9 @@ pub struct JitCache {
     corruptions: AtomicU64,
 }
 
-/// Default shard count; enough stripes that a handful of worker threads
-/// rarely collide, small enough to stay cache-friendly.
-const DEFAULT_SHARDS: usize = 16;
-
 impl Default for JitCache {
     fn default() -> Self {
-        JitCache::build(DEFAULT_SHARDS, None)
+        JitCache::bounded(usize::MAX)
     }
 }
 
@@ -155,30 +142,12 @@ impl JitCache {
         JitCache::default()
     }
 
-    /// An empty **bounded** cache: at most `capacity` entries total (rounded
-    /// down to a multiple of the shard count, minimum one entry per shard),
-    /// with per-shard least-recently-hit eviction. The shard count shrinks so
-    /// it never exceeds `capacity` — a cap of 4 gives 4 single-entry shards,
-    /// not 16 shards of which 12 can never fill.
+    /// An empty **bounded** cache: at most `capacity` entries (at least one)
+    /// at each level, least-recently-hit eviction across the whole level.
     pub fn bounded(capacity: usize) -> Self {
-        JitCache::build(DEFAULT_SHARDS, Some(capacity))
-    }
-
-    /// `shards` lock stripes (rounded up to a power of two; `1` degenerates
-    /// to a single-map cache, which the equivalence tests use as the
-    /// reference), optionally bounded to `capacity` entries.
-    fn build(shards: usize, capacity: Option<usize>) -> Self {
-        let mut n = shards.max(1).next_power_of_two();
-        if let Some(cap) = capacity {
-            while n > 1 && n > cap {
-                n /= 2;
-            }
-        }
         JitCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            shapes: Mutex::new(HashMap::new()),
-            per_shard_cap: capacity.map_or(usize::MAX, |cap| (cap / n).max(1)),
-            clock: AtomicU64::new(0),
+            streams: Mutex::new(Lru::new(capacity)),
+            shapes: Mutex::new(Lru::new(capacity)),
             hits: AtomicU64::new(0),
             template_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -187,26 +156,9 @@ impl JitCache {
         }
     }
 
-    /// Total entry cap (`None` = unbounded). For a bounded cache this is the
-    /// *effective* cap — the requested capacity rounded down to a multiple of
-    /// the shard count.
+    /// Entry cap of each level (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        if self.per_shard_cap == usize::MAX {
-            None
-        } else {
-            Some(self.per_shard_cap * self.shards.len())
-        }
-    }
-
-    fn shard_of(&self, key: &MemoKey) -> &Shard {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        // Shard count is a power of two, so the mask is a uniform selector.
-        &self.shards[(h.finish() as usize) & (self.shards.len() - 1)]
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+        Some(self.streams.lock().cap()).filter(|&cap| cap != usize::MAX)
     }
 
     /// Looks up a command stream, or stamps one out with `emit`.
@@ -241,29 +193,17 @@ impl JitCache {
         emit: impl FnOnce() -> Result<CommandStream, E>,
     ) -> Result<(Arc<CommandStream>, JitOutcome), E> {
         let key = (signature, slots.to_vec(), tile.to_vec());
-        if let Some(found) = self.lookup_verified(&key) {
+        if let Some(found) = self.lookup(&self.streams, &key, Entry::intact, |e| e.stream.clone()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             infs_trace::counter!("jit.memo_hits", 1u64);
             return Ok((found, JitOutcome::ConcreteHit));
         }
         let shape_key = (signature, tile.to_vec());
-        let recorded = {
-            let mut map = self.shapes.lock();
-            match map.get_mut(&shape_key) {
-                Some(e) if e.checksum == shape_digest(signature, tile, e.n_cmds) => {
-                    e.last_hit = self.tick();
-                    true
-                }
-                Some(_) => {
-                    map.remove(&shape_key);
-                    self.corruptions.fetch_add(1, Ordering::Relaxed);
-                    infs_trace::counter!("jit.corruptions", 1u64);
-                    false
-                }
-                None => false,
-            }
-        };
-        if recorded {
+        let intact = |e: &TplEntry| e.checksum == shape_digest(signature, tile, e.n_cmds);
+        if self
+            .lookup(&self.shapes, &shape_key, intact, |_| ())
+            .is_some()
+        {
             let t0 = std::time::Instant::now();
             let cs = {
                 let _span = infs_trace::span!("runtime.jit_patch", region = region);
@@ -282,25 +222,11 @@ impl JitCache {
         };
         let n_cmds = cs.cmds.len() as u64;
         let stored = self.insert_stream(key, cs);
-        {
-            let mut map = self.shapes.lock();
-            let cap = self.capacity().unwrap_or(usize::MAX);
-            if !map.contains_key(&shape_key) && map.len() >= cap {
-                if let Some(victim) = map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_hit)
-                    .map(|(k, _)| k.clone())
-                {
-                    map.remove(&victim);
-                }
-            }
-            let stamp = self.tick();
-            map.entry(shape_key).or_insert_with(|| TplEntry {
-                checksum: shape_digest(signature, tile, n_cmds),
-                n_cmds,
-                last_hit: stamp,
-            });
-        }
+        let record = TplEntry {
+            checksum: shape_digest(signature, tile, n_cmds),
+            n_cmds,
+        };
+        self.shapes.lock().insert(shape_key, record);
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok((stored, JitOutcome::Miss))
     }
@@ -312,68 +238,50 @@ impl JitCache {
     /// template hit (what a patch would stamp) and 0 otherwise.
     pub fn classify(&self, signature: u64, slots: &[i64], tile: &[u64]) -> (JitOutcome, u64) {
         let key = (signature, slots.to_vec(), tile.to_vec());
-        {
-            let map = self.shard_of(&key).lock();
-            if let Some(e) = map.get(&key) {
-                if e.checksum == integrity_digest(&e.stream, &e.slots) {
-                    return (JitOutcome::ConcreteHit, 0);
-                }
-            }
+        if self.streams.lock().peek(&key).is_some_and(Entry::intact) {
+            return (JitOutcome::ConcreteHit, 0);
         }
-        let map = self.shapes.lock();
-        if let Some(e) = map.get(&(signature, tile.to_vec())) {
-            if e.checksum == shape_digest(signature, tile, e.n_cmds) {
-                return (JitOutcome::TemplateHit, e.n_cmds);
+        match self.shapes.lock().peek(&(signature, tile.to_vec())) {
+            Some(e) if e.checksum == shape_digest(signature, tile, e.n_cmds) => {
+                (JitOutcome::TemplateHit, e.n_cmds)
             }
+            _ => (JitOutcome::Miss, 0),
         }
-        (JitOutcome::Miss, 0)
     }
 
-    /// Verified lookup at the concrete level: returns the stream on a clean
-    /// checksum; drops (and counts) a corrupted entry.
-    fn lookup_verified(&self, key: &MemoKey) -> Option<Arc<CommandStream>> {
-        let mut map = self.shard_of(key).lock();
-        if let Some(entry) = map.get_mut(key) {
-            if entry.checksum == integrity_digest(&entry.stream, &entry.slots) {
-                entry.last_hit = self.tick();
-                return Some(entry.stream.clone());
-            }
-            // Checksum mismatch: a corrupted entry is a miss — drop it and
-            // re-lower rather than replay poisoned commands.
-            map.remove(key);
+    /// Verified lookup at either level. A corrupted entry is dropped, counted
+    /// and read as a miss, so the caller re-materializes rather than replay
+    /// poisoned commands.
+    fn lookup<K: Hash + Eq + Clone, V, T>(
+        &self,
+        level: &Mutex<Lru<K, V>>,
+        key: &K,
+        intact: impl FnOnce(&V) -> bool,
+        read: impl FnOnce(&mut V) -> T,
+    ) -> Option<T> {
+        let found = level.lock().get_verified(key, intact).map(|e| e.map(read));
+        found.unwrap_or_else(|Corrupt| {
             self.corruptions.fetch_add(1, Ordering::Relaxed);
             infs_trace::counter!("jit.corruptions", 1u64);
-        }
-        None
+            None
+        })
     }
 
-    /// Inserts a stream at the concrete level, evicting the shard's
-    /// least-recently-hit entry when a bounded shard is full. A racing
-    /// thread may have inserted while the caller lowered; the first insert
-    /// wins and only a genuinely new entry counts against the cap.
+    /// Inserts a stream at the concrete level, evicting the least-recently-
+    /// hit entry when a bounded cache is full. A racing thread may have
+    /// inserted while the caller lowered; the first insert wins.
     fn insert_stream(&self, key: MemoKey, cs: Arc<CommandStream>) -> Arc<CommandStream> {
-        let mut map = self.shard_of(&key).lock();
-        if !map.contains_key(&key) && map.len() >= self.per_shard_cap {
-            if let Some(victim) = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_hit)
-                .map(|(k, _)| k.clone())
-            {
-                map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        let entry = Entry {
+            checksum: integrity_digest(&cs, &key.1),
+            slots: key.1.clone(),
+            stream: cs,
+        };
+        let mut streams = self.streams.lock();
+        let (stored, victim) = streams.insert(key, entry);
+        if victim.is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let stamp = self.tick();
-        let slots = key.1.clone();
-        map.entry(key)
-            .or_insert_with(|| Entry {
-                checksum: integrity_digest(&cs, &slots),
-                stream: cs.clone(),
-                slots,
-                last_hit: stamp,
-            })
-            .stream
-            .clone()
+        stored.stream.clone()
     }
 
     /// `(hits, misses)` so far. Hits count both concrete and template hits,
@@ -396,7 +304,7 @@ impl JitCache {
         self.shapes.lock().len()
     }
 
-    /// Entries evicted by the capacity bound so far.
+    /// Concrete streams evicted by the capacity bound so far.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -416,11 +324,9 @@ impl JitCache {
     /// re-patching.)
     pub fn corrupt_all(&self) -> usize {
         let mut n = 0;
-        for shard in self.shards.iter() {
-            for entry in shard.lock().values_mut() {
-                entry.checksum ^= 1 << 63;
-                n += 1;
-            }
+        for entry in self.streams.lock().values_mut() {
+            entry.checksum ^= 1 << 63;
+            n += 1;
         }
         for entry in self.shapes.lock().values_mut() {
             entry.checksum ^= 1 << 63;
@@ -437,20 +343,18 @@ impl JitCache {
     /// and re-materialize. Returns how many entries were tampered.
     pub fn tamper_slots(&self) -> usize {
         let mut n = 0;
-        for shard in self.shards.iter() {
-            for entry in shard.lock().values_mut() {
-                if let Some(s) = entry.slots.first_mut() {
-                    *s ^= 1;
-                    n += 1;
-                }
+        for entry in self.streams.lock().values_mut() {
+            if let Some(s) = entry.slots.first_mut() {
+                *s ^= 1;
+                n += 1;
             }
         }
         n
     }
 
-    /// Total cached streams across all shards.
+    /// Cached streams (level A).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.streams.lock().len()
     }
 
     /// True when no stream is cached.
@@ -461,15 +365,13 @@ impl JitCache {
     /// Drops all cached streams and shape records (e.g. on a context switch that
     /// reclaims LLC).
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().clear();
-        }
+        self.streams.lock().clear();
         self.shapes.lock().clear();
     }
 }
 
 // Compile-time audit: the cache is shared by reference across simulator
-// threads; striping must not cost the auto traits.
+// threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<JitCache>();
@@ -554,32 +456,31 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(JitCache::build(1, None).shards.len(), 1);
-        assert_eq!(JitCache::build(5, None).shards.len(), 8);
-        assert_eq!(JitCache::new().shards.len(), DEFAULT_SHARDS);
-    }
-
-    #[test]
     fn unbounded_cache_reports_no_capacity() {
         assert_eq!(JitCache::new().capacity(), None);
-        assert_eq!(JitCache::build(4, None).capacity(), None);
     }
 
+    /// A bounded cache holds exactly its capacity, and a full one evicts
+    /// the stream hit least recently across the whole cache.
     #[test]
-    fn bounded_capacity_shrinks_shards_not_below_one_entry_each() {
-        // Cap smaller than the default shard count: shards shrink to the cap.
-        let small = JitCache::bounded(4);
-        assert_eq!(small.shards.len(), 4);
-        assert_eq!(small.capacity(), Some(4));
-        // Cap rounds down to a multiple of the shard count.
-        let c = JitCache::build(4, Some(10));
-        assert_eq!(c.shards.len(), 4);
-        assert_eq!(c.capacity(), Some(8));
-        // Degenerate cap of one entry.
-        let one = JitCache::bounded(1);
-        assert_eq!(one.shards.len(), 1);
-        assert_eq!(one.capacity(), Some(1));
+    fn bounded_cache_holds_its_exact_capacity() {
+        let cache = JitCache::bounded(10);
+        assert_eq!(cache.capacity(), Some(10));
+        for k in 0..10 {
+            request(&cache, k, &[k as i64], &[16], k);
+        }
+        assert_eq!((cache.len(), cache.evictions()), (10, 0));
+        // Re-hit every stream but the fourth, then push an eleventh through.
+        for k in (0..10).filter(|&k| k != 3) {
+            cached(&cache, k, &[k as i64], &[16]);
+        }
+        request(&cache, 10, &[10], &[16], 10);
+        assert_eq!((cache.len(), cache.evictions()), (10, 1));
+        for k in 0..=10 {
+            let (outcome, _) = cache.classify(k, &[k as i64], &[16]);
+            assert_eq!(outcome == JitOutcome::ConcreteHit, k != 3, "stream {k}");
+        }
+        assert_eq!(JitCache::bounded(0).capacity(), Some(1));
     }
 
     /// The cap holds under churn and the counters stay consistent with the
@@ -589,7 +490,7 @@ mod tests {
     #[test]
     fn capacity_holds_under_churn() {
         let cap = 8;
-        let cache = JitCache::build(4, Some(cap));
+        let cache = JitCache::bounded(cap);
         let ops = 500u64;
         for i in 0..ops {
             let k = i % 64; // 64 distinct keys through an 8-entry cache
@@ -608,10 +509,10 @@ mod tests {
     }
 
     /// Least-recently-hit keys are the ones evicted: a key that is re-hit
-    /// every round survives churn that evicts everything else in its shard.
+    /// every round survives churn that evicts everything else.
     #[test]
     fn eviction_prefers_least_recently_hit() {
-        let cache = JitCache::build(1, Some(4));
+        let cache = JitCache::bounded(4);
         request(&cache, 0, &[], &[], 0);
         for i in 0..40 {
             // Refresh the hot key, then push a cold key through.
@@ -627,7 +528,7 @@ mod tests {
     #[test]
     fn bounded_concurrent_churn_is_consistent() {
         let cap = 16;
-        let cache = JitCache::build(4, Some(cap));
+        let cache = JitCache::bounded(cap);
         let n_threads = 8;
         let ops_per_thread = 200u64;
         std::thread::scope(|s| {
@@ -682,31 +583,6 @@ mod tests {
         cached(&cache, 42, &[2], &[16]);
         assert_eq!(cache.corruptions(), 3);
         assert_eq!(cache.len(), 2);
-    }
-
-    /// Sharded cache behaves identically to a single-map (1-shard) cache on
-    /// the same key sequence: same outcomes, counters, and entry count.
-    #[test]
-    fn sharded_matches_single_map_reference() {
-        let sharded = JitCache::build(16, None);
-        let reference = JitCache::build(1, None);
-        let keys: Vec<(u64, Vec<i64>, Vec<u64>)> = (0..64)
-            .map(|i| {
-                (
-                    i as u64 % 7,
-                    vec![i % 5, i / 8],
-                    vec![16, (i % 3 + 1) as u64],
-                )
-            })
-            .collect();
-        for (sig, slots, tile) in keys.iter().chain(keys.iter()) {
-            let (_, o1) = request(&sharded, *sig, slots, tile, 1);
-            let (_, o2) = request(&reference, *sig, slots, tile, 1);
-            assert_eq!(o1, o2);
-        }
-        assert_eq!(sharded.stats(), reference.stats());
-        assert_eq!(sharded.template_hits(), reference.template_hits());
-        assert_eq!(sharded.len(), reference.len());
     }
 
     /// Concurrent mixed lookup/insert traffic from many threads lands every

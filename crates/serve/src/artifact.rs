@@ -3,15 +3,14 @@
 //! (for a given symbol binding × geometry set × optimizer setting) is an
 //! artifact-cache hit for every subsequent identical request, from any tenant.
 
+use infs_faults::{Corrupt, Lru};
 use infs_isa::FatBinary;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct Entry {
     binary: Arc<FatBinary>,
-    last_hit: u64,
     /// FNV-1a content hash recorded at insert time and re-verified on every
     /// load — a corrupted entry must read as a miss, never as a binary
     /// (`DESIGN.md` §10). `None` when the binary was unhashable at insert
@@ -20,13 +19,11 @@ struct Entry {
 }
 
 /// A bounded cache of compiled artifacts. Eviction drops the
-/// least-recently-hit entry — the same policy as the bounded
+/// least-recently-hit entry — the same [`Lru`] as the bounded
 /// [`infs_runtime::JitCache`], one level up the stack (binaries instead of
 /// command streams).
 pub struct ArtifactCache {
-    entries: Mutex<HashMap<u64, Entry>>,
-    capacity: usize,
-    clock: AtomicU64,
+    entries: Mutex<Lru<u64, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -37,9 +34,7 @@ impl ArtifactCache {
     /// A cache holding at most `capacity` artifacts (at least one).
     pub fn new(capacity: usize) -> Self {
         ArtifactCache {
-            entries: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            clock: AtomicU64::new(0),
+            entries: Mutex::new(Lru::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -49,7 +44,7 @@ impl ArtifactCache {
 
     /// The entry cap.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.lock().cap()
     }
 
     /// Number of cached artifacts.
@@ -70,25 +65,26 @@ impl ArtifactCache {
     /// and the lookup reads as a **miss**, so the caller recompiles instead
     /// of serving a poisoned binary.
     pub fn get(&self, id: u64) -> Option<Arc<FatBinary>> {
-        let mut entries = self.entries.lock();
-        match entries.get_mut(&id) {
-            Some(e) => {
-                let verified = e.checksum.is_some() && e.binary.content_hash().ok() == e.checksum;
-                if verified {
-                    e.last_hit = self.clock.fetch_add(1, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(e.binary.clone())
-                } else {
-                    entries.remove(&id);
-                    self.corruptions.fetch_add(1, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    infs_trace::counter!("serve.artifact_corruptions", 1u64);
-                    None
-                }
+        let intact = |e: &Entry| e.checksum.is_some() && e.binary.content_hash().ok() == e.checksum;
+        let found = self
+            .entries
+            .lock()
+            .get_verified(&id, intact)
+            .map(|e| e.map(|e| e.binary.clone()));
+        match found {
+            Ok(Some(binary)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(binary)
             }
-            None => {
+            Ok(None) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Err(Corrupt) => {
+                self.corruptions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                infs_trace::counter!("serve.artifact_corruptions", 1u64);
                 None
             }
         }
@@ -97,38 +93,23 @@ impl ArtifactCache {
     /// Inserts an artifact, evicting the least-recently-hit entry when full.
     /// Returns the binary (already cached one if a concurrent insert won).
     pub fn insert(&self, id: u64, binary: Arc<FatBinary>) -> Arc<FatBinary> {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let entry = Entry {
+            checksum: binary.content_hash().ok(),
+            binary,
+        };
         let mut entries = self.entries.lock();
-        if let Some(existing) = entries.get(&id) {
-            return existing.binary.clone();
+        let (stored, victim) = entries.insert(id, entry);
+        if victim.is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        if entries.len() >= self.capacity {
-            if let Some(&victim) = entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_hit)
-                .map(|(k, _)| k)
-            {
-                entries.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        entries.insert(
-            id,
-            Entry {
-                checksum: binary.content_hash().ok(),
-                binary: binary.clone(),
-                last_hit: stamp,
-            },
-        );
-        binary
+        stored.binary.clone()
     }
 
     /// Fault injection: flip a bit of the stored checksum for `id`, so the
     /// next load detects corruption and treats it as a miss. Returns whether
     /// the id was cached.
     pub fn corrupt(&self, id: u64) -> bool {
-        let mut entries = self.entries.lock();
-        match entries.get_mut(&id) {
+        match self.entries.lock().peek_mut(&id) {
             Some(e) => {
                 e.checksum = e.checksum.map(|c| c ^ 1 << 63).or(Some(0));
                 true
@@ -163,9 +144,7 @@ impl ArtifactCache {
 /// has no canonical byte encoding to re-hash (unlike a fat binary), so the
 /// corruption drill stays at the fat-binary and JIT caches below it.
 pub struct PipelineCache {
-    entries: Mutex<HashMap<u64, (Arc<infs_pipeline::CompiledPipeline>, u64)>>,
-    capacity: usize,
-    clock: AtomicU64,
+    entries: Mutex<Lru<u64, Arc<infs_pipeline::CompiledPipeline>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -174,9 +153,7 @@ impl PipelineCache {
     /// A cache holding at most `capacity` compiled graphs (at least one).
     pub fn new(capacity: usize) -> Self {
         PipelineCache {
-            entries: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            clock: AtomicU64::new(0),
+            entries: Mutex::new(Lru::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -184,18 +161,14 @@ impl PipelineCache {
 
     /// Looks up a compiled graph, counting a hit or miss.
     pub fn get(&self, key: u64) -> Option<Arc<infs_pipeline::CompiledPipeline>> {
-        let mut entries = self.entries.lock();
-        match entries.get_mut(&key) {
-            Some((compiled, last_hit)) => {
-                *last_hit = self.clock.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(compiled.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.entries.lock().get(&key).cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts a compiled graph, evicting the least-recently-hit entry when
@@ -205,22 +178,7 @@ impl PipelineCache {
         key: u64,
         compiled: Arc<infs_pipeline::CompiledPipeline>,
     ) -> Arc<infs_pipeline::CompiledPipeline> {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock();
-        if let Some((existing, _)) = entries.get(&key) {
-            return existing.clone();
-        }
-        if entries.len() >= self.capacity {
-            if let Some(&victim) = entries
-                .iter()
-                .min_by_key(|(_, (_, last_hit))| *last_hit)
-                .map(|(k, _)| k)
-            {
-                entries.remove(&victim);
-            }
-        }
-        entries.insert(key, (compiled.clone(), stamp));
-        compiled
+        self.entries.lock().insert(key, compiled).0.clone()
     }
 
     /// Lifetime (hits, misses).

@@ -19,9 +19,10 @@ pub struct ServeConfig {
     /// Entry cap of the content-addressed artifact (compiled fat binary)
     /// cache.
     pub artifact_capacity: usize,
-    /// Entry cap of the shared JIT memoization cache (each of its two
-    /// levels, concrete streams and shape records, holds at most this many;
-    /// a shape record is a command count, not a template).
+    /// Exact entry cap of the shared JIT memoization cache: each of its two
+    /// levels, concrete streams and shape records (a shape record is a
+    /// command count, not a template), holds at most this many and evicts
+    /// its least-recently-hit entry beyond it.
     pub jit_capacity: usize,
     /// The simulated machine configuration each worker's machine is built
     /// with.

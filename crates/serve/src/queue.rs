@@ -113,11 +113,6 @@ impl<T> AdmissionQueue<T> {
         self.inner.lock().unwrap().closed = true;
         self.ready.notify_all();
     }
-
-    /// True once [`AdmissionQueue::close`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
 }
 
 #[cfg(test)]

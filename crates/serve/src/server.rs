@@ -597,11 +597,6 @@ impl Server {
         self.shared.worker_faults.load(Ordering::Relaxed)
     }
 
-    /// The server's chaos plan, when one is configured.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.shared.faults.clone()
-    }
-
     /// The online autotuner, when tuning is enabled (`DESIGN.md` §15).
     pub fn tuner(&self) -> Option<Arc<Tuner>> {
         self.shared.tuner.clone()

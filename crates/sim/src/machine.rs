@@ -2,7 +2,7 @@ use crate::core_model::{core_time, CoreProfile};
 use crate::nearmem::nearmem_time;
 use crate::residency::{Charge, Residency};
 use crate::{inmem, EnergyParams, Mesh, RunStats, SystemConfig};
-use infs_faults::{BankHealth, FaultPlan, NocFault};
+use infs_faults::{BankHealth, FaultPlan, Lru, NocFault};
 use infs_geom::layout::LayoutHints;
 use infs_geom::TileShape;
 use infs_isa::RegionInstance;
@@ -288,10 +288,10 @@ struct InMemoryPlan<'r> {
 /// proposal.
 type LayoutKey = (Vec<u64>, u32, LayoutHints, u32, Option<TileShape>, bool);
 
-/// Entries the planned-layout cache holds before it starts over. A machine
-/// entering the paper workloads plans a handful of layouts; a served
-/// machine meets whatever kernel shapes clients send, for the life of the
-/// process.
+/// Entries the planned-layout cache holds before it evicts the one used
+/// least recently. A machine entering the paper workloads plans a handful
+/// of layouts; a served machine meets whatever kernel shapes clients send,
+/// for the life of the process.
 const LAYOUT_CACHE_CAP: usize = 256;
 
 /// Per-machine fault and degradation counters (`DESIGN.md` §10). These are
@@ -350,7 +350,7 @@ pub struct Machine {
     /// Failures are not cached: planning is only re-attempted for regions
     /// that cannot run in-memory anyway, and the concrete error must stay
     /// fresh. Bounded by [`LAYOUT_CACHE_CAP`].
-    layouts: Mutex<HashMap<LayoutKey, Arc<TransposedLayout>>>,
+    layouts: Mutex<Lru<LayoutKey, Arc<TransposedLayout>>>,
     stats: RunStats,
     /// Where every array lives (cold, warm, transposed under which tile,
     /// dirty) — the one piece of residency state (`DESIGN.md` §7).
@@ -414,7 +414,7 @@ impl Machine {
             eparams: EnergyParams::default(),
             mem: Memory::for_arrays(arrays),
             jit,
-            layouts: Mutex::new(HashMap::new()),
+            layouts: Mutex::new(Lru::new(LAYOUT_CACHE_CAP)),
             stats: RunStats::default(),
             residency,
             plan: RunPlan::default(),
@@ -950,15 +950,10 @@ impl Machine {
             Some(t) => TransposedLayout::plan_with_tile(tdfg, t.clone(), hw),
             None => TransposedLayout::plan(tdfg, hints, hw),
         }?;
-        let arc = Arc::new(planned);
+        // Re-planning is a pure function of the key: an eviction costs host
+        // time only, never a cycle.
         let mut layouts = self.layouts.lock().expect("layout cache lock");
-        if layouts.len() >= LAYOUT_CACHE_CAP {
-            // Re-planning is a pure function of the key: dropping every
-            // entry costs host time only, never a cycle.
-            layouts.clear();
-        }
-        layouts.insert(key, arc.clone());
-        Ok(arc)
+        Ok(layouts.insert(key, Arc::new(planned)).0.clone())
     }
 
     /// Arrays a region's streams walk (ascending), and those they store to
@@ -1247,36 +1242,41 @@ mod tests {
     }
 
     /// More distinct lattices than the planned-layout cache holds, entered
-    /// twice through one resident machine: the cache never outgrows its cap,
-    /// and every entry — the second pass re-plans what the overflow dropped —
-    /// takes exactly the cycles a fresh machine takes.
+    /// through one resident machine: the cache holds its cap, evicts the
+    /// layout used least recently, and every entry — the ones that re-plan
+    /// an evicted layout included — takes exactly the cycles a fresh machine
+    /// takes.
     #[test]
     fn layout_cache_is_bounded_and_replanning_moves_no_cycle() {
         let cfg = SystemConfig::default();
-        let regions: Vec<_> = (1..=LAYOUT_CACHE_CAP as u64 + 8)
-            .map(|k| scale_region(256 * k))
-            .collect();
+        let cap = LAYOUT_CACHE_CAP as u64;
         let jit = Arc::new(JitCache::new());
         let mut m = Machine::with_jit(cfg.clone(), &[], jit.clone());
-        let mut peak = 0;
-        for pass in 0..2 {
-            // Every entry below lowers, on `m` as on a fresh machine, so only
-            // the layout cache tells the two apart.
+        // Fill the cache, re-enter lattice 1, push 8 new lattices through
+        // (evicting 2..=9), then re-enter those 8 (evicting 10..=17).
+        let order = (1..=cap).chain([1]).chain(cap + 1..=cap + 8).chain(2..=9);
+        for k in order {
+            let region = scale_region(256 * k);
+            let arrays = region.sdfg.arrays();
+            // Every entry lowers, on `m` as on a fresh machine, so only the
+            // layout cache tells the two apart.
             jit.clear();
-            for region in &regions {
-                let arrays = region.sdfg.arrays();
-                m.reset(arrays);
-                let got = m.run_region(region, &[2.0], ExecMode::InL3).unwrap();
-                let want = Machine::new(cfg.clone(), arrays)
-                    .run_region(region, &[2.0], ExecMode::InL3)
-                    .unwrap();
-                assert_eq!(got.executed, Executed::InMemory);
-                assert_eq!(got.cycles, want.cycles, "pass {pass}, {:?}", arrays);
-                let len = m.layouts.lock().unwrap().len();
-                assert!(len <= LAYOUT_CACHE_CAP, "{len} planned layouts");
-                peak = peak.max(len);
-            }
+            m.reset(arrays);
+            let got = m.run_region(&region, &[2.0], ExecMode::InL3).unwrap();
+            let want = Machine::new(cfg.clone(), arrays)
+                .run_region(&region, &[2.0], ExecMode::InL3)
+                .unwrap();
+            assert_eq!(got.executed, Executed::InMemory);
+            assert_eq!(got.cycles, want.cycles, "lattice {k}");
+            assert!(m.layouts.lock().unwrap().len() <= LAYOUT_CACHE_CAP);
         }
-        assert_eq!(peak, LAYOUT_CACHE_CAP, "the cache filled and started over");
+        let mut layouts = m.layouts.lock().unwrap();
+        let mut held: Vec<u64> = layouts
+            .values_mut()
+            .map(|l| l.lattice_shape()[0] / 256)
+            .collect();
+        held.sort_unstable();
+        let want: Vec<u64> = (1..=9).chain(18..=cap + 8).collect();
+        assert_eq!(held, want, "the least recently used lattices left");
     }
 }

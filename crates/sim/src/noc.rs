@@ -45,12 +45,6 @@ impl Mesh {
         ex(self.w as f64) + ex(self.h as f64)
     }
 
-    /// Average hops from a fixed core tile to uniformly spread banks.
-    pub fn avg_hops_from(&self, id: u32) -> f64 {
-        let n = self.w * self.h;
-        (0..n).map(|b| self.hops(id, b) as f64).sum::<f64>() / n as f64
-    }
-
     /// Time to drain a bulk phase of `byte_hops` total traffic whose largest
     /// single flow is `max_flow_bytes`: aggregate-bandwidth bound plus the
     /// serialization of the worst flow on one link.

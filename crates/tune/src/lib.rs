@@ -54,8 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use infs_faults::mix64;
-use std::collections::HashMap;
+use infs_faults::{mix64, Lru};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -186,8 +185,6 @@ pub struct TuneTable {
     pub promotions: u64,
     /// Fault-driven resets back to the baseline.
     pub demotions: u64,
-    /// Eviction clock stamp (global decide counter at last touch).
-    touched: u64,
 }
 
 /// One routing decision: which variant this request runs under.
@@ -225,8 +222,8 @@ pub struct TuneStats {
 #[derive(Debug)]
 pub struct Tuner {
     cfg: TuneConfig,
-    tables: Mutex<HashMap<u64, TuneTable>>,
-    clock: AtomicU64,
+    /// Tables by artifact, evicting the least recently decided.
+    tables: Mutex<Lru<u64, TuneTable>>,
     explored: AtomicU64,
     exploited: AtomicU64,
     promotions: AtomicU64,
@@ -237,9 +234,8 @@ impl Tuner {
     /// A tuner with the given policy.
     pub fn new(cfg: TuneConfig) -> Self {
         Tuner {
+            tables: Mutex::new(Lru::new(cfg.max_artifacts)),
             cfg,
-            tables: Mutex::new(HashMap::new()),
-            clock: AtomicU64::new(0),
             explored: AtomicU64::new(0),
             exploited: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
@@ -262,23 +258,16 @@ impl Tuner {
     /// draw 1 (`mix64(seed, key, seq) % 100`) picks explore vs exploit,
     /// draw 2 (salted) picks uniformly among the non-incumbent candidates.
     pub fn decide(&self, key: u64, candidates: impl FnOnce() -> Vec<Variant>) -> Decision {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut tables = self.tables.lock().expect("tune tables lock");
-        if !tables.contains_key(&key) {
-            if tables.len() >= self.cfg.max_artifacts.max(1) {
-                // Evict the least-recently-decided artifact; it simply
-                // re-tunes from scratch if its traffic returns.
-                if let Some(&victim) = tables.iter().min_by_key(|(_, t)| t.touched).map(|(k, _)| k)
-                {
-                    tables.remove(&victim);
-                }
-            }
+        if tables.peek(&key).is_none() {
             let mut list = candidates();
             if list.first() != Some(&Variant::Baseline) {
                 list.insert(0, Variant::Baseline);
             }
             list.truncate(self.cfg.max_variants.max(1));
             let n = list.len();
+            // A full map evicts the least recently decided artifact; it
+            // simply re-tunes from scratch if its traffic returns.
             tables.insert(
                 key,
                 TuneTable {
@@ -288,12 +277,10 @@ impl Tuner {
                     seq: 0,
                     promotions: 0,
                     demotions: 0,
-                    touched: stamp,
                 },
             );
         }
-        let entry = tables.get_mut(&key).expect("just inserted");
-        entry.touched = stamp;
+        let entry = tables.get(&key).expect("held or just inserted");
         let seq = entry.seq;
         entry.seq += 1;
         let explore = entry.candidates.len() > 1
@@ -328,7 +315,7 @@ impl Tuner {
     /// the decided variant to incumbent.
     pub fn record(&self, key: u64, decision: &Decision, cycles: u64) -> bool {
         let mut tables = self.tables.lock().expect("tune tables lock");
-        let Some(entry) = tables.get_mut(&key) else {
+        let Some(entry) = tables.peek_mut(&key) else {
             return false; // table evicted between decide and record
         };
         let Some(stat) = entry.stats.get_mut(decision.index) else {
@@ -369,7 +356,7 @@ impl Tuner {
     /// baseline incumbent was actually demoted.
     pub fn degrade(&self, key: u64) -> bool {
         let mut tables = self.tables.lock().expect("tune tables lock");
-        let Some(entry) = tables.get_mut(&key) else {
+        let Some(entry) = tables.peek_mut(&key) else {
             return false;
         };
         for stat in &mut entry.stats {
@@ -388,7 +375,7 @@ impl Tuner {
     /// The current incumbent variant for an artifact, if it has a table.
     pub fn incumbent(&self, key: u64) -> Option<Variant> {
         let tables = self.tables.lock().expect("tune tables lock");
-        tables.get(&key).map(|t| t.candidates[t.incumbent].clone())
+        tables.peek(&key).map(|t| t.candidates[t.incumbent].clone())
     }
 
     /// A copy of an artifact's tune table (tests, benches, figures).
@@ -396,7 +383,7 @@ impl Tuner {
         self.tables
             .lock()
             .expect("tune tables lock")
-            .get(&key)
+            .peek(&key)
             .cloned()
     }
 
